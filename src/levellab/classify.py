@@ -28,7 +28,7 @@ from levellab.constructions import (
     sum_of_powers,
 )
 from levellab.errors import DependentGeneratorsError, HypothesisError
-from levellab.forms import DEFAULT_PRIME
+from levellab.forms import DEFAULT_PRIME, check_prime
 from levellab.macaulay import HVector, is_si_sequence, o_sequence_violation
 from levellab.modules import (
     HProfile,
@@ -322,6 +322,7 @@ def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
     budget = budget or Budget()
     start = time.monotonic()
     hv = h if isinstance(h, HVector) else HVector(h)
+    check_prime(prime, hv.socle_degree)
 
     violated = necessary_condition_violation(hv)
     if violated is not None:

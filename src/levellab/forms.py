@@ -21,9 +21,11 @@ from itertools import combinations
 from random import Random
 from typing import Iterable, Mapping
 
-from levellab.errors import ParseError
+from levellab.errors import HypothesisError, ParseError
 
 DEFAULT_PRIME = 2**31 - 1
+# Every modulus stays below this, so int64 products of residues are exact.
+PRIME_LIMIT = 2**31
 
 Monomial = tuple[int, ...]
 
@@ -55,6 +57,21 @@ def is_prime(n: int) -> bool:
 def validate_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return p
+
+
+@lru_cache(maxsize=64)
+def check_prime(p: int, degree: int) -> int:
+    """Require a prime p with degree < p < 2^31.
+
+    Above the range the int64 elimination overflows; at or below the degree
+    the derivative multipliers vanish mod p, so neither can certify."""
+    if not degree < p < PRIME_LIMIT:
+        raise HypothesisError(
+            f"prime {p} must exceed the socle degree {degree} and stay below 2^31"
+        )
+    if not is_prime(p):
+        raise HypothesisError(f"modulus {p} is not prime")
     return p
 
 

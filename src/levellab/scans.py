@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from levellab.classify import Budget, Classification, Status, classify
 from levellab.errors import HypothesisError
-from levellab.forms import DEFAULT_PRIME
+from levellab.forms import DEFAULT_PRIME, check_prime
 from levellab.macaulay import HVector
 from levellab.seeds import derive_seed
 
@@ -59,6 +59,7 @@ def find_gaps(values, classifications) -> tuple[Gap, ...]:
 
 def _scan(base: HVector, degrees: tuple[int, ...], values, budget, master_seed,
           prime, exact_rational) -> ScanReport:
+    check_prime(prime, base.socle_degree)
     values = tuple(values)
     if any(v < 1 for v in values):
         raise ValueError("scanned values must be positive")

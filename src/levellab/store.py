@@ -18,12 +18,15 @@ from levellab.classify import (
     condition_still_violated,
     criterion_still_holds,
 )
-from levellab.errors import VerificationError
+from levellab.errors import HypothesisError, VerificationError
+from levellab.forms import check_prime
 from levellab.macaulay import HVector
 from levellab.modules import h_vector, module_from_text, module_to_text
+from levellab.spans import derivative_dims_rational
 
 SCHEMA_VERSION = 1
 STORE_ENV = "LEVELLAB_STORE"
+CHARACTERISTICS = ("char-p", "char-0-verified")
 
 
 def default_store_path() -> str | None:
@@ -110,7 +113,9 @@ def store_verify(record: dict) -> None:
     Construction records are replayed from (recipe, seed, prime) and must
     reproduce the stored generator text byte for byte and the stored ranks;
     records without a recipe are recomputed from their generator payload.
-    Criterion and non-level records re-run their decision rule.
+    A ``char-0-verified`` claim is re-derived from the rational ranks of the
+    replayed generators.  Criterion and non-level records re-run their
+    decision rule.
     """
     if record.get("schema") != SCHEMA_VERSION:
         raise VerificationError(f"unsupported schema {record.get('schema')!r}")
@@ -150,10 +155,23 @@ def store_verify(record: dict) -> None:
         raise VerificationError("level record lacks generators, prime or ranks")
     if list(ranks) != list(h.entries):
         raise VerificationError(f"stored ranks {ranks} disagree with h {h}")
+    characteristic = record.get("characteristic", "char-p")
+    if characteristic not in CHARACTERISTICS:
+        raise VerificationError(f"unknown characteristic {characteristic!r}")
+    _require_integer("prime", prime)
+    try:
+        check_prime(prime, h.socle_degree)
+    except HypothesisError as exc:
+        raise VerificationError(str(exc)) from exc
 
     recipe = record.get("recipe")
     if recipe is not None:
-        module = build_recipe(recipe, Random(record["seed"]), prime)
+        seed = record.get("seed")
+        _require_integer("seed", seed)
+        try:
+            module = build_recipe(recipe, Random(seed), prime)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise VerificationError(f"recipe {recipe!r} does not replay: {exc}") from exc
         replayed = module_to_text(module)
         if replayed != generators:
             raise VerificationError(
@@ -166,6 +184,14 @@ def store_verify(record: dict) -> None:
         raise VerificationError(
             f"recomputed ranks {profile.dims} differ from stored {tuple(ranks)}"
         )
+    if characteristic == "char-0-verified":
+        if derivative_dims_rational(list(module.generators)) != profile.dims:
+            raise VerificationError("ranks over Q differ, so char-0-verified does not hold")
+
+
+def _require_integer(key: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise VerificationError(f"field {key}={value!r} is not an integer")
 
 
 def verify_store_file(path: str | None = None) -> int:

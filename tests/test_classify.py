@@ -16,6 +16,7 @@ from levellab.classify import (
     necessary_condition_violation,
     recipe_tag,
 )
+from levellab.errors import HypothesisError
 from levellab.macaulay import HVector
 
 
@@ -156,3 +157,10 @@ def test_time_budget_reports_exhaustion():
     result = classify(HVector.parse("1,7,25"), Budget(trials=5, time_limit=0.0))
     assert result.status is Status.UNKNOWN
     assert any("budget" in note for note in result.diagnostics)
+
+
+def test_classify_refuses_primes_outside_the_exact_range():
+    h = HVector.parse("1,3,6,9,3")
+    for prime in (4294967291, 2**61 - 1, 3, 91):
+        with pytest.raises(HypothesisError, match=str(prime)):
+            classify(h, prime=prime)

@@ -178,6 +178,23 @@ def test_nonprime_modulus_rejected(capsys):
     assert "error: value: 10 is not prime" in capsys.readouterr().err
 
 
+def test_prime_beyond_int64_range_refused(capsys):
+    # 2^32 - 5 is prime, but int64 elimination overflows on it
+    code, text = run(["classify", "1,3,6,9,3", "--prime", "4294967291"])
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "error: hypothesis:" in err
+    assert "4294967291" in err
+
+
+def test_prime_at_most_the_socle_degree_refused(capsys):
+    code, text = run(["classify", "1,3,6,9,3", "--prime", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: hypothesis: prime 2 must exceed the socle degree 4" in err
+
+
 def test_nonlevel_gap_exits_4(monkeypatch):
     def fake_classify(h, budget=None, *, master_seed=0, prime=0,
                       exact_rational=False):

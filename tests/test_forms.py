@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from levellab.errors import ParseError
+from levellab.errors import HypothesisError, ParseError
 from levellab.forms import (
     DEFAULT_PRIME,
     Form,
+    check_prime,
     format_form,
     is_prime,
     monomials_of_degree,
@@ -28,6 +29,14 @@ def test_default_prime_is_prime():
     assert validate_prime(101) == 101
     with pytest.raises(ValueError):
         validate_prime(91)
+
+
+def test_check_prime_range():
+    assert check_prime(DEFAULT_PRIME, 40) == DEFAULT_PRIME
+    assert check_prime(5, 4) == 5
+    for p, degree in ((5, 5), (2, 4), (4294967291, 3), (2**61 - 1, 3), (91, 3), (1, 0)):
+        with pytest.raises(HypothesisError, match=str(p)):
+            check_prime(p, degree)
 
 
 def test_monomial_order_frozen():

@@ -102,3 +102,10 @@ def test_scan_reports_nonlevel_gap(monkeypatch):
     report = scan_ic(HVector.parse("1,3,6,3"), 2, range(3, 8))
     assert report.gaps == (Gap((4, 5, 6), "nonlevel"),)
     assert report.by_value()[5].status is Status.NONLEVEL
+
+
+def test_scans_refuse_primes_outside_the_exact_range():
+    with pytest.raises(HypothesisError, match="4294967291"):
+        scan_ic(HVector.parse("1,3,6,3"), 2, range(3, 5), prime=4294967291)
+    with pytest.raises(HypothesisError, match="prime 3 "):
+        scan_gic(HVector.parse("1,3,3,1"), 1, range(2, 4), prime=3)

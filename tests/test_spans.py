@@ -2,18 +2,26 @@
 
 Ranks are checked against sympy's rational rank on small-integer
 matrices, where minors stay far below the working prime, so the mod-p and
-characteristic-zero answers provably coincide.
+characteristic-zero answers provably coincide.  The blocked kernel is
+checked byte for byte against ``reference_rref``, the per-pivot
+elimination it replaced.
 """
 
 import random
+from random import Random
 
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
+from levellab import spans
+from levellab.constructions import compressed_generic_module
+from levellab.errors import HypothesisError
 from levellab.forms import DEFAULT_PRIME, Form, parse_form, random_form
 from levellab.macaulay import binomial
 from levellab.spans import (
+    _PANEL,
     derivative_dims_rational,
     derivative_spaces,
     rank_mod_p,
@@ -24,6 +32,53 @@ from levellab.spans import (
 
 def small_matrix(rng, rows, cols, lo=0, hi=20):
     return np.array([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def reference_rref(matrix, p):
+    """One full-width Gauss-Jordan update per pivot: the oracle."""
+    a = np.array(matrix, dtype=np.int64, copy=True)
+    a %= p
+    nrows, ncols = a.shape
+    pivot = 0
+    for col in range(ncols):
+        if pivot >= nrows:
+            break
+        stuck = np.nonzero(a[pivot:, col])[0]
+        if stuck.size == 0:
+            continue
+        first = pivot + int(stuck[0])
+        if first != pivot:
+            a[[pivot, first]] = a[[first, pivot]]
+        inv = pow(int(a[pivot, col]), p - 2, p)
+        a[pivot] = a[pivot] * inv % p
+        others = np.nonzero(a[:, col])[0]
+        others = others[others != pivot]
+        if others.size:
+            a[others] = (a[others] - np.outer(a[others, col], a[pivot])) % p
+        pivot += 1
+    return a[:pivot]
+
+
+def assert_same_rref(matrix, p):
+    got = rref_mod_p(matrix, p)
+    want = reference_rref(matrix, p)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def random_residues(gen, rows, cols, p, lo=0):
+    return gen.integers(lo, p, size=(rows, cols), dtype=np.int64)
+
+
+def low_rank(gen, rows, cols, rank, p):
+    """A product of random rows x rank and rank x cols factors mod p."""
+    left = random_residues(gen, rows, rank, p)
+    right = random_residues(gen, rank, cols, p)
+    return (left.astype(object).dot(right.astype(object)) % p).astype(np.int64)
+
+
+PRIMES = (DEFAULT_PRIME, 101)
 
 
 def test_rank_matches_sympy_on_small_integers():
@@ -155,3 +210,115 @@ def test_rational_dims_see_characteristic():
     assert dims_p[q - 1] == 0
     assert dims_q[q - 1] == 2
     assert all(a >= b for a, b in zip(dims_q, dims_p))
+
+
+# ------------------------------------------------------------ blocked kernel
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_blocked_kernel_matches_reference_across_panel_widths(p):
+    gen = np.random.default_rng(59)
+    widths = [1, 2, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL, 2 * _PANEL + 1,
+              3 * _PANEL + 7, 150, 300]
+    for cols in widths:
+        for rows in (1, 3, cols // 2 + 1, cols, cols + 9):
+            assert_same_rref(random_residues(gen, rows, cols, p), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_blocked_kernel_on_tall_and_wide_shapes(p):
+    gen = np.random.default_rng(61)
+    for rows, cols in ((400, 40), (700, 70), (5, 290), (40, 260), (2, 1000)):
+        assert_same_rref(random_residues(gen, rows, cols, p), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_blocked_kernel_with_rank_deficiency_and_zero_columns(p):
+    gen = np.random.default_rng(67)
+    for rows, cols, rank in ((120, 200, 37), (90, 150, 90), (250, 110, 70),
+                             (60, 300, 1), (80, 130, 0)):
+        mat = low_rank(gen, rows, cols, rank, p)
+        zero = gen.choice(cols, size=cols // 4, replace=False)
+        mat[:, zero] = 0
+        # whole zero panels and repeated rows as well
+        mat[:, _PANEL:2 * _PANEL] = 0
+        mat[rows // 2:rows // 2 + 5] = mat[:5]
+        assert_same_rref(mat, p)
+
+
+def test_blocked_kernel_with_pivots_on_panel_edges():
+    p = DEFAULT_PRIME
+    gen = np.random.default_rng(71)
+    cols = 4 * _PANEL + 3
+    edges = [0, _PANEL - 1, _PANEL, 2 * _PANEL - 1, 2 * _PANEL + 1, 3 * _PANEL,
+             4 * _PANEL - 1, 4 * _PANEL]
+    echelon = random_residues(gen, len(edges), cols, p)
+    for i, col in enumerate(edges):
+        echelon[i, :col] = 0
+        echelon[i, col] = 1 + i
+    for rows in (len(edges), 3 * len(edges)):
+        mix = random_residues(gen, rows, len(edges), p)
+        mat = (mix.astype(object).dot(echelon.astype(object)) % p).astype(np.int64)
+        reduced = rref_mod_p(mat, p)
+        assert reduced.tobytes() == reference_rref(mat, p).tobytes()
+        assert [int(np.flatnonzero(row)[0]) for row in reduced] == edges
+
+
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, 65537))
+def test_blocked_kernel_with_entries_near_the_modulus(p):
+    # p - 1 has every bit of both 16-bit halves set that p allows
+    gen = np.random.default_rng(73)
+    for rows, cols in ((70, 100), (200, 2 * _PANEL + 5), (33, 97)):
+        mat = random_residues(gen, rows, cols, p, lo=p - 40)
+        assert_same_rref(mat, p)
+        mat[:, ::3] = p - 1
+        assert_same_rref(mat, p)
+
+
+def test_rank_matches_sympy_beyond_one_panel():
+    rng = random.Random(79)
+    for rows, cols in ((12, 3 * _PANEL), (2 * _PANEL + 6, _PANEL + 9), (30, 2 * _PANEL + 1)):
+        mat = small_matrix(rng, rows, cols, lo=0, hi=7)
+        # plant dependent rows and columns so the rank falls short of both sides
+        for i in range(0, rows, 4):
+            mat[i] = mat[(i + 1) % rows] + 2 * mat[(i + 2) % rows]
+        for j in range(0, cols, 5):
+            mat[:, j] = mat[:, (j + 1) % cols] + mat[:, (j + 3) % cols]
+        # sympy's domain matrices over QQ; Matrix.rank is far too slow here
+        exact = DomainMatrix.from_list_sympy(rows, cols, mat.tolist())
+        assert rank_mod_p(mat, DEFAULT_PRIME) == exact.convert_to(sympy.QQ).rank()
+
+
+def test_towers_match_reference_kernel(monkeypatch):
+    # an r = 18 cubic tower and an r = 16 Gorenstein quartic tower
+    cases = [compressed_generic_module(18, 3, 18, Random(83)),
+             compressed_generic_module(16, 4, 1, Random(89))]
+    blocked = [derivative_spaces(list(m.generators)) for m in cases]
+    monkeypatch.setattr(spans, "rref_mod_p", reference_rref)
+    for module, got in zip(cases, blocked):
+        want = derivative_spaces(list(module.generators))
+        assert [b.dim for b in got] == [b.dim for b in want]
+        for a, b in zip(got, want):
+            assert a.matrix.dtype == b.matrix.dtype
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert [b.dim for b in blocked[0]] == [1, 18, 171, 18]
+    assert [b.dim for b in blocked[1]] == [1, 16, 136, 16, 1]
+
+
+@pytest.mark.parametrize("p", (0, 1, -7, 2**31, 2**32 - 5, 2**61 - 1))
+def test_modulus_outside_the_int64_range_refused(p):
+    with pytest.raises(HypothesisError, match=str(p)):
+        rref_mod_p(np.eye(3, dtype=np.int64), p)
+
+
+def test_rank_probe_beyond_2_31_refused():
+    # here int64 products would overflow; the old kernel reported rank 4
+    # for 49 of 50 of these rank-3 matrices
+    rng = random.Random(97)
+    p = 2**32 - 5
+    for _ in range(5):
+        base = small_matrix(rng, 3, 6, lo=1, hi=p)
+        mat = np.vstack([base, base[0] + base[1]])
+        with pytest.raises(HypothesisError):
+            rank_mod_p(mat, p)
+    assert rank_mod_p(mat % DEFAULT_PRIME, DEFAULT_PRIME) == 3

@@ -1,5 +1,6 @@
 """Tests for the append-only certificate store and its verifier."""
 
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -149,6 +150,74 @@ def test_verify_reports_line_numbers(tmp_path, sample_records):
         fh.write("not json\n")
     with pytest.raises(VerificationError, match="line 1"):
         verify_store_file(garbled)
+
+
+@pytest.mark.parametrize("seed", ["missing", "12", 1.5, None, True])
+def test_record_without_integer_seed_rejected(tmp_path, sample_records, seed):
+    record = dict(sample_records[0])
+    if seed == "missing":
+        del record["seed"]
+    else:
+        record["seed"] = seed
+    with pytest.raises(VerificationError, match="seed"):
+        store_verify(record)
+    path = str(tmp_path / "store.jsonl")
+    store_append(sample_records[1], path)
+    store_append(record, path)
+    with pytest.raises(VerificationError, match="line 2: .*seed"):
+        verify_store_file(path)
+
+
+def test_unknown_recipe_kind_rejected(tmp_path, sample_records):
+    record = dict(sample_records[0])
+    record["recipe"] = dict(record["recipe"], kind="wishful")
+    with pytest.raises(VerificationError, match="wishful"):
+        store_verify(record)
+    path = str(tmp_path / "store.jsonl")
+    store_append(record, path)
+    with pytest.raises(VerificationError, match="line 1: .*wishful"):
+        verify_store_file(path)
+
+
+def test_unknown_characteristic_rejected(tmp_path, sample_records):
+    record = dict(sample_records[0], characteristic="char-2")
+    with pytest.raises(VerificationError, match="char-2"):
+        store_verify(record)
+    path = str(tmp_path / "store.jsonl")
+    store_append(record, path)
+    with pytest.raises(VerificationError, match="line 1: .*char-2"):
+        verify_store_file(path)
+
+
+def test_char0_claim_rederived():
+    # a genuine claim: (1,3,6,9,3) is the compressed profile, reached over Q
+    genuine = record_from_classification(
+        classify(HVector.parse("1,3,6,9,3"), exact_rational=True))
+    assert genuine["characteristic"] == "char-0-verified"
+    store_verify(genuine)
+    # (1,3,4,2) lies below the compressed profile; the integer lift of its
+    # stored residues is a generic cubic pair with larger ranks over Q
+    record = record_from_classification(classify(HVector.parse("1,3,4,2")))
+    assert record["characteristic"] == "char-p"
+    store_verify(record)
+    forged = dict(record, characteristic="char-0-verified")
+    with pytest.raises(VerificationError, match="char-0-verified"):
+        store_verify(forged)
+
+
+@pytest.mark.parametrize("prime", [4294967291, 2, 91, "2147483647"])
+def test_record_prime_outside_the_exact_range_rejected(sample_records, prime):
+    record = dict(sample_records[0], prime=prime)
+    with pytest.raises(VerificationError, match="prime"):
+        store_verify(record)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.jsonl"
+
+
+def test_frozen_corpus_replays():
+    # the benchmark's frozen certificate corpus, only ever read
+    assert verify_store_file(str(CORPUS)) == 222
 
 
 def test_env_default_path(tmp_path, monkeypatch, sample_records):
