@@ -27,7 +27,7 @@ from levellab.constructions import (
     powers_partition_module,
     sum_of_powers,
 )
-from levellab.errors import DependentGeneratorsError, HypothesisError
+from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
 from levellab.forms import DEFAULT_PRIME, check_prime
 from levellab.macaulay import HVector, is_si_sequence, o_sequence_violation
 from levellab.modules import (
@@ -37,7 +37,6 @@ from levellab.modules import (
     truncate_level,
 )
 from levellab.seeds import derive_seed
-from levellab.spans import derivative_dims_rational
 
 
 class Status(Enum):
@@ -48,10 +47,11 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class Budget:
-    """Search budget: random trials per recipe, wall-clock cap per vector."""
+    """Search budget: random trials per recipe.  The candidate recipes are
+    finitely many, so this bounds the work and verdicts never depend on
+    machine load."""
 
     trials: int = 5
-    time_limit: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,10 @@ def recipe_tag(recipe: dict) -> str:
 
 
 def expected_h_for_recipe(recipe: dict) -> HVector:
-    """Generic h-vector a recipe aims for, by pure arithmetic."""
+    """Generic h-vector a recipe aims for, by pure arithmetic.
+
+    It is also an entrywise upper bound on the h-vector of the recipe's
+    module over any field; see :func:`char0_certified`."""
     kind = recipe["kind"]
     if kind == "sum_of_powers":
         return expected_h_sum_of_powers(
@@ -221,6 +224,41 @@ def expected_h_for_recipe(recipe: dict) -> HVector:
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
+def char0_certified(recipe: dict, ranks) -> bool:
+    """Whether ranks realized over F_p by ``build_recipe(recipe, ...)``
+    certify the same level h-vector in characteristic 0: exactly when they
+    meet the recipe's bound ``expected_h_for_recipe(recipe)``.
+
+    Lower bound.  Lift the recipe's own draws to Z: the linear forms and
+    dense coefficients are drawn in [0, p), the pure power of a new
+    variable has coefficient 1, and ``truncate`` is generated by the
+    integer derivatives of its lifted source.  Every order-k derivative of
+    the lifted generators reduces mod p to the same derivative of the F_p
+    generators, and those span the F_p tower in each degree, so every
+    tower matrix of the lift has rank over Q at least the rank over F_p.
+
+    Upper bound.  The recipe's bound holds over Q for each kind:
+
+    - powers: every derivative of L^e is a multiple of a power of L, so a
+      sum of m powers spans at most m forms in each degree, and order-k
+      derivatives span at most dim R_k (Iarrobino-Kanev, Power Sums,
+      Gorenstein Algebras, and Determinantal Loci, LNM 1721);
+    - partition and augment: the span of a union is at most the sum of the
+      spans, and never more than the ring;
+    - compressed: the ring, and t generators times the dim R_{e-j}
+      operators of order e - j, bound every degree trivially;
+    - add_variable: the base tower plus the powers of the new variable, a
+      direct sum that adds one in each positive degree;
+    - truncate: the tower of the degree-``to`` piece is a prefix of its
+      source's tower.
+
+    Conclusion.  When the F_p ranks meet the bound, the ranks over Q are
+    squeezed to the same values.  The lifted module is generated in one
+    degree, so it presents a level algebra over Q with that h-vector.
+    """
+    return tuple(ranks) == expected_h_for_recipe(recipe).entries
+
+
 def build_recipe(recipe: dict, rng: Random, p: int = DEFAULT_PRIME) -> InverseModule:
     """Materialize a recipe; the rng is consumed in a fixed order, so a
     seeded Random reproduces the module exactly."""
@@ -242,6 +280,8 @@ def build_recipe(recipe: dict, rng: Random, p: int = DEFAULT_PRIME) -> InverseMo
         return add_new_variable_power(build_recipe(recipe["base"], rng, p))
     if kind == "augment":
         base = build_recipe(recipe["base"], rng, p)
+        if recipe["nvars"] != base.nvars:  # the bound counts recipe["nvars"]
+            raise ValueError(f"augment names {recipe['nvars']} variables, not {base.nvars}")
         return augment_with_powers(base, recipe["count"], rng)
     raise ValueError(f"unknown recipe kind {kind!r}")
 
@@ -311,13 +351,14 @@ def realize_recipe(recipe: dict, master_seed: int, trials: int,
 
 
 def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
-             prime: int = DEFAULT_PRIME, exact_rational: bool = False) -> Classification:
+             prime: int = DEFAULT_PRIME) -> Classification:
     """Decide level / non-level / unknown for a candidate h-vector.
 
     Non-level verdicts re-check necessary conditions; level verdicts carry
     either an exact criterion or a construction certificate whose replay
     reproduces the ranks.  The result is monotone in the budget: verdicts
-    reached at a smaller budget are never revoked at a larger one.
+    reached at a smaller budget are never revoked at a larger one.  It
+    depends only on the input, the seed, the prime and the budget.
     """
     budget = budget or Budget()
     start = time.monotonic()
@@ -343,34 +384,28 @@ def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
     if not recipes:
         diagnostics.append("no construction recipe matches this h-vector")
     for recipe in recipes:
-        if time.monotonic() - start > budget.time_limit:
-            diagnostics.append("time budget exhausted before trying all recipes")
-            break
+        trials_used += budget.trials
         try:
             module, profile = realize_recipe(recipe, master_seed, budget.trials, prime)
         except DependentGeneratorsError:
-            trials_used += budget.trials
             diagnostics.append(f"every trial of {recipe_tag(recipe)} degenerated")
             continue
-        trials_used += budget.trials
+        bound = expected_h_for_recipe(recipe)
+        if any(d > b for d, b in zip(profile.dims, bound)):
+            raise SoundnessError(
+                f"{recipe_tag(recipe)} realized {profile.h} above its bound {bound}"
+            )
         if profile.h != hv:
             diagnostics.append(
                 f"{recipe_tag(recipe)} realized {profile.h}, wanted {hv}"
             )
             continue
-        characteristic = "char-p"
-        if exact_rational:
-            rational = derivative_dims_rational(list(module.generators))
-            if tuple(rational) != profile.dims:
-                diagnostics.append(
-                    f"{recipe_tag(recipe)} ranks differ in characteristic 0"
-                )
-                continue
-            characteristic = "char-0-verified"
+        # candidates expect exactly hv, so the profile meets the recipe bound
+        # and char0_certified(recipe, profile.dims) holds
         cert = Certificate(kind="construction", recipe=recipe, seed=module.seed,
                            prime=prime, ranks=profile.dims,
                            generators=module_to_text(module),
-                           characteristic=characteristic)
+                           characteristic="char-0-verified")
         return Classification(hv, Status.LEVEL, certificate=cert,
                               trials_used=trials_used,
                               elapsed=time.monotonic() - start,

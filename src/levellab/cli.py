@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random trials per construction")
     common.add_argument("--store", default=None,
                         help="certificate store path (default: $LEVELLAB_STORE)")
-    common.add_argument("--exact-rational", action="store_true",
-                        help="re-verify certificates with exact rational ranks")
 
     parser = argparse.ArgumentParser(
         prog="levellab",
@@ -304,8 +302,7 @@ def _cmd_truncate(args, out) -> int:
 
 def _cmd_classify(args, out) -> int:
     result = classify(args.h, Budget(trials=args.trials),
-                      master_seed=args.seed, prime=args.prime,
-                      exact_rational=args.exact_rational)
+                      master_seed=args.seed, prime=args.prime)
     _print_classification(result, out)
     _maybe_store(args, result)
     return EXIT_OK
@@ -317,7 +314,7 @@ def _cmd_scan(args, out, kind: str) -> int:
     scan = scan_ic if kind == "ic" else scan_gic
     report = scan(args.h, args.at, range(args.start, args.stop + 1),
                   Budget(trials=args.trials), master_seed=args.seed,
-                  prime=args.prime, exact_rational=args.exact_rational)
+                  prime=args.prime)
     degrees = ",".join(map(str, report.degrees))
     print(f"base: {report.base}  degrees: {degrees}", file=out)
     for value, result in zip(report.values, report.classifications):

@@ -236,6 +236,8 @@ def differentiate(form: Form, var: int) -> Form:
 
 def random_linear_form(nvars: int, rng: Random, p: int = DEFAULT_PRIME) -> Form:
     """A uniformly random nonzero linear form."""
+    if nvars < 1:
+        raise ValueError(f"need at least one variable, got {nvars}")
     while True:
         coeffs = [rng.randrange(p) for _ in range(nvars)]
         if any(coeffs):

@@ -19,14 +19,15 @@ from random import Random
 import numpy as np
 
 from levellab.errors import DependentGeneratorsError, ParseError, SoundnessError
-from levellab.forms import DEFAULT_PRIME, Form, format_form, parse_form
+from levellab.forms import DEFAULT_PRIME, Form, check_prime, format_form, parse_form
 from levellab.macaulay import HVector
 from levellab.spans import derivative_spaces, rank_mod_p, span_dimension
 
 
 @dataclass(frozen=True)
 class InverseModule:
-    """Generators of an inverse system: forms of one common degree over F_p.
+    """Generators of an inverse system: forms of one common degree over F_p,
+    for a prime p above that degree and below 2^31.
 
     ``seed`` records how randomized builders drew the coefficients; it is
     None for hand-written or parsed modules.
@@ -39,6 +40,7 @@ class InverseModule:
     seed: int | None = None
 
     def __post_init__(self):
+        check_prime(self.p, self.degree)
         if not self.generators:
             raise ValueError("a module needs at least one generator")
         for g in self.generators:

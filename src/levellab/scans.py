@@ -58,7 +58,7 @@ def find_gaps(values, classifications) -> tuple[Gap, ...]:
 
 
 def _scan(base: HVector, degrees: tuple[int, ...], values, budget, master_seed,
-          prime, exact_rational) -> ScanReport:
+          prime) -> ScanReport:
     check_prime(prime, base.socle_degree)
     values = tuple(values)
     if any(v < 1 for v in values):
@@ -74,7 +74,7 @@ def _scan(base: HVector, degrees: tuple[int, ...], values, budget, master_seed,
         v, candidate = pair
         return classify(candidate, budget,
                         master_seed=derive_seed(master_seed, "scan", degrees, v),
-                        prime=prime, exact_rational=exact_rational)
+                        prime=prime)
 
     if len(candidates) > 1:
         with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(candidates))) as pool:
@@ -85,18 +85,16 @@ def _scan(base: HVector, degrees: tuple[int, ...], values, budget, master_seed,
 
 
 def scan_ic(base: HVector, i: int, values, budget: Budget | None = None, *,
-            master_seed: int = 0, prime: int = DEFAULT_PRIME,
-            exact_rational: bool = False) -> ScanReport:
+            master_seed: int = 0, prime: int = DEFAULT_PRIME) -> ScanReport:
     """Classify the base vector with entry i replaced by each value."""
     e = base.socle_degree
     if not 1 <= i <= e:
         raise ValueError(f"scan degree must lie in 1..{e}, got {i}")
-    return _scan(base, (i,), values, budget, master_seed, prime, exact_rational)
+    return _scan(base, (i,), values, budget, master_seed, prime)
 
 
 def scan_gic(base: HVector, i: int, values, budget: Budget | None = None, *,
-             master_seed: int = 0, prime: int = DEFAULT_PRIME,
-             exact_rational: bool = False) -> ScanReport:
+             master_seed: int = 0, prime: int = DEFAULT_PRIME) -> ScanReport:
     """Classify the base vector with the symmetric pair (i, e-i) jointly
     replaced by each value.  The base must be symmetric of type 1."""
     e = base.socle_degree
@@ -107,4 +105,4 @@ def scan_gic(base: HVector, i: int, values, budget: Budget | None = None, *,
     if not 1 <= i <= e - 1:
         raise ValueError(f"scan degree must lie in 1..{e - 1}, got {i}")
     degrees = (i,) if i == e - i else (i, e - i)
-    return _scan(base, degrees, values, budget, master_seed, prime, exact_rational)
+    return _scan(base, degrees, values, budget, master_seed, prime)

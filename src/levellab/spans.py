@@ -1,9 +1,7 @@
 """Exact linear algebra for graded spans of forms.
 
 Ranks over F_p run on int64 matrices: with p < 2^31 every intermediate
-product stays below 2^62, so vectorized row reduction is exact.  The
-optional rational pass reruns the same eliminations with Fraction
-arithmetic to certify a characteristic-zero statement.
+product stays below 2^62, so vectorized row reduction is exact.
 
 ``rref_mod_p`` is a right-looking blocked Gauss-Jordan elimination.  The
 columns are taken in panels of ``_PANEL``.  Per-pivot scalar steps on a
@@ -31,7 +29,6 @@ generators span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -150,30 +147,6 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return len(rref_mod_p(matrix, p))
 
 
-def rref_rational(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form over the rationals, for the exact pass."""
-    a = [list(map(Fraction, row)) for row in rows]
-    if not a:
-        return []
-    ncols = len(a[0])
-    pivot = 0
-    for col in range(ncols):
-        if pivot >= len(a):
-            break
-        hit = next((r for r in range(pivot, len(a)) if a[r][col]), None)
-        if hit is None:
-            continue
-        a[pivot], a[hit] = a[hit], a[pivot]
-        inv = 1 / a[pivot][col]
-        a[pivot] = [v * inv for v in a[pivot]]
-        for r in range(len(a)):
-            if r != pivot and a[r][col]:
-                f = a[r][col]
-                a[r] = [vr - f * vp for vr, vp in zip(a[r], a[pivot])]
-        pivot += 1
-    return a[:pivot]
-
-
 @dataclass(frozen=True)
 class SpanBasis:
     """Canonical basis (RREF rows over the grevlex monomial order) of the
@@ -275,36 +248,3 @@ def derivative_spaces(generators: Sequence[Form]) -> list[SpanBasis]:
     spans.reverse()
     return spans
 
-
-def derivative_dims_rational(generators: Sequence[Form]) -> tuple[int, ...]:
-    """Per-degree span dimensions of the same tower computed over Q,
-    treating the stored residues as integers.  Used to upgrade a mod-p
-    certificate to a characteristic-zero statement when the dimensions
-    agree (rational ranks dominate mod-p ranks, so equality certifies)."""
-    if not generators:
-        return ()
-    first = generators[0]
-    nvars, e = first.nvars, first.degree
-    order = {m: i for i, m in enumerate(monomials_of_degree(nvars, e))}
-    rows = []
-    for f in generators:
-        row = [Fraction(0)] * len(order)
-        for mono, coeff in f.terms.items():
-            row[order[mono]] = Fraction(coeff)
-        rows.append(row)
-    basis = rref_rational(rows)
-    dims = [len(basis)]
-    for degree in range(e, 0, -1):
-        lower = len(monomials_of_degree(nvars, degree - 1))
-        stacked = []
-        for var in range(nvars):
-            src, dst, mult = _derivative_map(nvars, degree, var)
-            for row in basis:
-                image = [Fraction(0)] * lower
-                for s, t, m in zip(src.tolist(), dst.tolist(), mult.tolist()):
-                    image[t] = row[s] * m
-                stacked.append(image)
-        basis = rref_rational(stacked)
-        dims.append(len(basis))
-    dims.reverse()
-    return tuple(dims)

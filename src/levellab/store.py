@@ -15,14 +15,14 @@ from levellab.classify import (
     Classification,
     Status,
     build_recipe,
+    char0_certified,
     condition_still_violated,
     criterion_still_holds,
 )
-from levellab.errors import HypothesisError, VerificationError
+from levellab.errors import LevelLabError, VerificationError
 from levellab.forms import check_prime
 from levellab.macaulay import HVector
 from levellab.modules import h_vector, module_from_text, module_to_text
-from levellab.spans import derivative_dims_rational
 
 SCHEMA_VERSION = 1
 STORE_ENV = "LEVELLAB_STORE"
@@ -113,16 +113,16 @@ def store_verify(record: dict) -> None:
     Construction records are replayed from (recipe, seed, prime) and must
     reproduce the stored generator text byte for byte and the stored ranks;
     records without a recipe are recomputed from their generator payload.
-    A ``char-0-verified`` claim is re-derived from the rational ranks of the
-    replayed generators.  Criterion and non-level records re-run their
-    decision rule.
+    A ``char-0-verified`` claim is re-derived by ``char0_certified`` from
+    the recipe and the replayed ranks, so a record without a recipe cannot
+    carry it.  Criterion and non-level records re-run their decision rule.
+    A malformed record of any shape raises VerificationError.
     """
+    if not isinstance(record, dict):
+        raise VerificationError(f"a record must be an object, got {type(record).__name__}")
     if record.get("schema") != SCHEMA_VERSION:
         raise VerificationError(f"unsupported schema {record.get('schema')!r}")
-    try:
-        h = HVector(record["h"])
-    except (KeyError, ValueError) as exc:
-        raise VerificationError(f"bad h-vector field: {exc}") from exc
+    h = _replay(HVector, _require_integers("h", record.get("h")))
     for key, value in (("r", h.codimension), ("e", h.socle_degree), ("t", h.type)):
         if record.get(key) != value:
             raise VerificationError(
@@ -131,7 +131,7 @@ def store_verify(record: dict) -> None:
     status = record.get("status")
     if status == Status.NONLEVEL.value:
         name = record.get("condition")
-        if not name or not condition_still_violated(name, h):
+        if not name or not _replay(condition_still_violated, name, h):
             raise VerificationError(
                 f"condition {name!r} no longer rejects {h}"
             )
@@ -142,7 +142,7 @@ def store_verify(record: dict) -> None:
         raise VerificationError(f"unknown status {status!r}")
 
     if record.get("criterion"):
-        if not criterion_still_holds(record["criterion"], h):
+        if not _replay(criterion_still_holds, record["criterion"], h):
             raise VerificationError(
                 f"criterion {record['criterion']!r} no longer accepts {h}"
             )
@@ -153,45 +153,59 @@ def store_verify(record: dict) -> None:
     ranks = record.get("ranks")
     if not generators or not prime or ranks is None:
         raise VerificationError("level record lacks generators, prime or ranks")
-    if list(ranks) != list(h.entries):
+    if not isinstance(generators, str):
+        raise VerificationError(f"field generators={generators!r} is not text")
+    if _require_integers("ranks", ranks) != list(h.entries):
         raise VerificationError(f"stored ranks {ranks} disagree with h {h}")
     characteristic = record.get("characteristic", "char-p")
     if characteristic not in CHARACTERISTICS:
         raise VerificationError(f"unknown characteristic {characteristic!r}")
     _require_integer("prime", prime)
-    try:
-        check_prime(prime, h.socle_degree)
-    except HypothesisError as exc:
-        raise VerificationError(str(exc)) from exc
+    _replay(check_prime, prime, h.socle_degree)
 
     recipe = record.get("recipe")
     if recipe is not None:
         seed = record.get("seed")
         _require_integer("seed", seed)
-        try:
-            module = build_recipe(recipe, Random(seed), prime)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise VerificationError(f"recipe {recipe!r} does not replay: {exc}") from exc
+        module = _replay(build_recipe, recipe, Random(seed), prime)
         replayed = module_to_text(module)
         if replayed != generators:
             raise VerificationError(
                 "replayed generators differ from the stored payload"
             )
+    elif characteristic == "char-0-verified":
+        raise VerificationError("a record without a recipe cannot claim char-0-verified")
     else:
-        module = module_from_text(generators, prime)
-    profile = h_vector(module)
+        module = _replay(module_from_text, generators, prime)
+    profile = _replay(h_vector, module)
     if profile.dims != tuple(ranks):
         raise VerificationError(
             f"recomputed ranks {profile.dims} differ from stored {tuple(ranks)}"
         )
-    if characteristic == "char-0-verified":
-        if derivative_dims_rational(list(module.generators)) != profile.dims:
-            raise VerificationError("ranks over Q differ, so char-0-verified does not hold")
+    if characteristic == "char-0-verified" and not char0_certified(recipe, profile.dims):
+        raise VerificationError(
+            f"ranks {profile.dims} miss the recipe bound, so char-0-verified does not hold"
+        )
+
+
+def _replay(step, *args):
+    """One step of a replay; the error a malformed field raises in it
+    becomes a VerificationError naming the step."""
+    try:
+        return step(*args)
+    except (LevelLabError, KeyError, TypeError, ValueError) as exc:
+        raise VerificationError(f"{step.__name__}: {exc}") from exc
 
 
 def _require_integer(key: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise VerificationError(f"field {key}={value!r} is not an integer")
+
+
+def _require_integers(key: str, value) -> list:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise VerificationError(f"field {key}={value!r} is not a list of integers")
+    return value
 
 
 def verify_store_file(path: str | None = None) -> int:

@@ -1,0 +1,112 @@
+"""The characteristic-0 claim checked against an independent oracle.
+
+The oracle redraws a recipe's linear forms from its seed in the same order
+as the construction, keeps them as integers (never reduced mod p), expands
+the generators with sympy and takes the rank of every tower matrix over Q
+with DomainMatrix.  ``char0_certified`` claims those ranks equal the F_p
+ranks whenever the F_p ranks meet the recipe bound.
+"""
+
+from itertools import combinations_with_replacement
+from random import Random
+
+import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
+
+from levellab.classify import build_recipe, char0_certified, classify, expected_h_for_recipe
+from levellab.forms import DEFAULT_PRIME
+from levellab.macaulay import HVector
+from levellab.modules import h_vector
+
+Y = sympy.symbols("y1:9")
+
+
+def draw_linear(nvars, rng, p):
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(nvars)]
+        if any(coeffs):
+            return coeffs
+
+
+def power_sum(nvars, degree, count, rng, p):
+    total = 0
+    for _ in range(count):
+        coeffs = draw_linear(nvars, rng, p)
+        total += sum(c * y for c, y in zip(coeffs, Y)) ** degree
+    return sympy.expand(total)
+
+
+def lifted(recipe, rng, p):
+    """(generators over Z, nvars, degree) of a recipe, drawn like the
+    construction draws them."""
+    kind = recipe["kind"]
+    if kind == "sum_of_powers":
+        nvars, degree = recipe["nvars"], recipe["degree"]
+        return [power_sum(nvars, degree, recipe["count"], rng, p)], nvars, degree
+    if kind == "powers_partition":
+        nvars, degree = recipe["nvars"], recipe["degree"]
+        return [power_sum(nvars, degree, m, rng, p) for m in recipe["parts"]], nvars, degree
+    if kind == "add_variable":
+        gens, nvars, degree = lifted(recipe["base"], rng, p)
+        return gens + [Y[nvars] ** degree], nvars + 1, degree
+    raise ValueError(f"the oracle does not lift {kind!r}")
+
+
+def terms(expr, nvars):
+    return {m: c for m, c in sympy.Poly(expr, *Y[:nvars]).terms() if c}
+
+
+def rational_ranks(gens, nvars, degree):
+    """Dimension over Q of the span of all order e - j derivatives, j = 0..e."""
+    ranks = []
+    for j in range(degree + 1):
+        rows = []
+        for g in gens:
+            for order in combinations_with_replacement(Y[:nvars], degree - j):
+                rows.append(terms(sympy.diff(g, *order) if order else g, nvars))
+        columns = sorted({m for row in rows for m in row})
+        matrix = [[row.get(m, 0) for m in columns] for row in rows]
+        exact = DomainMatrix.from_list_sympy(len(rows), len(columns), matrix)
+        ranks.append(exact.convert_to(sympy.QQ).rank())
+    return tuple(ranks)
+
+
+def assert_oracle_agrees(recipe, seed, p):
+    module = build_recipe(recipe, Random(seed), p)
+    gens, nvars, degree = lifted(recipe, Random(seed), p)
+    # the lift reduces to the construction's generators
+    assert [{m: c % p for m, c in terms(g, nvars).items() if c % p} for g in gens] == [
+        f.terms for f in module.generators]
+    ranks_p = h_vector(module).dims
+    assert rational_ranks(gens, nvars, degree) == ranks_p
+    assert ranks_p == tuple(expected_h_for_recipe(recipe))
+    assert char0_certified(recipe, ranks_p)
+
+
+SMALL_RECIPES = [
+    {"kind": "sum_of_powers", "nvars": 2, "degree": 3, "count": 2},
+    {"kind": "sum_of_powers", "nvars": 2, "degree": 4, "count": 3},
+    {"kind": "sum_of_powers", "nvars": 3, "degree": 3, "count": 4},
+    {"kind": "sum_of_powers", "nvars": 3, "degree": 4, "count": 5},
+    {"kind": "powers_partition", "nvars": 2, "degree": 3, "parts": [2, 1]},
+    {"kind": "powers_partition", "nvars": 3, "degree": 3, "parts": [3, 1]},
+    {"kind": "powers_partition", "nvars": 3, "degree": 4, "parts": [3, 3, 3]},
+    {"kind": "add_variable",
+     "base": {"kind": "sum_of_powers", "nvars": 2, "degree": 3, "count": 2}},
+    {"kind": "add_variable",
+     "base": {"kind": "powers_partition", "nvars": 2, "degree": 4, "parts": [2, 2]}},
+]
+
+
+@pytest.mark.parametrize("recipe", SMALL_RECIPES, ids=lambda r: str(expected_h_for_recipe(r)))
+def test_rational_ranks_of_the_lift_meet_the_bound(recipe):
+    for seed in range(2):
+        assert_oracle_agrees(recipe, seed, DEFAULT_PRIME)
+
+
+@pytest.mark.parametrize("text", ["1,4,4,4,1", "1,4,5,4,1", "1,3,4,2", "1,3,6,9,3"])
+def test_classify_certificates_hold_over_q(text):
+    cert = classify(HVector.parse(text)).certificate
+    assert cert.characteristic == "char-0-verified"
+    assert_oracle_agrees(cert.recipe, cert.seed, cert.prime)

@@ -1,5 +1,6 @@
 """Tests for the classification pipeline and its certificates."""
 
+import importlib
 from random import Random
 
 import pytest
@@ -9,15 +10,18 @@ from levellab.classify import (
     Status,
     build_recipe,
     candidate_recipes,
+    char0_certified,
     classify,
     condition_still_violated,
     criterion_still_holds,
     expected_h_for_recipe,
     necessary_condition_violation,
+    realize_recipe,
     recipe_tag,
 )
-from levellab.errors import HypothesisError
+from levellab.errors import HypothesisError, SoundnessError
 from levellab.macaulay import HVector
+from levellab.modules import HProfile
 
 
 def test_frozen_triple():
@@ -139,12 +143,36 @@ def test_classify_monotone_in_budget():
     assert large.status is Status.LEVEL
 
 
-def test_exact_rational_upgrade():
-    result = classify(HVector.parse("1,3,6,9,3"), exact_rational=True)
-    assert result.status is Status.LEVEL
-    assert result.certificate.characteristic == "char-0-verified"
-    plain = classify(HVector.parse("1,3,6,9,3"))
-    assert plain.certificate.characteristic == "char-p"
+def test_certificates_are_char0_verified():
+    # (1,3,6,9,3) is compressed; the other three lie below the compressed
+    # profile, where only the recipe bound certifies characteristic 0
+    for text in ("1,3,6,9,3", "1,4,4,4,1", "1,4,5,4,1", "1,3,4,2"):
+        result = classify(HVector.parse(text))
+        assert result.status is Status.LEVEL, text
+        cert = result.certificate
+        assert cert.characteristic == "char-0-verified"
+        assert char0_certified(cert.recipe, cert.ranks)
+
+
+def test_char0_certified_is_the_recipe_bound():
+    recipe = {"kind": "sum_of_powers", "nvars": 4, "degree": 4, "count": 4}
+    assert char0_certified(recipe, (1, 4, 4, 4, 1))
+    assert char0_certified(recipe, [1, 4, 4, 4, 1])
+    assert not char0_certified(recipe, (1, 4, 3, 4, 1))
+    assert not char0_certified(recipe, (1, 4, 4, 4))
+
+
+def test_profile_above_the_recipe_bound_is_a_soundness_error(monkeypatch):
+    def inflated(recipe, master_seed, trials, p):
+        module, profile = realize_recipe(recipe, master_seed, trials, p)
+        dims = (1, 3, 5, 2)
+        return module, HProfile(HVector(dims), dims, p, profile.seed)
+
+    # the package exports the function classify under the module's name
+    module = importlib.import_module("levellab.classify")
+    monkeypatch.setattr(module, "realize_recipe", inflated)
+    with pytest.raises(SoundnessError, match="above its bound"):
+        classify(HVector.parse("1,3,4,2"))
 
 
 def test_recipe_tag_is_canonical():
@@ -153,10 +181,13 @@ def test_recipe_tag_is_canonical():
     assert a == b
 
 
-def test_time_budget_reports_exhaustion():
-    result = classify(HVector.parse("1,7,25"), Budget(trials=5, time_limit=0.0))
-    assert result.status is Status.UNKNOWN
-    assert any("budget" in note for note in result.diagnostics)
+def test_classify_repeats_verdict_certificate_and_diagnostics():
+    # the budget counts trials only, so machine load cannot change a verdict
+    for text in ("1,7,25", "1,5,4,5", "1,3,4,2"):
+        a = classify(HVector.parse(text), Budget(trials=2), master_seed=3)
+        b = classify(HVector.parse(text), Budget(trials=2), master_seed=3)
+        assert (a.status, a.certificate, a.diagnostics, a.trials_used) == (
+            b.status, b.certificate, b.diagnostics, b.trials_used)
 
 
 def test_classify_refuses_primes_outside_the_exact_range():

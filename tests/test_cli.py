@@ -195,9 +195,17 @@ def test_prime_at_most_the_socle_degree_refused(capsys):
     assert "error: hypothesis: prime 2 must exceed the socle degree 4" in err
 
 
+def test_module_prime_at_most_its_degree_refused(tmp_path, capsys):
+    module_file = tmp_path / "module.txt"
+    module_file.write_text("ring r=2 e=5\ny1^5 + y2^5\n", encoding="utf-8")
+    code, text = run(["hvec", str(module_file), "--prime", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: hypothesis: prime 5 must exceed the socle degree 5" in err
+
+
 def test_nonlevel_gap_exits_4(monkeypatch):
-    def fake_classify(h, budget=None, *, master_seed=0, prime=0,
-                      exact_rational=False):
+    def fake_classify(h, budget=None, *, master_seed=0, prime=0):
         v = h[2]
         if v in (3, 7):
             cert = Certificate(kind="criterion", criterion="stub", detail="stub")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from levellab.errors import DependentGeneratorsError, ParseError
+from levellab.errors import DependentGeneratorsError, HypothesisError, ParseError
 from levellab.forms import DEFAULT_PRIME, parse_form, random_form
 from levellab.modules import (
     InverseModule,
@@ -40,6 +40,10 @@ def test_module_validation():
         InverseModule(2, 2, DEFAULT_PRIME, (quadric, cubic))
     with pytest.raises(ValueError):
         InverseModule(2, 2, DEFAULT_PRIME, (parse_form("0", 2, expected_degree=2),))
+    # at p <= e the derivative multipliers vanish; above 2^31 int64 overflows
+    for p in (5, 7, 4294967291):
+        with pytest.raises(HypothesisError, match=f"prime {p} "):
+            InverseModule(2, 7, p, (parse_form("y1^7", 2, p),))
 
 
 def test_h_vector_frozen_examples():

@@ -89,8 +89,7 @@ def test_scan_gic_hypotheses():
 
 
 def test_scan_reports_nonlevel_gap(monkeypatch):
-    def fake_classify(h, budget=None, *, master_seed=0, prime=0,
-                      exact_rational=False):
+    def fake_classify(h, budget=None, *, master_seed=0, prime=0):
         v = h[2]
         if v in (3, 7):
             return Classification(h, Status.LEVEL)

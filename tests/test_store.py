@@ -1,11 +1,16 @@
 """Tests for the append-only certificate store and its verifier."""
 
+import copy
+import functools
+import json
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levellab.classify import classify
+from levellab.classify import build_recipe, classify, expected_h_for_recipe
 from levellab.errors import VerificationError
 from levellab.macaulay import HVector
 from levellab.modules import h_vector, module_to_text
@@ -190,18 +195,51 @@ def test_unknown_characteristic_rejected(tmp_path, sample_records):
 
 
 def test_char0_claim_rederived():
-    # a genuine claim: (1,3,6,9,3) is the compressed profile, reached over Q
-    genuine = record_from_classification(
-        classify(HVector.parse("1,3,6,9,3"), exact_rational=True))
-    assert genuine["characteristic"] == "char-0-verified"
-    store_verify(genuine)
-    # (1,3,4,2) lies below the compressed profile; the integer lift of its
-    # stored residues is a generic cubic pair with larger ranks over Q
+    # every construction certificate meets its recipe bound, which
+    # certifies characteristic 0 below the compressed profile too
+    for text in ("1,3,6,9,3", "1,3,4,2", "1,4,4,4,1"):
+        record = record_from_classification(classify(HVector.parse(text)))
+        assert record["characteristic"] == "char-0-verified"
+        store_verify(record)
+        store_verify(dict(record, characteristic="char-p"))
+
+
+def test_char0_claim_without_a_recipe_refused():
     record = record_from_classification(classify(HVector.parse("1,3,4,2")))
-    assert record["characteristic"] == "char-p"
+    del record["recipe"]
+    with pytest.raises(VerificationError, match="without a recipe"):
+        store_verify(record)
+    store_verify(dict(record, characteristic="char-p"))
+
+
+def degenerate_record(recipe, prime):
+    """An honest char-p record of the first seed whose ranks fall short of
+    the recipe bound."""
+    bound = expected_h_for_recipe(recipe)
+    for seed in range(100):
+        module = build_recipe(recipe, Random(seed), prime)
+        profile = h_vector(module)
+        if profile.h != bound:
+            h = profile.h
+            return {
+                "schema": 1, "h": list(h.entries), "r": h.codimension,
+                "e": h.socle_degree, "t": h.type, "status": "level",
+                "recipe": recipe, "seed": seed, "prime": prime,
+                "ranks": list(profile.dims), "generators": module_to_text(module),
+                "characteristic": "char-p",
+            }
+    raise AssertionError("no degenerate seed found")
+
+
+def test_char0_claim_short_of_the_bound_refused():
+    # at p = 3 two random linear forms are often proportional, so a sum of
+    # two squares spans one linear form instead of two
+    recipe = {"kind": "sum_of_powers", "nvars": 2, "degree": 2, "count": 2}
+    record = degenerate_record(recipe, 3)
+    assert record["ranks"] == [1, 1, 1]
     store_verify(record)
     forged = dict(record, characteristic="char-0-verified")
-    with pytest.raises(VerificationError, match="char-0-verified"):
+    with pytest.raises(VerificationError, match="bound"):
         store_verify(forged)
 
 
@@ -218,6 +256,93 @@ CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.jsonl"
 def test_frozen_corpus_replays():
     # the benchmark's frozen certificate corpus, only ever read
     assert verify_store_file(str(CORPUS)) == 222
+
+
+def corpus_records():
+    return [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
+
+
+def recipe_free(record, **changes):
+    record = dict(record, **changes)
+    del record["recipe"]
+    return record
+
+
+CONSTRUCTION = next(r for r in corpus_records() if r.get("recipe"))
+MALFORMED = {
+    "ranks not a list": dict(CONSTRUCTION, ranks=5),
+    "h missing": dict(CONSTRUCTION, h=None),
+    "h of floats": dict(CONSTRUCTION, h=[float(v) for v in CONSTRUCTION["h"]]),
+    "generators not text": recipe_free(CONSTRUCTION, generators=123),
+    "variable outside the ring": recipe_free(
+        CONSTRUCTION, generators=CONSTRUCTION["generators"].replace("y2", "y9", 1)),
+    "unknown criterion": dict(corpus_records()[0], criterion="wishful"),
+    "unknown condition": dict(
+        next(r for r in corpus_records() if r["status"] == "nonlevel"), condition="wishful"),
+    "not an object": [CONSTRUCTION],
+    "augment in the wrong ring": dict(
+        next(r for r in corpus_records() if (r.get("recipe") or {}).get("kind") == "augment"),
+        recipe={"kind": "augment", "nvars": 2, "count": 1,
+                "base": {"kind": "powers_partition", "nvars": 3, "degree": 4,
+                         "parts": [3, 3, 3]}}),
+    "recipe with no variables": dict(
+        CONSTRUCTION, recipe=dict(CONSTRUCTION["recipe"], nvars=0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_record_raises_only_verification_error(tmp_path, name):
+    record = MALFORMED[name]
+    with pytest.raises(VerificationError):
+        store_verify(record)
+    path = tmp_path / "store.jsonl"
+    path.write_text(json.dumps(CONSTRUCTION) + "\n" + json.dumps(record) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(VerificationError, match="line 2: "):
+        verify_store_file(str(path))
+
+
+@functools.lru_cache(maxsize=None)
+def fresh_records() -> tuple[dict, ...]:
+    vectors = ("1,3,6,9,3", "1,3,4,2", "1,4,4,4,1", "1,3,3,3,1", "1,3,6,10,3", "1,5,4,5")
+    return tuple(record_from_classification(classify(HVector.parse(v))) for v in vectors)
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.floats(allow_nan=False),
+    st.text(max_size=8), st.lists(st.integers(-1, 6), max_size=6),
+    st.dictionaries(st.text(max_size=4), st.integers(-1, 6), max_size=3),
+)
+
+
+def field_slots(value, slots):
+    """Every (container, key) pair inside a record, nested recipes too."""
+    keys = value.keys() if isinstance(value, dict) else range(len(value))
+    for key in keys:
+        slots.append((value, key))
+        if isinstance(value[key], (dict, list)):
+            field_slots(value[key], slots)
+    return slots
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_records_raise_only_verification_error(data):
+    pool = corpus_records()[::7] + list(fresh_records())
+    record = copy.deepcopy(data.draw(st.sampled_from(pool)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = field_slots(record, [])
+        if not slots:
+            break
+        container, key = data.draw(st.sampled_from(slots))
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(JUNK)
+    try:
+        store_verify(record)
+    except VerificationError:
+        pass
 
 
 def test_env_default_path(tmp_path, monkeypatch, sample_records):
