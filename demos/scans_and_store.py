@@ -1,7 +1,7 @@
 """Interval scans with a verifiable certificate store.
 
 A scan sweeps one entry (or a symmetric pair) of a base h-vector across a
-value range, classifies every candidate concurrently, and reports gaps:
+value range, classifies every candidate in turn, and reports gaps:
 maximal non-level runs bracketed by certified level values.  Certificates
 go into an append-only JSONL store whose verifier replays every
 construction from its seed and demands byte-identical generators.

@@ -23,7 +23,7 @@ from levellab.constructions import (
     sum_of_powers,
 )
 from levellab.errors import LevelLabError
-from levellab.forms import DEFAULT_PRIME, validate_prime
+from levellab.forms import DEFAULT_PRIME, check_prime
 from levellab.macaulay import (
     HVector,
     binomial_expansion,
@@ -183,12 +183,8 @@ def _print_classification(result, out) -> None:
             print(f"note: {note}", file=out)
 
 
-def _store_path(args) -> str | None:
-    return args.store or default_store_path()
-
-
 def _maybe_store(args, result) -> None:
-    path = _store_path(args)
+    path = args.store or default_store_path()
     if path:
         store_append(record_from_classification(result), path)
 
@@ -308,10 +304,9 @@ def _cmd_classify(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(args, out, kind: str) -> int:
+def _cmd_scan(args, out, scan) -> int:
     if args.stop < args.start:
         raise ValueError(f"empty scan range {args.start}..{args.stop}")
-    scan = scan_ic if kind == "ic" else scan_gic
     report = scan(args.h, args.at, range(args.start, args.stop + 1),
                   Budget(trials=args.trials), master_seed=args.seed,
                   prime=args.prime)
@@ -340,15 +335,13 @@ def _cmd_scan(args, out, kind: str) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    path = args.file or _store_path(args)
-    count = verify_store_file(path)
+    count = verify_store_file(args.file or args.store)
     print(f"verified {count} records", file=out)
     return EXIT_OK
 
 
 def _cmd_report(args, out) -> int:
-    path = args.file or _store_path(args)
-    records = store_load(path)
+    records = store_load(args.file or args.store)
     counts = {"level": 0, "nonlevel": 0, "unknown": 0}
     constructions = criteria = 0
     families: dict[tuple[int, int], int] = {}
@@ -380,6 +373,8 @@ _COMMANDS = {
     "quotient": _cmd_quotient,
     "truncate": _cmd_truncate,
     "classify": _cmd_classify,
+    "scan-ic": lambda args, out: _cmd_scan(args, out, scan_ic),
+    "scan-gic": lambda args, out: _cmd_scan(args, out, scan_gic),
     "verify": _cmd_verify,
     "report": _cmd_report,
 }
@@ -389,11 +384,7 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        validate_prime(args.prime)
-        if args.command == "scan-ic":
-            return _cmd_scan(args, out, "ic")
-        if args.command == "scan-gic":
-            return _cmd_scan(args, out, "gic")
+        check_prime(args.prime, 0)
         return _COMMANDS[args.command](args, out)
     except LevelLabError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)

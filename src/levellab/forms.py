@@ -54,12 +54,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def validate_prime(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return p
-
-
 @lru_cache(maxsize=64)
 def check_prime(p: int, degree: int) -> int:
     """Require a prime p with degree < p < 2^31.
@@ -227,11 +221,6 @@ class Form:
 
     def __repr__(self) -> str:
         return f"Form({self.nvars} vars, deg {self.degree}, {format_form(self)})"
-
-
-def differentiate(form: Form, var: int) -> Form:
-    """Module-level alias for :meth:`Form.derivative`."""
-    return form.derivative(var)
 
 
 def random_linear_form(nvars: int, rng: Random, p: int = DEFAULT_PRIME) -> Form:

@@ -1,12 +1,15 @@
 """Interval scanners: sweep one entry (or a symmetric pair) of a base
 h-vector over a value range, classify every candidate, and report gaps.
 
+Candidates are classified one after another in the caller's thread, each
+from its own seed ``derive_seed(master_seed, "scan", degrees, value)``, so
+a value's certificate does not depend on the other values or their order.
+
 A gap is a maximal run of non-level values strictly between two certified
 level values.  A gap containing a certified non-level value is the pattern
 the scans are hunting for; a gap of unknowns is merely inconclusive.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from levellab.classify import Budget, Classification, Status, classify
@@ -14,8 +17,6 @@ from levellab.errors import HypothesisError
 from levellab.forms import DEFAULT_PRIME, check_prime
 from levellab.macaulay import HVector
 from levellab.seeds import derive_seed
-
-_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,12 @@ def _scan(base: HVector, degrees: tuple[int, ...], values, budget, master_seed,
     values = tuple(values)
     if any(v < 1 for v in values):
         raise ValueError("scanned values must be positive")
-    candidates = []
+    results = []
     for v in values:
-        candidate = base
-        for d in degrees:
-            candidate = candidate.replace(d, v)
-        candidates.append(candidate)
-
-    def run(pair):
-        v, candidate = pair
-        return classify(candidate, budget,
-                        master_seed=derive_seed(master_seed, "scan", degrees, v),
-                        prime=prime)
-
-    if len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(candidates))) as pool:
-            results = tuple(pool.map(run, zip(values, candidates)))
-    else:
-        results = tuple(run(pair) for pair in zip(values, candidates))
+        candidate = HVector([v if d in degrees else x for d, x in enumerate(base)])
+        seed = derive_seed(master_seed, "scan", degrees, v)
+        results.append(classify(candidate, budget, master_seed=seed, prime=prime))
+    results = tuple(results)
     return ScanReport(base, degrees, values, results, find_gaps(values, results))
 
 

@@ -8,6 +8,7 @@ re-evaluated from scratch.
 
 import json
 import os
+import re
 from datetime import datetime, timezone
 from random import Random
 
@@ -21,7 +22,7 @@ from levellab.classify import (
 )
 from levellab.errors import LevelLabError, VerificationError
 from levellab.forms import check_prime
-from levellab.macaulay import HVector
+from levellab.macaulay import HVector, binomial
 from levellab.modules import h_vector, module_from_text, module_to_text
 
 SCHEMA_VERSION = 1
@@ -167,6 +168,10 @@ def store_verify(record: dict) -> None:
     if recipe is not None:
         seed = record.get("seed")
         _require_integer("seed", seed)
+        # bound the nodes by the payload's ring, which the replay must
+        # reproduce, not by h_1: a degenerate char-p record may exceed h_1
+        ring = re.match(r"ring r=(\d+) ", generators)
+        _replay(_recipe_size, recipe, int(ring.group(1)) if ring else 0, h.socle_degree)
         module = _replay(build_recipe, recipe, Random(seed), prime)
         replayed = module_to_text(module)
         if replayed != generators:
@@ -186,6 +191,31 @@ def store_verify(record: dict) -> None:
         raise VerificationError(
             f"ranks {profile.dims} miss the recipe bound, so char-0-verified does not hold"
         )
+
+
+def _recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
+    """The (nvars, degree) of a recipe's module.  Before anything is built
+    it refuses a node in more than r variables, of degree above 2e + 2 (the
+    largest truncate source ``candidate_recipes`` emits), or with a power
+    count, partition part or generator count above dim R_degree."""
+    kind = recipe["kind"]
+    if kind == "truncate":
+        return _recipe_size(recipe["source"], r, e)[0], recipe["to"]
+    if kind in ("add_variable", "augment"):
+        nvars, degree = _recipe_size(recipe["base"], r, e)
+        nvars += kind == "add_variable"
+    else:
+        nvars, degree = recipe["nvars"], recipe["degree"]
+    parts = recipe.get("parts", [])
+    counts = [*parts, len(parts), recipe.get("count", 0)]
+    if nvars > r:
+        raise ValueError(f"{kind} names {nvars} variables, more than the ring's {r}")
+    if degree > 2 * e + 2:
+        raise ValueError(f"{kind} has degree {degree}, above 2e + 2 = {2 * e + 2}")
+    cap = binomial(nvars + degree - 1, degree)
+    if any(count > cap for count in counts):
+        raise ValueError(f"{kind} counts {counts} exceed dim R_{degree} = {cap}")
+    return nvars, degree
 
 
 def _replay(step, *args):

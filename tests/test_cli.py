@@ -175,7 +175,7 @@ def test_usage_errors_exit_2():
 def test_nonprime_modulus_rejected(capsys):
     code, text = run(["expand", "25", "2", "--prime", "10"])
     assert code == 1
-    assert "error: value: 10 is not prime" in capsys.readouterr().err
+    assert "error: hypothesis: modulus 10 is not prime" in capsys.readouterr().err
 
 
 def test_prime_beyond_int64_range_refused(capsys):

@@ -15,7 +15,6 @@ from levellab.forms import (
     parse_form,
     random_form,
     random_linear_form,
-    validate_prime,
 )
 
 
@@ -26,9 +25,9 @@ def y(var, nvars, p=DEFAULT_PRIME):
 
 def test_default_prime_is_prime():
     assert is_prime(DEFAULT_PRIME)
-    assert validate_prime(101) == 101
-    with pytest.raises(ValueError):
-        validate_prime(91)
+    assert check_prime(101, 0) == 101
+    with pytest.raises(HypothesisError, match="modulus 91 is not prime"):
+        check_prime(91, 0)
 
 
 def test_check_prime_range():

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from levellab.errors import DependentGeneratorsError, HypothesisError, ParseError
+from levellab.errors import (
+    DependentGeneratorsError,
+    HypothesisError,
+    ParseError,
+    SoundnessError,
+)
 from levellab.forms import DEFAULT_PRIME, parse_form, random_form
 from levellab.modules import (
     InverseModule,
@@ -91,6 +96,27 @@ def test_is_gorenstein():
     profile = h_vector(InverseModule(3, 5, DEFAULT_PRIME, (form,)))
     assert profile.h == (1, 3, 5, 5, 3, 1)
     assert is_gorenstein(InverseModule(3, 5, DEFAULT_PRIME, (form,)))
+
+
+def test_is_gorenstein_reads_the_span_not_the_presentation():
+    f = parse_form("y1^4 + y2^4 + y3^4", 3)
+    g = parse_form("y1^2*y2^2", 3)
+    # a dependent presentation of a principal span is still Gorenstein
+    assert is_gorenstein(InverseModule(3, 4, DEFAULT_PRIME, (f, f.scaled(5))))
+    # a dependent presentation of a type-2 span is not
+    assert not is_gorenstein(InverseModule(3, 4, DEFAULT_PRIME, (f, g, f + g)))
+
+
+def test_is_gorenstein_refuses_an_asymmetric_principal_tower(monkeypatch):
+    class Span:
+        def __init__(self, dim):
+            self.dim = dim
+
+    monkeypatch.setattr("levellab.modules.derivative_spaces",
+                        lambda forms: [Span(d) for d in (1, 3, 2, 1)])
+    module = make_module(["y1^3 + y2^3 + y3^3"], 3)
+    with pytest.raises(SoundnessError, match="asymmetric"):
+        is_gorenstein(module)
 
 
 def test_common_derivative_dims_disjoint_powers():

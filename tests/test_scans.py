@@ -1,11 +1,15 @@
 """Tests for interval scans and gap detection."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from levellab.classify import Classification, Status
 from levellab.errors import HypothesisError
-from levellab.macaulay import HVector
+from levellab.macaulay import HVector, binomial
 from levellab.scans import Gap, find_gaps, scan_gic, scan_ic
+from levellab.store import record_from_classification
 
 
 def stub(status):
@@ -108,3 +112,39 @@ def test_scans_refuse_primes_outside_the_exact_range():
         scan_ic(HVector.parse("1,3,6,3"), 2, range(3, 5), prime=4294967291)
     with pytest.raises(HypothesisError, match="prime 3 "):
         scan_gic(HVector.parse("1,3,3,1"), 1, range(2, 4), prime=3)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.jsonl"
+REPLAYED_FIELDS = ("status", "h", "recipe", "seed", "prime", "ranks", "generators")
+
+
+def criterion10_families():
+    """The socle-2 and socle-3 families scanned in degree 2 by acceptance
+    criterion 10, in the order their 204 records open the frozen corpus."""
+    families = [(HVector((1, r, 1)), range(1, binomial(r + 1, 2) + 1)) for r in range(1, 7)]
+    for r in range(1, 6):
+        cap = binomial(r + 1, 2)
+        for t in range(max(1, r - 2), cap + 1):
+            lo, hi = max(r, t), min(r * t, cap)
+            if lo <= hi:
+                families.append((HVector((1, r, lo, t)), range(lo, hi + 1)))
+    return families
+
+
+def test_scans_reproduce_the_frozen_certificates():
+    # the corpus predates char-0 certificates, so `characteristic` is not compared
+    lines = CORPUS.read_text(encoding="utf-8").splitlines()
+    frozen = iter(json.loads(line) for line in lines[:204])
+    compared = 0
+    for base, values in criterion10_families():
+        stored = [next(frozen) for _ in values]
+        if base.codimension > 4:
+            continue
+        report = scan_ic(base, 2, values)
+        for record, result in zip(stored, report.classifications):
+            fresh = record_from_classification(result)
+            for field in REPLAYED_FIELDS:
+                assert fresh.get(field) == record.get(field), (base, result.h, field)
+            compared += 1
+    assert next(frozen, None) is None
+    assert compared == 80

@@ -302,6 +302,45 @@ def test_malformed_record_raises_only_verification_error(tmp_path, name):
         verify_store_file(str(path))
 
 
+def corpus_record_of_kind(kind):
+    return copy.deepcopy(
+        next(r for r in corpus_records() if (r.get("recipe") or {}).get("kind") == kind))
+
+
+# Each oversized recipe below is refused before anything is built; without
+# the size check several would build for a long time or exhaust memory.
+def test_recipe_with_more_variables_than_its_ring_refused():
+    record = corpus_record_of_kind("sum_of_powers")
+    record["recipe"]["nvars"] = 10**6
+    with pytest.raises(VerificationError, match="variables, more than the ring's 4"):
+        store_verify(record)
+    nested = corpus_record_of_kind("add_variable")
+    nested["recipe"]["base"]["nvars"] = 10**6
+    with pytest.raises(VerificationError, match="variables"):
+        store_verify(nested)
+
+
+def test_recipe_degree_above_2e_plus_2_refused():
+    record = corpus_record_of_kind("truncate")
+    record["recipe"]["source"]["degree"] = 10**6
+    with pytest.raises(VerificationError, match=r"above 2e \+ 2 = 6"):
+        store_verify(record)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("sum_of_powers", "count", 10**7),
+    ("powers_partition", "parts", [2, 10**7]),
+    ("powers_partition", "parts", [1, 1, 1, 1]),  # 4 generators in dim R_2 = 3
+    ("compressed", "count", 10**7),
+    ("augment", "count", 10**7),
+])
+def test_recipe_counts_above_the_ring_dimension_refused(kind, field, value):
+    record = corpus_record_of_kind(kind)
+    record["recipe"][field] = value
+    with pytest.raises(VerificationError, match="exceed dim R_"):
+        store_verify(record)
+
+
 @functools.lru_cache(maxsize=None)
 def fresh_records() -> tuple[dict, ...]:
     vectors = ("1,3,6,9,3", "1,3,4,2", "1,4,4,4,1", "1,3,3,3,1", "1,3,6,10,3", "1,5,4,5")
