@@ -15,6 +15,7 @@ from enum import Enum
 from random import Random
 
 from levellab.constructions import (
+    DEFAULT_TRIALS,
     expected_h_augment,
     expected_h_compressed,
     expected_h_powers_partition,
@@ -51,7 +52,7 @@ class Budget:
     finitely many, so this bounds the work and verdicts never depend on
     machine load."""
 
-    trials: int = 5
+    trials: int = DEFAULT_TRIALS
 
 
 @dataclass(frozen=True)

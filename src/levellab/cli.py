@@ -15,6 +15,7 @@ from levellab.bounds import (
 )
 from levellab.classify import Budget, Status, classify
 from levellab.constructions import (
+    DEFAULT_TRIALS,
     augment_with_powers,
     compressed_generic_module,
     maximal_profile,
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="prime modulus for all rank computations")
     common.add_argument("--seed", type=int, default=0,
                         help="master seed; every random draw derives from it")
-    common.add_argument("--trials", type=_positive_int, default=5,
+    common.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
                         help="random trials per construction")
     common.add_argument("--store", default=None,
                         help="certificate store path (default: $LEVELLAB_STORE)")

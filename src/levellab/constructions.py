@@ -25,6 +25,10 @@ from levellab.modules import HProfile, InverseModule, h_vector, type_of
 from levellab.seeds import derive_seed
 
 
+# Random trials per construction, unless a caller's budget says otherwise.
+DEFAULT_TRIALS = 5
+
+
 def _ring_dim(nvars: int, degree: int) -> int:
     return binomial(nvars + degree - 1, degree)
 
@@ -170,7 +174,8 @@ def expected_h_compressed(nvars: int, degree: int, count: int) -> HVector:
     return HVector(entries)
 
 
-def maximal_profile(builder, master_seed: int, trials: int = 5) -> tuple[InverseModule, HProfile]:
+def maximal_profile(builder, master_seed: int,
+                    trials: int = DEFAULT_TRIALS) -> tuple[InverseModule, HProfile]:
     """Run a randomized builder on several derived seeds and keep the best
     witness.
 

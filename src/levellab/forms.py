@@ -1,11 +1,13 @@
-"""Homogeneous forms over a prime field, with differentiation.
+"""Homogeneous forms over a prime field: dense coefficients, arithmetic, text.
 
 Forms live in a divided-power style polynomial ring k[y1..yr] on which the
-dual ring acts by partial differentiation.  Coefficients are residues
-modulo a prime p, kept as plain integers in [1, p-1]; zero coefficients
-are never stored.  Monomials are exponent tuples, ordered by graded
-reverse lexicographic order (grevlex), which fixes every printed and
-serialized representation.
+dual ring acts by partial differentiation (``levellab.spans`` differentiates
+whole coefficient matrices at once).  A form of degree d stores one
+residue modulo a prime p, a plain integer in [0, p-1], for every monomial
+of degree d, zeros included.  Monomials are exponent tuples, and the
+coefficients follow ``monomials_of_degree``, which lists them in
+descending graded reverse lexicographic order (grevlex); that order fixes
+every coefficient matrix and every printed and serialized representation.
 
 The default prime 2^31 - 1 keeps products inside 64-bit integers so the
 elimination kernel can vectorize; any prime larger than the degrees in
@@ -18,6 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 from random import Random
 from typing import Iterable, Mapping
 
@@ -69,11 +72,6 @@ def check_prime(p: int, degree: int) -> int:
     return p
 
 
-def grevlex_key(mono: Monomial) -> tuple[int, ...]:
-    """Sort key whose ascending order is descending grevlex."""
-    return tuple(reversed(mono))
-
-
 @lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
     """All exponent tuples of the given total degree, in descending grevlex
@@ -87,7 +85,8 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
     for bars in combinations(range(degree + nvars - 1), nvars - 1):
         cuts = (-1,) + bars + (degree + nvars - 1,)
         monos.append(tuple(cuts[i + 1] - cuts[i] - 1 for i in range(nvars)))
-    monos.sort(key=grevlex_key)
+    # ascending reversed exponent tuples are descending grevlex
+    monos.sort(key=lambda mono: mono[::-1])
     return tuple(monos)
 
 
@@ -100,46 +99,50 @@ def monomial_positions(nvars: int, degree: int) -> Mapping[Monomial, int]:
 class Form:
     """A homogeneous polynomial with coefficients in F_p.
 
-    ``terms`` maps exponent tuples to residues in [1, p-1].  The degree is
+    ``coeffs`` holds one residue in [0, p) per monomial of
+    ``monomials_of_degree(nvars, degree)``, in that order.  The degree is
     carried explicitly so the zero form of any degree is representable.
     """
 
     nvars: int
     degree: int
     p: int
-    terms: dict
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        for mono, coeff in self.terms.items():
-            if len(mono) != self.nvars:
-                raise ValueError(f"monomial {mono} does not have {self.nvars} exponents")
-            if sum(mono) != self.degree:
-                raise ValueError(
-                    f"monomial {mono} has degree {sum(mono)}, form declares {self.degree}"
-                )
-            if not 0 < coeff < self.p:
-                raise ValueError(f"coefficient {coeff} out of range for p={self.p}")
+        size = len(monomials_of_degree(self.nvars, self.degree))
+        if len(self.coeffs) != size:
+            raise ValueError(f"{len(self.coeffs)} coefficients for {size} monomials")
+        if not 0 <= min(self.coeffs) <= max(self.coeffs) < self.p:
+            raise ValueError(f"coefficients out of range for p={self.p}")
 
     @classmethod
     def zero(cls, nvars: int, degree: int, p: int = DEFAULT_PRIME) -> "Form":
-        return cls(nvars, degree, p, {})
+        return cls(nvars, degree, p, (0,) * len(monomials_of_degree(nvars, degree)))
 
     @classmethod
     def from_terms(
         cls, nvars: int, degree: int, items: Iterable[tuple[Monomial, int]], p: int = DEFAULT_PRIME
     ) -> "Form":
-        acc: dict[Monomial, int] = {}
+        """Sum (monomial, coefficient) pairs; every monomial must have
+        ``nvars`` exponents summing to ``degree``."""
+        order = monomial_positions(nvars, degree)
+        coeffs = [0] * len(order)
         for mono, coeff in items:
-            c = (acc.get(mono, 0) + coeff) % p
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        return cls(nvars, degree, p, acc)
+            if mono not in order:
+                raise ValueError(f"{mono} is not a degree-{degree} monomial in {nvars} variables")
+            coeffs[order[mono]] += coeff
+        return cls(nvars, degree, p, tuple(c % p for c in coeffs))
+
+    @property
+    def terms(self) -> dict[Monomial, int]:
+        """The nonzero coefficients by monomial, derived from ``coeffs``."""
+        monos = monomials_of_degree(self.nvars, self.degree)
+        return {m: c for m, c in zip(monos, self.coeffs) if c}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self.coeffs)
 
     def _check_compatible(self, other: "Form"):
         if self.nvars != other.nvars or self.p != other.p:
@@ -149,34 +152,31 @@ class Form:
         self._check_compatible(other)
         if self.degree != other.degree:
             raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
-        return Form.from_terms(
-            self.nvars, self.degree, list(self.terms.items()) + list(other.terms.items()), self.p
-        )
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + other.scaled(-1)
+        p = self.p
+        return Form(self.nvars, self.degree, p,
+                    tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def scaled(self, c: int) -> "Form":
-        c %= self.p
-        if c == 0:
-            return Form.zero(self.nvars, self.degree, self.p)
-        return Form(
-            self.nvars, self.degree, self.p,
-            {m: (v * c) % self.p for m, v in self.terms.items()},
-        )
+        p = self.p
+        c %= p
+        return Form(self.nvars, self.degree, p, tuple(v * c % p for v in self.coeffs))
 
     def __mul__(self, other: "Form") -> "Form":
         self._check_compatible(other)
-        items = []
+        degree = self.degree + other.degree
+        order = monomial_positions(self.nvars, degree)
+        out = [0] * len(order)
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                items.append((tuple(a + b for a, b in zip(m1, m2)), c1 * c2))
-        return Form.from_terms(self.nvars, self.degree + other.degree, items, self.p)
+            for m2, c2 in right:
+                out[order[tuple(map(add, m1, m2))]] += c1 * c2
+        p = self.p
+        return Form(self.nvars, degree, p, tuple(c % p for c in out))
 
     def __pow__(self, exponent: int) -> "Form":
         if exponent < 0:
             raise ValueError("negative powers are not defined for forms")
-        result = Form(self.nvars, 0, self.p, {(0,) * self.nvars: 1})
+        result = Form(self.nvars, 0, self.p, (1,))
         base = self
         e = exponent
         while e:
@@ -184,37 +184,17 @@ class Form:
                 result = result * base
             base = base * base
             e >>= 1
-        # square-and-multiply leaves the right degree even for zero forms
-        return Form(result.nvars, self.degree * exponent, self.p, result.terms)
-
-    def derivative(self, var: int) -> "Form":
-        """Partial derivative with respect to y_{var+1} (0-based index)."""
-        if not 0 <= var < self.nvars:
-            raise ValueError(f"variable index {var} out of range")
-        if self.degree == 0:
-            return Form.zero(self.nvars, 0, self.p)
-        items = []
-        for mono, coeff in self.terms.items():
-            if mono[var] == 0:
-                continue
-            lowered = list(mono)
-            lowered[var] -= 1
-            items.append((tuple(lowered), coeff * mono[var]))
-        return Form.from_terms(self.nvars, self.degree - 1, items, self.p)
+        return result
 
     def embedded(self, nvars: int) -> "Form":
-        """The same form viewed in a ring with extra trailing variables."""
+        """The same form viewed in a ring with extra trailing variables.
+
+        Monomials free of the new variables come first in descending
+        grevlex, in their old order, so the coefficients only gain zeros."""
         if nvars < self.nvars:
             raise ValueError("cannot embed into fewer variables")
-        pad = (0,) * (nvars - self.nvars)
-        return Form(nvars, self.degree, self.p, {m + pad: c for m, c in self.terms.items()})
-
-    def coefficient_vector(self) -> list[int]:
-        order = monomial_positions(self.nvars, self.degree)
-        vec = [0] * len(order)
-        for mono, coeff in self.terms.items():
-            vec[order[mono]] = coeff
-        return vec
+        pad = len(monomials_of_degree(nvars, self.degree)) - len(self.coeffs)
+        return Form(nvars, self.degree, self.p, self.coeffs + (0,) * pad)
 
     def __str__(self) -> str:
         return format_form(self)
@@ -224,28 +204,17 @@ class Form:
 
 
 def random_linear_form(nvars: int, rng: Random, p: int = DEFAULT_PRIME) -> Form:
-    """A uniformly random nonzero linear form."""
-    if nvars < 1:
-        raise ValueError(f"need at least one variable, got {nvars}")
-    while True:
-        coeffs = [rng.randrange(p) for _ in range(nvars)]
-        if any(coeffs):
-            break
-    items = []
-    for var, c in enumerate(coeffs):
-        if c:
-            mono = tuple(1 if k == var else 0 for k in range(nvars))
-            items.append((mono, c))
-    return Form.from_terms(nvars, 1, items, p)
+    """A uniformly random nonzero linear form: coefficients of y1, ..., yr."""
+    return random_form(nvars, 1, rng, p)
 
 
 def random_form(nvars: int, degree: int, rng: Random, p: int = DEFAULT_PRIME) -> Form:
     """A dense random form: every monomial gets a uniform residue."""
+    size = len(monomials_of_degree(nvars, degree))
     while True:
-        items = [(m, rng.randrange(p)) for m in monomials_of_degree(nvars, degree)]
-        form = Form.from_terms(nvars, degree, [(m, c) for m, c in items if c], p)
-        if not form.is_zero:
-            return form
+        coeffs = tuple(rng.randrange(p) for _ in range(size))
+        if any(coeffs):
+            return Form(nvars, degree, p, coeffs)
 
 
 # ------------------------------------------------------------------ text
@@ -263,11 +232,10 @@ def format_monomial(mono: Monomial) -> str:
 def format_form(form: Form) -> str:
     """Canonical text: terms in descending grevlex, coefficients as plain
     residues, unit coefficients omitted.  ``parse_form`` inverts this."""
-    if form.is_zero:
-        return "0"
     parts = []
-    for mono in sorted(form.terms, key=grevlex_key):
-        coeff = form.terms[mono]
+    for mono, coeff in zip(monomials_of_degree(form.nvars, form.degree), form.coeffs):
+        if not coeff:
+            continue
         body = format_monomial(mono)
         if not body:
             parts.append(str(coeff))
@@ -275,7 +243,7 @@ def format_form(form: Form) -> str:
             parts.append(body)
         else:
             parts.append(f"{coeff}*{body}")
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 _TOKEN = re.compile(r"(?:(?P<num>\d+)|(?P<var>y(?P<idx>\d+)(?:\^(?P<exp>\d+))?)|(?P<op>[+\-*]))")
@@ -353,6 +321,7 @@ def parse_form(
         if not saw_factor:
             raise ParseError("expected a term", position=pos)
         term_degree = sum(exps)
+        # a term with a zero coefficient carries no degree and is dropped
         if coeff % p != 0:
             if degree is None:
                 degree = term_degree
@@ -360,7 +329,7 @@ def parse_form(
                 raise ParseError(
                     f"mixed degrees {degree} and {term_degree} in one form", position=pos
                 )
-        items.append((tuple(exps), sign * coeff))
+            items.append((tuple(exps), sign * coeff))
         if i < len(tokens):
             kind = tokens[i][0]
             if kind not in "+-":
@@ -373,4 +342,4 @@ def parse_form(
         degree = expected_degree if expected_degree is not None else 0
     if expected_degree is not None and degree != expected_degree:
         raise ParseError(f"form has degree {degree}, expected {expected_degree}", position=0)
-    return Form.from_terms(nvars, degree, [(m, c) for m, c in items], p)
+    return Form.from_terms(nvars, degree, items, p)

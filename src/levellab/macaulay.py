@@ -126,9 +126,10 @@ class HVector:
     @classmethod
     def parse(cls, text: str) -> "HVector":
         """Read an h-vector from a comma separated string like '1,3,6,10,4'."""
-        parts = [p for p in text.replace("(", "").replace(")", "").split(",") if p.strip()]
-        if not parts:
-            raise ValueError(f"no h-vector entries in {text!r}")
+        parts = text.replace("(", "").replace(")", "").split(",")
+        for i, part in enumerate(parts):
+            if not part.strip():
+                raise ValueError(f"empty entry {i} in h-vector text {text!r}")
         try:
             return cls([int(p) for p in parts])
         except ValueError as exc:

@@ -162,12 +162,8 @@ class SpanBasis:
         return len(self.matrix)
 
     def forms(self) -> list[Form]:
-        order = monomials_of_degree(self.nvars, self.degree)
-        out = []
-        for row in self.matrix:
-            items = [(order[j], int(c)) for j, c in enumerate(row) if c]
-            out.append(Form.from_terms(self.nvars, self.degree, items, self.p))
-        return out
+        return [Form(self.nvars, self.degree, self.p, tuple(row.tolist()))
+                for row in self.matrix]
 
 
 def coefficient_matrix(forms: Sequence[Form], nvars: int, degree: int, p: int) -> np.ndarray:
@@ -178,17 +174,16 @@ def coefficient_matrix(forms: Sequence[Form], nvars: int, degree: int, p: int) -
             raise ValueError("forms live in different rings")
         if f.degree != degree:
             raise ValueError(f"mixed degrees: expected {degree}, found {f.degree}")
-        mat[i] = f.coefficient_vector()
+        mat[i] = f.coeffs
     return mat
 
 
-def span_dimension(forms: Sequence[Form], degree: int | None = None) -> int:
+def span_dimension(forms: Sequence[Form]) -> int:
     """Dimension of the linear span of the given forms (all one degree)."""
     if not forms:
         return 0
     first = forms[0]
-    d = first.degree if degree is None else degree
-    return rank_mod_p(coefficient_matrix(forms, first.nvars, d, first.p), first.p)
+    return rank_mod_p(coefficient_matrix(forms, first.nvars, first.degree, first.p), first.p)
 
 
 @lru_cache(maxsize=None)

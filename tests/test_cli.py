@@ -161,9 +161,10 @@ def test_verify_without_store_fails(capsys):
 
 
 def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["classify", "1,x,3"])
-    assert exc.value.code == 2
+    for h in ("1,x,3", "1,3,,6,3"):
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", h])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run(["bound"])
     assert exc.value.code == 2

@@ -214,6 +214,9 @@ def test_hvector_accessors():
     assert str(h) == "1,3,6,10,4"
     assert HVector.parse("1,3,6,10,4") == h
     assert HVector.parse("(1, 3, 6, 10, 4)") == h
+    for text, entry in (("1,3,,6,3", 2), (",1,3", 0), ("1,3,", 2), ("1, ,3", 1), ("", 0)):
+        with pytest.raises(ValueError, match=f"empty entry {entry} "):
+            HVector.parse(text)
 
 
 # ------------------------------------------------------------ O-sequences

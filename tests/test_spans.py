@@ -18,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 from levellab import spans
 from levellab.constructions import compressed_generic_module
 from levellab.errors import HypothesisError
-from levellab.forms import DEFAULT_PRIME, Form, parse_form, random_form
+from levellab.forms import DEFAULT_PRIME, Form, monomials_of_degree, parse_form, random_form
 from levellab.macaulay import binomial
 from levellab.spans import (
     _PANEL,
@@ -27,6 +27,18 @@ from levellab.spans import (
     rref_mod_p,
     span_dimension,
 )
+
+
+def reference_derivative(f, var):
+    """d f / d y_{var+1} of a form of degree >= 1, term by term over its
+    monomials: the oracle for the tower's index-array derivatives."""
+    items = []
+    for mono, coeff in f.terms.items():
+        if mono[var]:
+            lowered = list(mono)
+            lowered[var] -= 1
+            items.append((tuple(lowered), coeff * mono[var]))
+    return Form.from_terms(f.nvars, f.degree - 1, items, f.p)
 
 
 def small_matrix(rng, rows, cols, lo=0, hi=20):
@@ -189,6 +201,24 @@ def test_basis_forms_regenerate_the_same_span():
     assert span_dimension(quadric_basis) == spans[2].dim
     regenerated = derivative_spaces(spans[3].forms())
     assert [s.dim for s in regenerated] == [s.dim for s in spans]
+
+
+@pytest.mark.parametrize("p", (7, 101, DEFAULT_PRIME))
+def test_stacked_derivatives_match_the_reference_derivative(p):
+    rng = random.Random(61)
+    for _ in range(30):
+        nvars = rng.randint(1, 4)
+        degree = rng.randint(1, 5)
+        gens = [random_form(nvars, degree, rng, p) for _ in range(rng.randint(1, 4))]
+        for basis in derivative_spaces(gens)[1:]:
+            stacked = spans._stacked_derivatives(basis)
+            width = len(monomials_of_degree(nvars, basis.degree - 1))
+            assert stacked.shape == (nvars * basis.dim, width)
+            forms = basis.forms()
+            for var in range(nvars):
+                block = stacked[var * basis.dim:(var + 1) * basis.dim]
+                assert block.tolist() == [list(reference_derivative(f, var).coeffs)
+                                          for f in forms]
 
 
 def test_rational_dims_see_characteristic():

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from levellab.classify import build_recipe, classify, expected_h_for_recipe
 from levellab.errors import VerificationError
-from levellab.macaulay import HVector
+from levellab.macaulay import HVector, binomial
 from levellab.modules import h_vector, module_to_text
 from levellab.constructions import powers_partition_module
 from levellab.forms import DEFAULT_PRIME
 from levellab.store import (
+    MAX_MONOMIALS,
     STORE_ENV,
     record_from_classification,
     store_append,
@@ -318,6 +319,31 @@ def test_recipe_with_more_variables_than_its_ring_refused():
     nested["recipe"]["base"]["nvars"] = 10**6
     with pytest.raises(VerificationError, match="variables"):
         store_verify(nested)
+
+
+def test_recipe_node_with_too_many_monomials_refused():
+    record = corpus_record_of_kind("truncate")
+    # a 40-variable ring admits the node's variables, but its sextics number
+    # C(45, 6) = 8,145,060
+    record["generators"] = record["generators"].replace("ring r=3 ", "ring r=40 ", 1)
+    record["recipe"]["source"].update(nvars=40, degree=6)
+    with pytest.raises(VerificationError, match="degree 6 in 40 variables has over 131072"):
+        store_verify(record)
+
+
+def test_ring_header_too_large_to_build_refused():
+    record = recipe_free(corpus_record_of_kind("sum_of_powers"))
+    # C(100001, 2) quadric monomials
+    record["generators"] = "ring r=100000 e=2\ny1^2\n"
+    with pytest.raises(VerificationError, match="degree 2 in 100000 variables has over 131072"):
+        store_verify(record)
+    # a header whose degree is not the socle degree cannot verify, and
+    # module_to_text writes its header first
+    for text in ("ring r=1 e=1000000000\ny1^1000000000\n", "# note\nring r=3 e=2\ny1^2\n"):
+        record["generators"] = text
+        with pytest.raises(VerificationError, match="do not start with 'ring r=<r> e=2'"):
+            store_verify(record)
+    assert MAX_MONOMIALS >= binomial(40 + 4 - 1, 4) == 123410
 
 
 def test_recipe_degree_above_2e_plus_2_refused():
