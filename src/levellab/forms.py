@@ -24,11 +24,16 @@ from operator import add
 from random import Random
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from levellab.errors import HypothesisError, ParseError
 
 DEFAULT_PRIME = 2**31 - 1
 # Every modulus stays below this, so int64 products of residues are exact.
 PRIME_LIMIT = 2**31
+# Fewer draws than this are cheaper one ``randrange`` call at a time than
+# through numpy's fixed cost per call (measured crossover about a dozen).
+_BULK_DRAWS = 16
 
 Monomial = tuple[int, ...]
 
@@ -212,9 +217,33 @@ def random_form(nvars: int, degree: int, rng: Random, p: int = DEFAULT_PRIME) ->
     """A dense random form: every monomial gets a uniform residue."""
     size = len(monomials_of_degree(nvars, degree))
     while True:
-        coeffs = tuple(rng.randrange(p) for _ in range(size))
+        coeffs = tuple(randrange_many(rng, p, size))
         if any(coeffs):
             return Form(nvars, degree, p, coeffs)
+
+
+def randrange_many(rng: Random, n: int, count: int) -> list[int]:
+    """The values of ``count`` calls of ``rng.randrange(n)``, with ``rng``
+    left in the same state as those calls leave it.
+
+    ``randrange(n)`` keeps the top n.bit_length() bits of one 32-bit
+    Mersenne Twister word per attempt and rejects values >= n, and
+    ``getrandbits(32 * m)`` returns the next m words, least significant
+    first.  So the words are drawn in bulk, shifted and filtered, and the
+    shortfall is drawn again until ``count`` values are kept.  Fewer than
+    ``_BULK_DRAWS`` values are drawn one call at a time."""
+    if not 2 <= n < PRIME_LIMIT:
+        raise HypothesisError(f"modulus {n} is outside 2..2^31-1")
+    if count < _BULK_DRAWS:
+        return [rng.randrange(n) for _ in range(count)]
+    shift = 32 - n.bit_length()
+    kept = []
+    while len(kept) < count:
+        want = count - len(kept)
+        words = rng.getrandbits(32 * want).to_bytes(4 * want, "little")
+        drawn = np.frombuffer(words, dtype="<u4") >> shift
+        kept += drawn[drawn < n].tolist()
+    return kept
 
 
 # ------------------------------------------------------------------ text

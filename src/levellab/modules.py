@@ -19,7 +19,14 @@ from random import Random
 import numpy as np
 
 from levellab.errors import DependentGeneratorsError, ParseError, SoundnessError
-from levellab.forms import DEFAULT_PRIME, Form, check_prime, format_form, parse_form
+from levellab.forms import (
+    DEFAULT_PRIME,
+    Form,
+    check_prime,
+    format_form,
+    parse_form,
+    randrange_many,
+)
 from levellab.macaulay import HVector
 from levellab.spans import derivative_spaces, rank_mod_p, span_dimension
 
@@ -145,7 +152,8 @@ def generic_subquotient(module: InverseModule, c: int, rng: Random) -> InverseMo
         )
     p = module.p
     while True:
-        rows = [[rng.randrange(p) for _ in range(t)] for _ in range(c)]
+        drawn = randrange_many(rng, p, c * t)
+        rows = [drawn[i:i + t] for i in range(0, c * t, t)]
         if rank_mod_p(np.array(rows, dtype=np.int64), p) == c:
             break
     combos = []

@@ -13,12 +13,27 @@ matrix product in float64.  The scalar steps run in place instead on a
 matrix no wider or no taller than one panel, and on the last panel of a
 wider one, where a blocked update has nothing to gain.
 
+A matrix taller than max(ncols, _PANEL) rows is read in batches of that
+many rows, and the reduced rows found so far are kept as a basis sorted by
+pivot column.  Each batch first loses its part in that span, x -= x[:,
+pivots] basis, as one modular product; the panel elimination reduces the
+rows left nonzero, and its new rows are back-substituted into the basis.
+Once the basis has ncols rows it spans everything, so the identity is
+returned and the rows not yet read are never converted or reduced.
+Derivative towers stack many more partials than their level has
+monomials, and most of their levels reach full rank in the first batch.
+
 The matrix product is exact: residues below 2^31 split into 16-bit halves,
-x = x1 2^16 + x0 with x1 < 2^15, and each of the four half products sums k
-terms below 2^32, so with k <= _PANEL every partial sum stays far below
-2^53 and float64 holds it exactly.  The halves recombine mod p in int64.
-The reduced row echelon form of a span is unique, so the result does not
-depend on the panel width or on which rows are picked as pivots.
+x = x1 2^16 + x0 with x1 < 2^15 and x0 < 2^16.  Over an inner dimension k
+the four half products sum terms below 2^30, 2^31, 2^31 and 2^32, so for
+k <= 2^21 every partial sum stays below 2^53 and float64 holds it exactly.
+They recombine in int64 as (x1 y1 mod p) (2^32 mod p) + (x1 y0 + x0 y1)
+2^16 + x0 y0 < 2^62 + k 2^48 + k 2^32, which stays below 2^63 for
+k <= _INNER = 2^13.  A batch reduction's inner dimension is the basis
+rank, which can reach ncols, so a wider product runs over slices of
+_INNER and sums their residues.  The reduced row echelon form of a span is unique, so the result
+depends neither on the panel width, the batches or the slices, nor on which
+rows are picked as pivots.
 
 A derivative tower walks a set of degree-e generators down to degree 0,
 reducing the stacked partial derivatives of each basis in turn.  Its
@@ -42,6 +57,9 @@ from levellab.forms import PRIME_LIMIT, Form, monomials_of_degree
 # derivative towers, where the scalar steps inside a panel and the matrix
 # products across it trade off.
 _PANEL = 32
+# Inner dimension of one modular matrix product: a power of two at which
+# its int64 recombination provably stays below 2^63 (module docstring).
+_INNER = 1 << 13
 # Cells per trailing-update chunk, which bounds the temporaries of the
 # modular product to a few arrays of 256 KiB.
 _CHUNK_CELLS = 1 << 15
@@ -56,10 +74,44 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     """
     if not 2 <= p < PRIME_LIMIT:
         raise HypothesisError(f"modulus {p} is outside 2..2^31-1")
-    a = np.array(matrix, dtype=np.int64, copy=True)
-    if a.ndim != 2:
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
         raise ValueError("expected a 2d matrix")
+    nrows, ncols = matrix.shape
+    batch = max(ncols, _PANEL)
+    if nrows <= batch:
+        a = _residues(matrix, p)
+        # a copy, so a basis does not keep the dropped rows alive
+        return a[:_reduce(a, p)].copy()
+    basis = np.zeros((0, ncols), dtype=np.int64)
+    pivots = np.zeros(0, dtype=np.intp)
+    for lo in range(0, nrows, batch):
+        x = _residues(matrix[lo:lo + batch], p)
+        if len(basis):
+            _subtract_product(x, pivots, basis, p)
+            x = x[x.any(axis=1)]
+        new = x[:_reduce(x, p)]
+        if len(basis) + len(new) == ncols:
+            # the rows left cannot change a span that is already everything
+            return np.eye(ncols, dtype=np.int64)
+        if len(new):
+            new_pivots = (new != 0).argmax(axis=1)
+            _subtract_product(basis, new_pivots, new, p)
+            pivots = np.concatenate([pivots, new_pivots])
+            order = np.argsort(pivots)
+            basis, pivots = np.vstack([basis, new])[order], pivots[order]
+    return basis
+
+
+def _residues(matrix: np.ndarray, p: int) -> np.ndarray:
+    a = np.array(matrix, dtype=np.int64, copy=True)
     a %= p
+    return a
+
+
+def _reduce(a: np.ndarray, p: int) -> int:
+    """Row reduce ``a`` in place, panel by panel; returns its rank, the
+    number of leading rows that hold the reduced row echelon form."""
     nrows, ncols = a.shape
     pivot = 0
     for start in range(0, ncols, _PANEL):
@@ -70,8 +122,19 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
             pivot += len(_pivot_steps(a[:, start:], pivot, p)[0])
             break
         pivot += _eliminate_panel(a, pivot, start, p)
-    # a copy, so a basis does not keep the dropped rows alive
-    return a[:pivot].copy()
+    return pivot
+
+
+def _subtract_product(a: np.ndarray, cols: np.ndarray, rows: np.ndarray, p: int) -> None:
+    """a -= a[:, cols] rows mod p in place, for ``rows`` in reduced echelon
+    form with pivots ``cols``: clears those columns of ``a``.  Runs in row
+    chunks of ``a`` that bound the temporaries."""
+    halves = _halves(rows)
+    step = max(1, _CHUNK_CELLS // a.shape[1])
+    for lo in range(0, len(a), step):
+        chunk = a[lo:lo + step]
+        chunk -= _matmul_mod(_halves(chunk[:, cols]), halves, p)
+        chunk %= p
 
 
 def _pivot_steps(a: np.ndarray, pivot: int, p: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -135,8 +198,16 @@ def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _matmul_mod(x: tuple, y: tuple, p: int) -> np.ndarray:
     """The product of two matrices given by their halves, congruent to it
-    mod p and below 2^63: four exact float64 products recombined in int64."""
+    mod p and below 2^63: four exact float64 products recombined in int64,
+    over slices of at most ``_INNER`` of the inner dimension."""
     (x0, x1), (y0, y1) = x, y
+    inner = x0.shape[1]
+    if inner > _INNER:
+        out = 0
+        for lo in range(0, inner, _INNER):
+            part = slice(lo, lo + _INNER)
+            out = out + _matmul_mod((x0[:, part], x1[:, part]), (y0[part], y1[part]), p) % p
+        return out
     out = (x1 @ y1).astype(np.int64) % p * (2**32 % p)
     out += (x1 @ y0 + x0 @ y1).astype(np.int64) << 16
     out += (x0 @ y0).astype(np.int64)

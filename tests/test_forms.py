@@ -6,6 +6,7 @@ import pytest
 
 from levellab.errors import HypothesisError, ParseError
 from levellab.forms import (
+    _BULK_DRAWS,
     DEFAULT_PRIME,
     Form,
     check_prime,
@@ -15,6 +16,7 @@ from levellab.forms import (
     parse_form,
     random_form,
     random_linear_form,
+    randrange_many,
 )
 from test_spans import reference_derivative
 
@@ -148,6 +150,25 @@ def test_random_linear_form_nonzero_and_seeded():
     assert not a.is_zero
     with pytest.raises(ValueError, match="at least one variable"):
         random_linear_form(0, random.Random(42))
+
+
+@pytest.mark.parametrize("count", (1, 7, _BULK_DRAWS, 5000))
+@pytest.mark.parametrize("n", (2, 101, 65537, 2**30 + 1, 2**31 - 1))
+def test_randrange_many_replays_randrange(n, count):
+    # 2^30 + 1 keeps the top 31 bits of a word, so about half are rejected
+    bulk, single = random.Random(n + count), random.Random(n + count)
+    drawn = randrange_many(bulk, n, count)
+    assert drawn == [single.randrange(n) for _ in range(count)]
+    assert all(type(v) is int for v in drawn)
+    assert bulk.random() == single.random()
+
+
+@pytest.mark.parametrize("n", (1, 2**31))
+def test_randrange_many_refuses_moduli_outside_the_range(n):
+    with pytest.raises(HypothesisError, match=str(n)):
+        randrange_many(random.Random(0), n, 3)
+    with pytest.raises(HypothesisError, match=str(n)):
+        random_form(2, 2, random.Random(0), n)
 
 
 # ------------------------------------------------------------------ text

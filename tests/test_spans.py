@@ -4,7 +4,8 @@ Ranks are checked against sympy's rational rank on small-integer
 matrices, where minors stay far below the working prime, so the mod-p and
 characteristic-zero answers provably coincide.  The blocked kernel is
 checked byte for byte against ``reference_rref``, the per-pivot
-elimination it replaced.
+elimination it replaced, on square and wide shapes as well as on tall ones
+that it reads in batches and leaves early once they reach full column rank.
 """
 
 import random
@@ -21,6 +22,7 @@ from levellab.errors import HypothesisError
 from levellab.forms import DEFAULT_PRIME, Form, monomials_of_degree, parse_form, random_form
 from levellab.macaulay import binomial
 from levellab.spans import (
+    _INNER,
     _PANEL,
     derivative_spaces,
     rank_mod_p,
@@ -321,6 +323,115 @@ def test_towers_match_reference_kernel(monkeypatch):
             assert a.matrix.tobytes() == b.matrix.tobytes()
     assert [b.dim for b in blocked[0]] == [1, 18, 171, 18]
     assert [b.dim for b in blocked[1]] == [1, 16, 136, 16, 1]
+
+
+# ------------------------------------------------------------- early exit
+
+EXIT_PRIMES = (101, 65537, DEFAULT_PRIME)
+
+
+def full_rank_at(gen, rows, cols, at, p):
+    """A rows x cols matrix whose first ``at`` rows span F_p^cols and whose
+    first at - 1 rows do not; with ``at`` None no prefix does."""
+    mat = low_rank(gen, rows, cols, cols - 1, p)
+    if at is not None:
+        mat[at - 1] = random_residues(gen, 1, cols, p)
+        mat[at:] = random_residues(gen, rows - at, cols, p)
+    return mat
+
+
+def batches_reduced(monkeypatch, matrix, p):
+    """The rref of ``matrix`` and, for each batch read, the number of its
+    rows left nonzero by the basis, which the panel code then reduces."""
+    seen = []
+    reduce = spans._reduce
+
+    def counting(a, p):
+        seen.append(len(a))
+        return reduce(a, p)
+
+    monkeypatch.setattr(spans, "_reduce", counting)
+    return rref_mod_p(matrix, p), seen
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+@pytest.mark.parametrize("rows, cols, at, batches", [
+    (100, 10, 20, [_PANEL]),                # inside the first batch
+    (200, 40, 40, [40]),                    # at the end of the first batch
+    (200, 40, 80, [40, 1]),                 # at a later batch boundary
+    (203, 40, 203, [40] + [0] * 4 + [1]),   # only at the last row, in a short batch
+    (203, 40, None, [40] + [0] * 5),        # never
+])
+def test_early_exit_matches_reference(monkeypatch, p, rows, cols, at, batches):
+    gen = np.random.default_rng(101)
+    mat = full_rank_at(gen, rows, cols, at, p)
+    want = reference_rref(mat, p)
+    if at is not None:
+        assert len(reference_rref(mat[:at - 1], p)) < cols == len(want)
+    got, seen = batches_reduced(monkeypatch, mat, p)
+    assert seen == batches
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_tall_matrices_with_zero_columns_match_reference(p):
+    gen = np.random.default_rng(103)
+    for rows, cols in ((150, 50), (97, 33), (400, 2 * _PANEL)):
+        # a zero column keeps any number of further rows short of full rank
+        mat = random_residues(gen, rows, cols, p)
+        mat[:, cols // 3] = 0
+        assert_same_rref(mat, p)
+    for rows in (1, _PANEL, _PANEL + 1, 100):
+        assert_same_rref(np.zeros((rows, 0), dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_rank_growing_across_batches_matches_reference(p):
+    # Each batch of 40 rows mixes more directions of a 36-dimensional span.
+    # The first nine miss the even columns, so later pivots fall between
+    # earlier ones and the basis must be back-substituted and re-sorted.
+    gen = np.random.default_rng(109)
+    cols = 40
+    span = random_residues(gen, 36, cols, p)
+    span[:9, ::2] = 0
+    blocks = []
+    for rows, dim in ((40, 9), (40, 20), (40, 20), (40, 36), (7, 30)):
+        mix = random_residues(gen, rows, dim, p)
+        blocks.append(mix.astype(object).dot(span[:dim].astype(object)) % p)
+    mat = np.vstack(blocks).astype(np.int64)
+    want = reference_rref(mat, p)
+    assert len(reference_rref(mat[:40], p)) == 9 and len(want) == 36
+    assert_same_rref(mat, p)
+
+
+def test_products_wider_than_one_slice_stay_exact():
+    # every half of p - 1 is as large as p allows; unsliced, this inner
+    # dimension would carry the int64 recombination past 2^63
+    p = DEFAULT_PRIME
+    inner = 5 * _INNER
+    x = np.full((2, inner), p - 1, dtype=np.int64)
+    y = np.full((inner, 3), p - 1, dtype=np.int64)
+    y[::7] = np.arange(3) + p - 40
+    got = spans._matmul_mod(spans._halves(x), spans._halves(y), p)
+    want = x.astype(object).dot(y.astype(object)) % p
+    assert (got >= 0).all()
+    assert (got % p).tolist() == want.tolist()
+
+
+def test_basis_rank_beyond_the_product_slice(monkeypatch):
+    # A basis wider than the real slice needs far more memory than a test
+    # should take, so the slice shrinks instead; the sliced products then
+    # carry both the batch reductions and the panel updates.
+    p = DEFAULT_PRIME
+    monkeypatch.setattr(spans, "_INNER", 8)
+    gen = np.random.default_rng(107)
+    for rank in (61, 69):
+        mat = low_rank(gen, 300, 70, rank, p)
+        assert_same_rref(mat, p)
+        # full rank only in the third batch, reduced against the first two's basis
+        mat[150:] = random_residues(gen, 150, 70, p, lo=p - 40)
+        assert_same_rref(mat, p)
 
 
 @pytest.mark.parametrize("p", (0, 1, -7, 2**31, 2**32 - 5, 2**61 - 1))
