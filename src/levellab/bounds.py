@@ -230,11 +230,7 @@ def gorenstein_middle_interval(h: HVector) -> range:
         raise HypothesisError(
             f"entries through degree {half - 1} must be maximal, got {h}"
         )
-    a = h[half]
-    if e % 2 == 1 and h[half + 1] != a:
-        # symmetric already forces this; kept for clarity of the contract
-        raise HypothesisError("middle pair must be equal for odd socle degree")
-    return _inclusive(a, binomial(h.codimension + half - 1, half))
+    return _inclusive(h[half], binomial(h.codimension + half - 1, half))
 
 
 def gorenstein_socle4_interval(nvars: int, a: int) -> range:

@@ -54,6 +54,10 @@ class Budget:
 
     trials: int = DEFAULT_TRIALS
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"a budget needs at least one trial, got {self.trials}")
+
 
 @dataclass(frozen=True)
 class Certificate:

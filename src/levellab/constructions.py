@@ -185,6 +185,8 @@ def maximal_profile(builder, master_seed: int,
     sum and then lexicographic order.  ``builder`` takes a Random and
     returns an InverseModule.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     best: tuple[InverseModule, HProfile] | None = None
     for k in range(trials):
         seed = derive_seed(master_seed, "trial", k)

@@ -11,6 +11,7 @@ negative is an error, never a silent 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
@@ -103,15 +104,21 @@ def macaulay_upper_bound(n: int, d: int) -> int:
 class HVector:
     """Finite Hilbert function of a graded artinian algebra.
 
-    Entries are positive, start at h_0 = 1, and trailing zeros supplied by
-    the caller are trimmed.  An internal zero (a zero before a positive
-    entry) is rejected.
+    Entries are positive integers (numpy integers too; floats and strings
+    are refused rather than rounded), start at h_0 = 1, and trailing zeros
+    supplied by the caller are trimmed.  An internal zero (a zero before a
+    positive entry) is rejected.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[int]):
-        values = [int(v) for v in entries]
+        values = []
+        for d, v in enumerate(entries):
+            try:
+                values.append(operator.index(v))
+            except TypeError:
+                raise ValueError(f"entry h_{d} = {v!r} is not an integer") from None
         while values and values[-1] == 0:
             values.pop()
         if not values:

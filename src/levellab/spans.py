@@ -3,21 +3,11 @@
 Ranks over F_p run on int64 matrices: with p < 2^31 every intermediate
 product stays below 2^62, so vectorized row reduction is exact.
 
-``rref_mod_p`` is a right-looking blocked Gauss-Jordan elimination.  The
-columns are taken in panels of ``_PANEL``.  Per-pivot scalar steps on a
-copy of one panel find its k pivot columns and the rows that carry them;
-those rows are reduced to R = M^-1 A[rows, start:], where M is their k x k
-block in the pivot columns, and every other row with a nonzero entry in a
-pivot column takes the update row[start:] -= row[pivots] R as one modular
-matrix product in float64.  The scalar steps run in place instead on a
-matrix no wider or no taller than one panel, and on the last panel of a
-wider one, where a blocked update has nothing to gain.
-
-A matrix taller than max(ncols, _PANEL) rows is read in batches of that
-many rows, and the reduced rows found so far are kept as a basis sorted by
-pivot column.  Each batch first loses its part in that span, x -= x[:,
-pivots] basis, as one modular product; the panel elimination reduces the
-rows left nonzero, and its new rows are back-substituted into the basis.
+``rref_mod_p`` reads its matrix in batches of ``_BATCH`` rows and keeps
+the reduced rows found so far as a basis with their pivot columns.  Each
+batch first loses its part in that span, x -= x[:, pivots] basis, as one
+modular matrix product; per-pivot Gauss-Jordan steps reduce the rows it
+leaves nonzero, and the new rows are back-substituted into the basis.
 Once the basis has ncols rows it spans everything, so the identity is
 returned and the rows not yet read are never converted or reduced.
 Derivative towers stack many more partials than their level has
@@ -31,9 +21,9 @@ They recombine in int64 as (x1 y1 mod p) (2^32 mod p) + (x1 y0 + x0 y1)
 2^16 + x0 y0 < 2^62 + k 2^48 + k 2^32, which stays below 2^63 for
 k <= _INNER = 2^13.  A batch reduction's inner dimension is the basis
 rank, which can reach ncols, so a wider product runs over slices of
-_INNER and sums their residues.  The reduced row echelon form of a span is unique, so the result
-depends neither on the panel width, the batches or the slices, nor on which
-rows are picked as pivots.
+_INNER and sums their residues.  The reduced row echelon form of a span
+is unique, so the result depends neither on the batches or the slices,
+nor on which rows are picked as pivots.
 
 A derivative tower walks a set of degree-e generators down to degree 0,
 reducing the stacked partial derivatives of each basis in turn.  Its
@@ -53,15 +43,15 @@ from levellab.errors import HypothesisError
 from levellab.forms import PRIME_LIMIT, Form, monomials_of_degree
 
 
-# Panel width, by measurement: 32 beat 16, 24, 48 and 64 on the r = 18..40
-# derivative towers, where the scalar steps inside a panel and the matrix
-# products across it trade off.
-_PANEL = 32
+# Rows per batch, by measurement: 32 beat 16, 48 and 64 on the r = 16..30
+# derivative towers, where the per-pivot steps across a batch and the
+# products against the basis trade off.
+_BATCH = 32
 # Inner dimension of one modular matrix product: a power of two at which
 # its int64 recombination provably stays below 2^63 (module docstring).
 _INNER = 1 << 13
-# Cells per trailing-update chunk, which bounds the temporaries of the
-# modular product to a few arrays of 256 KiB.
+# Cells per product chunk, which bounds the temporaries of the modular
+# product to a few arrays of 256 KiB.
 _CHUNK_CELLS = 1 << 15
 
 
@@ -78,51 +68,26 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError("expected a 2d matrix")
     nrows, ncols = matrix.shape
-    batch = max(ncols, _PANEL)
-    if nrows <= batch:
-        a = _residues(matrix, p)
-        # a copy, so a basis does not keep the dropped rows alive
-        return a[:_reduce(a, p)].copy()
-    basis = np.zeros((0, ncols), dtype=np.int64)
-    pivots = np.zeros(0, dtype=np.intp)
-    for lo in range(0, nrows, batch):
-        x = _residues(matrix[lo:lo + batch], p)
-        if len(basis):
-            _subtract_product(x, pivots, basis, p)
+    basis = np.empty((min(nrows, ncols), ncols), dtype=np.int64)
+    pivots = np.empty(len(basis), dtype=np.intp)
+    rank = 0
+    for lo in range(0, nrows, _BATCH):
+        x = matrix[lo:lo + _BATCH].astype(np.int64) % p
+        if rank:
+            _subtract_product(x, pivots[:rank], basis[:rank], p)
             x = x[x.any(axis=1)]
-        new = x[:_reduce(x, p)]
-        if len(basis) + len(new) == ncols:
+        cols = _pivot_steps(x, p)
+        k = len(cols)
+        if rank + k == ncols:
             # the rows left cannot change a span that is already everything
             return np.eye(ncols, dtype=np.int64)
-        if len(new):
-            new_pivots = (new != 0).argmax(axis=1)
-            _subtract_product(basis, new_pivots, new, p)
-            pivots = np.concatenate([pivots, new_pivots])
-            order = np.argsort(pivots)
-            basis, pivots = np.vstack([basis, new])[order], pivots[order]
-    return basis
-
-
-def _residues(matrix: np.ndarray, p: int) -> np.ndarray:
-    a = np.array(matrix, dtype=np.int64, copy=True)
-    a %= p
-    return a
-
-
-def _reduce(a: np.ndarray, p: int) -> int:
-    """Row reduce ``a`` in place, panel by panel; returns its rank, the
-    number of leading rows that hold the reduced row echelon form."""
-    nrows, ncols = a.shape
-    pivot = 0
-    for start in range(0, ncols, _PANEL):
-        if pivot >= nrows:
-            break
-        if min(nrows, ncols - start) <= _PANEL:
-            # too few rows or columns left for a blocked update to pay
-            pivot += len(_pivot_steps(a[:, start:], pivot, p)[0])
-            break
-        pivot += _eliminate_panel(a, pivot, start, p)
-    return pivot
+        if rank and k:
+            _subtract_product(basis[:rank], cols, x[:k], p)
+        basis[rank:rank + k] = x[:k]
+        pivots[rank:rank + k] = cols
+        rank += k
+    # a copy, so the result does not keep the unused basis rows alive
+    return basis[np.argsort(pivots[:rank])]
 
 
 def _subtract_product(a: np.ndarray, cols: np.ndarray, rows: np.ndarray, p: int) -> None:
@@ -137,12 +102,15 @@ def _subtract_product(a: np.ndarray, cols: np.ndarray, rows: np.ndarray, p: int)
         chunk %= p
 
 
-def _pivot_steps(a: np.ndarray, pivot: int, p: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Per-pivot Gauss-Jordan steps on ``a`` in place, taking pivots from
-    row ``pivot`` down.  Returns the pivot columns and the row swaps made."""
+def _pivot_steps(a: np.ndarray, p: int) -> np.ndarray:
+    """Gauss-Jordan steps on ``a`` in place, one pivot at a time; returns
+    the pivot columns, whose reduced rows end up on top.  The rows not yet
+    used as pivots are zero left of the column searched, so each step only
+    updates the columns from its pivot on."""
     nrows, ncols = a.shape
-    cols, swaps = [], []
+    cols = []
     for col in range(ncols):
+        pivot = len(cols)
         if pivot >= nrows:
             break
         stuck = np.nonzero(a[pivot:, col])[0]
@@ -151,44 +119,14 @@ def _pivot_steps(a: np.ndarray, pivot: int, p: int) -> tuple[list[int], list[tup
         first = pivot + int(stuck[0])
         if first != pivot:
             a[[pivot, first]] = a[[first, pivot]]
-            swaps.append((pivot, first))
         inv = pow(int(a[pivot, col]), p - 2, p)
-        a[pivot] = a[pivot] * inv % p
+        a[pivot, col:] = a[pivot, col:] * inv % p
         others = np.nonzero(a[:, col])[0]
         others = others[others != pivot]
         if others.size:
-            a[others] = (a[others] - np.outer(a[others, col], a[pivot])) % p
+            a[others, col:] = (a[others, col:] - np.outer(a[others, col], a[pivot, col:])) % p
         cols.append(col)
-        pivot += 1
-    return cols, swaps
-
-
-def _eliminate_panel(a: np.ndarray, pivot: int, start: int, p: int) -> int:
-    """Clear the panel of ``_PANEL`` columns at ``start`` in every row but
-    its new pivot rows, which move to ``pivot`` onward; returns their count.
-
-    Rows from ``pivot`` down are zero left of ``start``, so the pivot rows'
-    reduced form R starts there too."""
-    cols, swaps = _pivot_steps(a[pivot:, start:start + _PANEL].copy(), 0, p)
-    if not cols:
-        return 0
-    for i, j in swaps:
-        a[[pivot + i, pivot + j]] = a[[pivot + j, pivot + i]]
-    k = len(cols)
-    pivot_cols = start + np.array(cols)
-    # The chosen rows met their pivots in order, so the steps on them alone
-    # find the same pivot columns and leave R = M^-1 A[rows, start:].
-    reduced = a[pivot:pivot + k, start:]
-    _pivot_steps(reduced, 0, p)
-    hit = np.flatnonzero(a[:, pivot_cols].any(axis=1))
-    hit = hit[(hit < pivot) | (hit >= pivot + k)]
-    halves = _halves(reduced)
-    step = max(1, _CHUNK_CELLS // (a.shape[1] - start))
-    for lo in range(0, hit.size, step):
-        rows = hit[lo:lo + step]
-        product = _matmul_mod(_halves(a[np.ix_(rows, pivot_cols)]), halves, p)
-        a[rows, start:] = (a[rows, start:] - product) % p
-    return k
+    return np.array(cols, dtype=np.intp)
 
 
 def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ from levellab.classify import (
     realize_recipe,
     recipe_tag,
 )
+from levellab.constructions import maximal_profile
 from levellab.errors import HypothesisError, SoundnessError
 from levellab.macaulay import HVector
 from levellab.modules import HProfile
@@ -141,6 +142,15 @@ def test_classify_monotone_in_budget():
     large = classify(h, Budget(trials=8))
     assert small.status is Status.LEVEL
     assert large.status is Status.LEVEL
+
+
+def test_budget_without_trials_refused():
+    # no trial ran, so "every trial degenerated" would be a false diagnosis
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match=f"at least one trial, got {trials}"):
+            Budget(trials=trials)
+        with pytest.raises(ValueError, match=f"at least one trial, got {trials}"):
+            maximal_profile(lambda rng: None, 0, trials)
 
 
 def test_certificates_are_char0_verified():

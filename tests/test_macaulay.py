@@ -7,6 +7,7 @@ themselves.
 
 import random
 
+import numpy as np
 import pytest
 
 from levellab.macaulay import (
@@ -217,6 +218,13 @@ def test_hvector_accessors():
     for text, entry in (("1,3,,6,3", 2), (",1,3", 0), ("1,3,", 2), ("1, ,3", 1), ("", 0)):
         with pytest.raises(ValueError, match=f"empty entry {entry} "):
             HVector.parse(text)
+
+
+def test_hvector_refuses_non_integer_entries():
+    for entry in (3.9, "3", None):
+        with pytest.raises(ValueError, match=rf"h_1 = {entry!r} is not an integer"):
+            HVector([1, entry, 2])
+    assert HVector([np.int64(1), np.int32(3), np.uint8(2)]) == (1, 3, 2)
 
 
 # ------------------------------------------------------------ O-sequences

@@ -61,6 +61,9 @@ def test_scan_ic_validation():
         scan_ic(base, 4, [3])
     with pytest.raises(ValueError):
         scan_ic(base, 2, [0, 3])
+    # a fractional value used to be reported as given but classified rounded down
+    with pytest.raises(ValueError, match="h_2 = 3.5 is not an integer"):
+        scan_ic(base, 2, [3.5])
 
 
 def test_scan_gic_middle_entry():

@@ -2,10 +2,10 @@
 
 Ranks are checked against sympy's rational rank on small-integer
 matrices, where minors stay far below the working prime, so the mod-p and
-characteristic-zero answers provably coincide.  The blocked kernel is
-checked byte for byte against ``reference_rref``, the per-pivot
-elimination it replaced, on square and wide shapes as well as on tall ones
-that it reads in batches and leaves early once they reach full column rank.
+characteristic-zero answers provably coincide.  The row-batched kernel is
+checked byte for byte against ``reference_rref``, a full-width per-pivot
+elimination, on square and wide shapes as well as on tall ones that it
+reads in many batches and leaves early once they reach full column rank.
 """
 
 import random
@@ -23,7 +23,7 @@ from levellab.forms import DEFAULT_PRIME, Form, monomials_of_degree, parse_form,
 from levellab.macaulay import binomial
 from levellab.spans import (
     _INNER,
-    _PANEL,
+    _BATCH,
     derivative_spaces,
     rank_mod_p,
     rref_mod_p,
@@ -238,8 +238,8 @@ def test_rational_dims_see_characteristic():
 @pytest.mark.parametrize("p", PRIMES)
 def test_blocked_kernel_matches_reference_across_panel_widths(p):
     gen = np.random.default_rng(59)
-    widths = [1, 2, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL, 2 * _PANEL + 1,
-              3 * _PANEL + 7, 150, 300]
+    widths = [1, 2, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH, 2 * _BATCH + 1,
+              3 * _BATCH + 7, 150, 300]
     for cols in widths:
         for rows in (1, 3, cols // 2 + 1, cols, cols + 9):
             assert_same_rref(random_residues(gen, rows, cols, p), p)
@@ -260,8 +260,8 @@ def test_blocked_kernel_with_rank_deficiency_and_zero_columns(p):
         mat = low_rank(gen, rows, cols, rank, p)
         zero = gen.choice(cols, size=cols // 4, replace=False)
         mat[:, zero] = 0
-        # whole zero panels and repeated rows as well
-        mat[:, _PANEL:2 * _PANEL] = 0
+        # a whole zero column block and repeated rows as well
+        mat[:, _BATCH:2 * _BATCH] = 0
         mat[rows // 2:rows // 2 + 5] = mat[:5]
         assert_same_rref(mat, p)
 
@@ -269,9 +269,9 @@ def test_blocked_kernel_with_rank_deficiency_and_zero_columns(p):
 def test_blocked_kernel_with_pivots_on_panel_edges():
     p = DEFAULT_PRIME
     gen = np.random.default_rng(71)
-    cols = 4 * _PANEL + 3
-    edges = [0, _PANEL - 1, _PANEL, 2 * _PANEL - 1, 2 * _PANEL + 1, 3 * _PANEL,
-             4 * _PANEL - 1, 4 * _PANEL]
+    cols = 4 * _BATCH + 3
+    edges = [0, _BATCH - 1, _BATCH, 2 * _BATCH - 1, 2 * _BATCH + 1, 3 * _BATCH,
+             4 * _BATCH - 1, 4 * _BATCH]
     echelon = random_residues(gen, len(edges), cols, p)
     for i, col in enumerate(edges):
         echelon[i, :col] = 0
@@ -288,7 +288,7 @@ def test_blocked_kernel_with_pivots_on_panel_edges():
 def test_blocked_kernel_with_entries_near_the_modulus(p):
     # p - 1 has every bit of both 16-bit halves set that p allows
     gen = np.random.default_rng(73)
-    for rows, cols in ((70, 100), (200, 2 * _PANEL + 5), (33, 97)):
+    for rows, cols in ((70, 100), (200, 2 * _BATCH + 5), (33, 97)):
         mat = random_residues(gen, rows, cols, p, lo=p - 40)
         assert_same_rref(mat, p)
         mat[:, ::3] = p - 1
@@ -297,7 +297,7 @@ def test_blocked_kernel_with_entries_near_the_modulus(p):
 
 def test_rank_matches_sympy_beyond_one_panel():
     rng = random.Random(79)
-    for rows, cols in ((12, 3 * _PANEL), (2 * _PANEL + 6, _PANEL + 9), (30, 2 * _PANEL + 1)):
+    for rows, cols in ((12, 3 * _BATCH), (2 * _BATCH + 6, _BATCH + 9), (30, 2 * _BATCH + 1)):
         mat = small_matrix(rng, rows, cols, lo=0, hi=7)
         # plant dependent rows and columns so the rank falls short of both sides
         for i in range(0, rows, 4):
@@ -330,41 +330,65 @@ def test_towers_match_reference_kernel(monkeypatch):
 EXIT_PRIMES = (101, 65537, DEFAULT_PRIME)
 
 
-def full_rank_at(gen, rows, cols, at, p):
+def reference_schedule(matrix, p):
+    """For each batch read up to the first that reaches full column rank,
+    the number of its rows outside the span of all the rows before it."""
+    rows, cols = matrix.shape
+    schedule = []
+    for lo in range(0, rows, _BATCH):
+        batch = matrix[lo:lo + _BATCH].astype(object)
+        basis = reference_rref(matrix[:lo], p)
+        pivots = [int(np.flatnonzero(row)[0]) for row in basis]
+        residual = (batch - batch[:, pivots].dot(basis.astype(object))) % p
+        schedule.append(int(residual.any(axis=1).sum()))
+        if len(reference_rref(matrix[:lo + _BATCH], p)) == cols:
+            break
+    return schedule
+
+
+def full_rank_at(gen, rows, cols, at, p, schedule):
     """A rows x cols matrix whose first ``at`` rows span F_p^cols and whose
-    first at - 1 rows do not; with ``at`` None no prefix does."""
-    mat = low_rank(gen, rows, cols, cols - 1, p)
-    if at is not None:
-        mat[at - 1] = random_residues(gen, 1, cols, p)
-        mat[at:] = random_residues(gen, rows - at, cols, p)
-    return mat
+    first at - 1 rows do not; with ``at`` None no prefix does.  Small primes
+    make a draw degenerate now and then, so it is drawn again until its
+    batches hand on the rows a generic draw does, ``schedule``."""
+    while True:
+        mat = low_rank(gen, rows, cols, cols - 1, p)
+        if at is not None:
+            mat[at - 1] = random_residues(gen, 1, cols, p)
+            mat[at:] = random_residues(gen, rows - at, cols, p)
+        if reference_schedule(mat, p) == schedule:
+            return mat
 
 
 def batches_reduced(monkeypatch, matrix, p):
     """The rref of ``matrix`` and, for each batch read, the number of its
-    rows left nonzero by the basis, which the panel code then reduces."""
+    rows left nonzero by the basis, which the per-pivot steps then reduce."""
     seen = []
-    reduce = spans._reduce
+    steps = spans._pivot_steps
 
     def counting(a, p):
         seen.append(len(a))
-        return reduce(a, p)
+        return steps(a, p)
 
-    monkeypatch.setattr(spans, "_reduce", counting)
+    monkeypatch.setattr(spans, "_pivot_steps", counting)
     return rref_mod_p(matrix, p), seen
 
 
+# Batches hold 32 rows; below full rank a generic matrix of rank cols - 1
+# leaves 32 new rows in the first batch and cols - 1 - 32 in the second.
 @pytest.mark.parametrize("p", EXIT_PRIMES)
 @pytest.mark.parametrize("rows, cols, at, batches", [
-    (100, 10, 20, [_PANEL]),                # inside the first batch
-    (200, 40, 40, [40]),                    # at the end of the first batch
-    (200, 40, 80, [40, 1]),                 # at a later batch boundary
-    (203, 40, 203, [40] + [0] * 4 + [1]),   # only at the last row, in a short batch
-    (203, 40, None, [40] + [0] * 5),        # never
+    (100, 10, 20, [_BATCH]),                    # inside the first batch
+    (200, 40, 40, [_BATCH, _BATCH]),            # inside the second batch
+    (200, 40, 80, [_BATCH, _BATCH, 17]),        # inside a later batch
+    (203, 40, 203, [_BATCH] * 2 + [0] * 4 + [1]),  # only at the last row, in a short batch
+    (203, 40, None, [_BATCH] * 2 + [0] * 5),    # never
+    (200, 32, 32, [_BATCH]),                    # at the end of the first batch
+    (200, 40, 96, [_BATCH, _BATCH, 1]),         # at a later batch boundary
 ])
 def test_early_exit_matches_reference(monkeypatch, p, rows, cols, at, batches):
     gen = np.random.default_rng(101)
-    mat = full_rank_at(gen, rows, cols, at, p)
+    mat = full_rank_at(gen, rows, cols, at, p, batches)
     want = reference_rref(mat, p)
     if at is not None:
         assert len(reference_rref(mat[:at - 1], p)) < cols == len(want)
@@ -377,18 +401,18 @@ def test_early_exit_matches_reference(monkeypatch, p, rows, cols, at, batches):
 @pytest.mark.parametrize("p", EXIT_PRIMES)
 def test_tall_matrices_with_zero_columns_match_reference(p):
     gen = np.random.default_rng(103)
-    for rows, cols in ((150, 50), (97, 33), (400, 2 * _PANEL)):
+    for rows, cols in ((150, 50), (97, 33), (400, 2 * _BATCH)):
         # a zero column keeps any number of further rows short of full rank
         mat = random_residues(gen, rows, cols, p)
         mat[:, cols // 3] = 0
         assert_same_rref(mat, p)
-    for rows in (1, _PANEL, _PANEL + 1, 100):
+    for rows in (1, _BATCH, _BATCH + 1, 100):
         assert_same_rref(np.zeros((rows, 0), dtype=np.int64), p)
 
 
 @pytest.mark.parametrize("p", EXIT_PRIMES)
 def test_rank_growing_across_batches_matches_reference(p):
-    # Each batch of 40 rows mixes more directions of a 36-dimensional span.
+    # Each block of 40 rows mixes more directions of a 36-dimensional span.
     # The first nine miss the even columns, so later pivots fall between
     # earlier ones and the basis must be back-substituted and re-sorted.
     gen = np.random.default_rng(109)
@@ -422,14 +446,14 @@ def test_products_wider_than_one_slice_stay_exact():
 def test_basis_rank_beyond_the_product_slice(monkeypatch):
     # A basis wider than the real slice needs far more memory than a test
     # should take, so the slice shrinks instead; the sliced products then
-    # carry both the batch reductions and the panel updates.
+    # carry both the batch reductions and the back-substitutions.
     p = DEFAULT_PRIME
     monkeypatch.setattr(spans, "_INNER", 8)
     gen = np.random.default_rng(107)
     for rank in (61, 69):
         mat = low_rank(gen, 300, 70, rank, p)
         assert_same_rref(mat, p)
-        # full rank only in the third batch, reduced against the first two's basis
+        # full rank only from row 150 on, reduced against the basis before it
         mat[150:] = random_residues(gen, 150, 70, p, lo=p - 40)
         assert_same_rref(mat, p)
 
