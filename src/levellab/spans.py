@@ -4,14 +4,31 @@ Ranks over F_p run on int64 matrices: with p < 2^31 every intermediate
 product stays below 2^62, so vectorized row reduction is exact.
 
 ``rref_mod_p`` reads its matrix in batches of ``_BATCH`` rows and keeps
-the reduced rows found so far as a basis with their pivot columns.  Each
-batch first loses its part in that span, x -= x[:, pivots] basis, as one
-modular matrix product; per-pivot Gauss-Jordan steps reduce the rows it
-leaves nonzero, and the new rows are back-substituted into the basis.
-Once the basis has ncols rows it spans everything, so the identity is
-returned and the rows not yet read are never converted or reduced.
+the rows found so far as blocks, each the new rows of one batch or a few:
+a block's rows are in reduced echelon form among themselves and zero on
+the pivot columns of every earlier block.  A new batch loses its part in their span
+block by block, in the order they were found, each step x -= x[:, cols]
+rows one modular matrix product; a later block is zero on the pivots of
+an earlier one, so it never refills them.  Gauss-Jordan steps reduce the
+rows the batch leaves nonzero, and these become the next block, or join
+the last one while it holds fewer than _BATCH rows, so a rank that grows
+a few rows per batch leaves few blocks to reduce by.  Once the rank
+reaches ncols the span is everything: the identity is returned, and
+neither the rows not yet read nor the blocks are reduced any further.
 Derivative towers stack many more partials than their level has
-monomials, and most of their levels reach full rank in the first batch.
+monomials, and most of their levels end that way.  Any other matrix is
+back-substituted once, at return, last block first: each block loses its
+part on the pivots of the reduced blocks after it in one product, and
+the rows are sorted by pivot column.
+
+A batch with more than 2 _BATCH columns right of the current position is
+reduced by panels (``_pivot_steps``): its next _BATCH columns that are
+nonzero in the rows not yet pivoted are reduced beside an identity,
+[panel | I] -> [panel' | T], and one product applies T to every column
+right of the panel.  That covers the top levels of the towers and their
+wide R_2 and R_3 levels.  Narrower batches, every scan matrix and most
+replayed ones, take the per-pivot steps in place: on them the panel's
+extra product costs more than the row updates it saves.
 
 The matrix product is exact: residues below 2^31 split into 16-bit halves,
 x = x1 2^16 + x0 with x1 < 2^15 and x0 < 2^16.  Over an inner dimension k
@@ -19,11 +36,12 @@ the four half products sum terms below 2^30, 2^31, 2^31 and 2^32, so for
 k <= 2^21 every partial sum stays below 2^53 and float64 holds it exactly.
 They recombine in int64 as (x1 y1 mod p) (2^32 mod p) + (x1 y0 + x0 y1)
 2^16 + x0 y0 < 2^62 + k 2^48 + k 2^32, which stays below 2^63 for
-k <= _INNER = 2^13.  A batch reduction's inner dimension is the basis
-rank, which can reach ncols, so a wider product runs over slices of
-_INNER and sums their residues.  The reduced row echelon form of a span
-is unique, so the result depends neither on the batches or the slices,
-nor on which rows are picked as pivots.
+k <= _INNER = 2^13.  A back-substitution's inner dimension is the rank of
+the blocks after it, which can reach ncols, so a wider product runs over
+slices of _INNER and sums their residues.  The reduced row echelon form
+of a span is unique, so the result depends neither on the batches, the
+blocks, the panels or the slices, nor on which rows are picked as
+pivots.
 
 A derivative tower walks a set of degree-e generators down to degree 0,
 reducing the stacked partial derivatives of each basis in turn.  Its
@@ -35,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -43,24 +62,29 @@ from levellab.errors import HypothesisError
 from levellab.forms import PRIME_LIMIT, Form, monomials_of_degree
 
 
-# Rows per batch, by measurement: 32 beat 16, 48 and 64 on the r = 16..30
-# derivative towers, where the per-pivot steps across a batch and the
-# products against the basis trade off.
+# Rows per batch and columns per panel, by measurement: on the matrices of
+# the r = 16..30 derivative towers 32 and 48 tied (0.68-0.72 s against
+# 0.68-0.74 s a pass), ahead of 24 (0.73-0.83 s), 64 (0.81-0.92 s) and 16
+# (0.98-1.05 s); more rows make fewer, larger products against the blocks
+# but more pivot steps per batch.
 _BATCH = 32
 # Inner dimension of one modular matrix product: a power of two at which
 # its int64 recombination provably stays below 2^63 (module docstring).
 _INNER = 1 << 13
 # Cells per product chunk, which bounds the temporaries of the modular
-# product to a few arrays of 256 KiB.
-_CHUNK_CELLS = 1 << 15
+# product to a few arrays of 128 KiB.  On the tower matrices 2^14 beat 2^13
+# and 2^15 (0.63-0.70 s a pass against 0.70 s and 0.69-0.83 s): smaller
+# chunks cost more calls, larger ones ran slower BLAS products on a busy
+# 2-vCPU host.
+_CHUNK_CELLS = 1 << 14
 
 
 def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     """Reduced row echelon form over F_p; returns only the nonzero rows.
 
     The result is canonical for the row space, so any generating set of
-    the same span reduces to byte-identical rows.  The modulus must lie in
-    2..2^31 - 1, where int64 products and the 16-bit split stay exact.
+    the same span reduces to byte-identical rows.  The modulus must be a
+    prime below 2^31, where int64 products and the 16-bit split stay exact.
     """
     if not 2 <= p < PRIME_LIMIT:
         raise HypothesisError(f"modulus {p} is outside 2..2^31-1")
@@ -68,33 +92,75 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError("expected a 2d matrix")
     nrows, ncols = matrix.shape
-    basis = np.empty((min(nrows, ncols), ncols), dtype=np.int64)
-    pivots = np.empty(len(basis), dtype=np.intp)
+    blocks: list[_Block] = []
     rank = 0
     for lo in range(0, nrows, _BATCH):
         x = matrix[lo:lo + _BATCH].astype(np.int64) % p
-        if rank:
-            _subtract_product(x, pivots[:rank], basis[:rank], p)
+        if blocks:
+            for block in blocks:
+                if block.halves is None:
+                    block.halves = _halves(block.rows)
+                _subtract_product(x, block.cols, block.halves, p)
             x = x[x.any(axis=1)]
         cols = _pivot_steps(x, p)
         k = len(cols)
         if rank + k == ncols:
             # the rows left cannot change a span that is already everything
             return np.eye(ncols, dtype=np.int64)
-        if rank and k:
-            _subtract_product(basis[:rank], cols, x[:k], p)
-        basis[rank:rank + k] = x[:k]
-        pivots[rank:rank + k] = cols
-        rank += k
-    # a copy, so the result does not keep the unused basis rows alive
-    return basis[np.argsort(pivots[:rank])]
+        if k:
+            rows = x[:k].copy()
+            if blocks and len(blocks[-1].cols) < _BATCH:
+                # a short last block takes the new rows in, so a slowly
+                # growing rank leaves few blocks to reduce each batch by
+                last = blocks.pop()
+                _subtract_product(last.rows, cols, _halves(rows), p)
+                cols, rows = np.concatenate([last.cols, cols]), np.vstack([last.rows, rows])
+            blocks.append(_Block(cols, rows))
+            rank += k
+    return _back_substitute(blocks, rank, ncols, p)
 
 
-def _subtract_product(a: np.ndarray, cols: np.ndarray, rows: np.ndarray, p: int) -> None:
-    """a -= a[:, cols] rows mod p in place, for ``rows`` in reduced echelon
-    form with pivots ``cols``: clears those columns of ``a``.  Runs in row
-    chunks of ``a`` that bound the temporaries."""
-    halves = _halves(rows)
+@dataclass
+class _Block:
+    """Rows one batch or a few added to the basis: in reduced echelon form
+    among themselves with pivot columns ``cols``, and zero on the pivot
+    columns of every earlier block.  ``halves`` caches their float halves."""
+
+    cols: np.ndarray
+    rows: np.ndarray
+    halves: tuple | None = None
+
+
+def _back_substitute(blocks: list[_Block], rank: int, ncols: int, p: int) -> np.ndarray:
+    """The basis of ``blocks`` in reduced echelon form, sorted by pivot.
+
+    The last block is reduced already.  Going back, each block loses its
+    part on the pivots of the reduced blocks after it in one product; the
+    rows of those blocks are zero on its own pivots, so they stay put."""
+    out = np.empty((rank, ncols), dtype=np.int64)
+    pivots = np.empty(rank, dtype=np.intp)
+    low = high = None
+    end = rank
+    while blocks:
+        block = blocks.pop()
+        start = end - len(block.cols)
+        if end < rank:
+            _subtract_product(block.rows, pivots[end:], (low[end:], high[end:]), p)
+        out[start:end] = block.rows
+        pivots[start:end] = block.cols
+        if blocks:
+            if low is None:
+                low, high = np.empty((2, rank, ncols))
+            low[start:end], high[start:end] = _halves(block.rows)
+        end = start
+    return out[np.argsort(pivots)]
+
+
+def _subtract_product(a: np.ndarray, cols: np.ndarray, halves: tuple, p: int) -> None:
+    """a -= a[:, cols] rows mod p in place, for rows given by their
+    ``halves``, in reduced echelon form with pivots ``cols``: clears those
+    columns of ``a``.  Runs in row chunks of ``a`` that bound the
+    temporaries."""
     step = max(1, _CHUNK_CELLS // a.shape[1])
     for lo in range(0, len(a), step):
         chunk = a[lo:lo + step]
@@ -103,30 +169,67 @@ def _subtract_product(a: np.ndarray, cols: np.ndarray, rows: np.ndarray, p: int)
 
 
 def _pivot_steps(a: np.ndarray, p: int) -> np.ndarray:
-    """Gauss-Jordan steps on ``a`` in place, one pivot at a time; returns
-    the pivot columns, whose reduced rows end up on top.  The rows not yet
-    used as pivots are zero left of the column searched, so each step only
-    updates the columns from its pivot on."""
+    """Gauss-Jordan elimination of ``a`` in place; returns the pivot
+    columns, whose reduced rows end up on top.
+
+    While more than 2 _BATCH columns lie right of the current position, it
+    runs on panels: the next _BATCH columns that are nonzero in the rows not
+    yet pivoted are reduced together with an identity, [panel | I] ->
+    [panel' | T], and T reduces every column right of the panel in one
+    product.  The columns it skipped are zero in the rows T mixes, so T
+    leaves them as they are.  The narrow rest is reduced in place."""
     nrows, ncols = a.shape
-    cols = []
-    for col in range(ncols):
+    cols: list[int] = []
+    start = 0
+    while len(cols) < nrows and ncols - start > 2 * _BATCH:
         pivot = len(cols)
+        live = start + np.flatnonzero(a[pivot:, start:].any(axis=0))[:_BATCH]
+        if not live.size:
+            # the rows not yet pivoted are zero
+            return np.array(cols, dtype=np.intp)
+        width = len(live)
+        panel = np.hstack([a[:, live], np.eye(nrows, dtype=np.int64)])
+        found = _steps(panel, p, pivot, width)
+        a[:, live] = panel[:, :width]
+        start = int(live[-1]) + 1
+        transform = _halves(panel[:, width:])
+        step = max(1, _CHUNK_CELLS // nrows)
+        for lo in range(start, ncols, step):
+            chunk = a[:, lo:lo + step]
+            chunk[:] = _matmul_mod(transform, _halves(chunk), p) % p
+        cols.extend(live[found].tolist())
+    cols.extend(start + col for col in _steps(a[:, start:], p, len(cols), ncols - start))
+    return np.array(cols, dtype=np.intp)
+
+
+def _steps(a: np.ndarray, p: int, pivot: int, stop: int) -> list[int]:
+    """Per-pivot Gauss-Jordan steps on columns 0..stop-1 of ``a`` in place,
+    taking pivots from row ``pivot`` on; returns the columns they land in.
+    ``a`` is one batch, so each step updates all its rows at once; the rows
+    not yet used as pivots are zero left of the column searched, so only
+    the columns from the pivot on change."""
+    nrows = len(a)
+    found = []
+    for col in range(stop):
         if pivot >= nrows:
             break
-        stuck = np.nonzero(a[pivot:, col])[0]
+        stuck = np.flatnonzero(a[pivot:, col])
         if stuck.size == 0:
             continue
         first = pivot + int(stuck[0])
         if first != pivot:
             a[[pivot, first]] = a[[first, pivot]]
-        inv = pow(int(a[pivot, col]), p - 2, p)
-        a[pivot, col:] = a[pivot, col:] * inv % p
-        others = np.nonzero(a[:, col])[0]
-        others = others[others != pivot]
-        if others.size:
-            a[others, col:] = (a[others, col:] - np.outer(a[others, col], a[pivot, col:])) % p
-        cols.append(col)
-    return np.array(cols, dtype=np.intp)
+        row = a[pivot, col:]
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        factors = a[:, col].copy()
+        factors[pivot] = 0
+        rest = a[:, col:]
+        rest -= np.outer(factors, row)
+        rest %= p
+        found.append(col)
+        pivot += 1
+    return found
 
 
 def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,26 +299,21 @@ def span_dimension(forms: Sequence[Form]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _derivative_map(nvars: int, degree: int, var: int):
-    """Index arrays mapping degree-d monomial coordinates to their degree
-    d-1 images under d/dy_var, with the exponent multipliers.  They are
-    int32 because the cache keeps every shape for the life of the process."""
-    source = monomials_of_degree(nvars, degree)
+def _derivative_maps(nvars: int, degree: int) -> tuple:
+    """For each variable y_var, index arrays mapping degree-d monomial
+    coordinates to their degree d-1 images under d/dy_var, with the exponent
+    multipliers, built in one pass over the monomials.  They are int32
+    because the cache keeps every shape for the life of the process."""
     target = {m: i for i, m in enumerate(monomials_of_degree(nvars, degree - 1))}
-    src, dst, mult = [], [], []
-    for i, mono in enumerate(source):
-        if mono[var] == 0:
-            continue
-        lowered = list(mono)
-        lowered[var] -= 1
-        src.append(i)
-        dst.append(target[tuple(lowered)])
-        mult.append(mono[var])
-    return (
-        np.array(src, dtype=np.int32),
-        np.array(dst, dtype=np.int32),
-        np.array(mult, dtype=np.int32),
-    )
+    maps = [([], [], []) for _ in range(nvars)]
+    for i, mono in enumerate(monomials_of_degree(nvars, degree)):
+        for var in compress(range(nvars), mono):
+            exp = mono[var]
+            src, dst, mult = maps[var]
+            src.append(i)
+            dst.append(target[mono[:var] + (exp - 1,) + mono[var + 1:]])
+            mult.append(exp)
+    return tuple(tuple(np.array(x, dtype=np.int32) for x in m) for m in maps)
 
 
 def _stacked_derivatives(basis: SpanBasis) -> np.ndarray:
@@ -226,8 +324,7 @@ def _stacked_derivatives(basis: SpanBasis) -> np.ndarray:
     lower = len(monomials_of_degree(basis.nvars, basis.degree - 1))
     dim = basis.dim
     stacked = np.zeros((basis.nvars * dim, lower), dtype=np.int32)
-    for var in range(basis.nvars):
-        src, dst, mult = _derivative_map(basis.nvars, basis.degree, var)
+    for var, (src, dst, mult) in enumerate(_derivative_maps(basis.nvars, basis.degree)):
         if src.size:
             stacked[var * dim:(var + 1) * dim, dst] = basis.matrix[:, src] * mult % basis.p
     return stacked

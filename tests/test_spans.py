@@ -429,6 +429,98 @@ def test_rank_growing_across_batches_matches_reference(p):
     assert_same_rref(mat, p)
 
 
+# ------------------------------------------------- panels and deferred blocks
+
+
+def dependent_panel(gen, rows, cols, p):
+    """rows x cols residues whose first _BATCH columns have rank 10, so a
+    batch of more rows takes the rest of its pivots from a second panel."""
+    mat = random_residues(gen, rows, cols, p)
+    mat[:, :_BATCH] = low_rank(gen, rows, _BATCH, 10, p)
+    return mat
+
+
+def interleaved(gen, p):
+    """Three batches of a 60-dimensional span in 200 columns, every seventh
+    column zero.  The first batch only mixes directions that vanish on the
+    odd columns, so the live columns of the later batches interleave with
+    its pivots and with the zero columns."""
+    cols = 200
+    span = random_residues(gen, 60, cols, p)
+    span[:20, 1::2] = 0
+    span[:, ::7] = 0
+    first = random_residues(gen, _BATCH, 20, p).astype(object).dot(span[:20].astype(object))
+    later = random_residues(gen, 2 * _BATCH, 60, p).astype(object).dot(span.astype(object))
+    return (np.vstack([first, later]) % p).astype(np.int64)
+
+
+def many_blocks(gen, p):
+    """Rank 230 in 250 columns, 20 of them zero: eight batches add rows to
+    the basis, and the rank stays short of the columns, so all of them are
+    back-substituted."""
+    mat = random_residues(gen, 400, 250, p)
+    mat[:, gen.choice(250, size=20, replace=False)] = 0
+    return mat
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_pivots_from_a_second_panel_match_reference(p):
+    gen = np.random.default_rng(113)
+    for rows in (_BATCH, _BATCH + 9):
+        mat = dependent_panel(gen, rows, 3 * _BATCH + 10, p)
+        assert len(reference_rref(mat[:, :_BATCH], p)) == 10
+        assert_same_rref(mat, p)
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_live_columns_between_earlier_pivots_match_reference(p):
+    gen = np.random.default_rng(127)
+    mat = interleaved(gen, p)
+    first = reference_rref(mat[:_BATCH], p)
+    assert len(first) == 20 and len(reference_rref(mat, p)) == 60
+    assert not first[:, 1::2].any() and not mat[:, ::7].any()
+    assert_same_rref(mat, p)
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_many_blocks_back_substituted_match_reference(monkeypatch, p):
+    gen = np.random.default_rng(131)
+    mat = many_blocks(gen, p)
+    got, seen = batches_reduced(monkeypatch, mat, p)
+    assert sum(1 for rows in seen if rows) >= 6
+    assert got.tobytes() == reference_rref(mat, p).tobytes()
+
+
+def test_narrow_batches_take_no_panel_product(monkeypatch):
+    # Matrices at most 2 _BATCH wide are reduced by in-place pivot steps;
+    # the panel product only pays off on wider ones.
+    p = DEFAULT_PRIME
+    gen = np.random.default_rng(137)
+    inside = []
+    steps, product = spans._pivot_steps, spans._matmul_mod
+
+    def tracked_steps(a, p):
+        inside.append(True)
+        try:
+            return steps(a, p)
+        finally:
+            inside.pop()
+
+    def counted_product(x, y, p):
+        calls.append(bool(inside))
+        return product(x, y, p)
+
+    monkeypatch.setattr(spans, "_pivot_steps", tracked_steps)
+    monkeypatch.setattr(spans, "_matmul_mod", counted_product)
+    for rows, cols in ((_BATCH, 2 * _BATCH), (200, 2 * _BATCH), (150, 50), (_BATCH, 1)):
+        calls = []
+        assert_same_rref(random_residues(gen, rows, cols, p), p)
+        assert not any(calls)
+    calls = []
+    assert_same_rref(random_residues(gen, _BATCH, 2 * _BATCH + 1, p), p)
+    assert any(calls)
+
+
 def test_products_wider_than_one_slice_stay_exact():
     # every half of p - 1 is as large as p allows; unsliced, this inner
     # dimension would carry the int64 recombination past 2^63
@@ -446,7 +538,8 @@ def test_products_wider_than_one_slice_stay_exact():
 def test_basis_rank_beyond_the_product_slice(monkeypatch):
     # A basis wider than the real slice needs far more memory than a test
     # should take, so the slice shrinks instead; the sliced products then
-    # carry both the batch reductions and the back-substitutions.
+    # carry the batch reductions, the panel transforms and the
+    # back-substitutions.
     p = DEFAULT_PRIME
     monkeypatch.setattr(spans, "_INNER", 8)
     gen = np.random.default_rng(107)
@@ -456,6 +549,8 @@ def test_basis_rank_beyond_the_product_slice(monkeypatch):
         # full rank only from row 150 on, reduced against the basis before it
         mat[150:] = random_residues(gen, 150, 70, p, lo=p - 40)
         assert_same_rref(mat, p)
+    # eight blocks back-substituted, and panel transforms wider than a slice
+    assert_same_rref(many_blocks(gen, p), p)
 
 
 @pytest.mark.parametrize("p", (0, 1, -7, 2**31, 2**32 - 5, 2**61 - 1))
