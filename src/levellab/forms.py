@@ -17,20 +17,30 @@ play gives the same generic answers.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from operator import add
+from itertools import combinations_with_replacement
+from operator import add, sub
 from random import Random
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from levellab.errors import HypothesisError, ParseError
+from levellab.macaulay import binomial
 
 DEFAULT_PRIME = 2**31 - 1
 # Every modulus stays below this, so int64 products of residues are exact.
 PRIME_LIMIT = 2**31
+# The largest ring ``check_ring`` admits for form text, module files and
+# replayed records: its forms, coefficient matrices and derivative maps are
+# as wide as its monomial table, and the table holds nvars exponents per
+# monomial, so few monomials can still cost much (the 4,000 linear ones of
+# r = 4000 are 16,000,000 cells and 277 MB).  Both limits admit r = 40,
+# e = 4: 123,410 quartics, 4,936,400 cells.
+MAX_MONOMIALS = 1 << 17
+MAX_CELLS = 1 << 23
 # Fewer draws than this are cheaper one ``randrange`` call at a time than
 # through numpy's fixed cost per call (measured crossover about a dozen).
 _BULK_DRAWS = 16
@@ -86,13 +96,35 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
         raise ValueError(f"need at least one variable, got {nvars}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
+    # Descending grevlex is ascending order of the reversed exponent tuples,
+    # whose partial sums s_0 <= ... <= s_{r-2} <= degree come in ascending
+    # order from combinations_with_replacement; the exponents are their
+    # gaps, read last variable first.
     monos = []
-    for bars in combinations(range(degree + nvars - 1), nvars - 1):
-        cuts = (-1,) + bars + (degree + nvars - 1,)
-        monos.append(tuple(cuts[i + 1] - cuts[i] - 1 for i in range(nvars)))
-    # ascending reversed exponent tuples are descending grevlex
-    monos.sort(key=lambda mono: mono[::-1])
+    for sums in combinations_with_replacement(range(degree + 1), nvars - 1):
+        cuts = (degree, *sums[::-1], 0)
+        monos.append(tuple(map(sub, cuts, cuts[1:])))
     return tuple(monos)
+
+
+def check_ring(nvars: int, degree: int) -> int:
+    """dim R_degree = C(n, degree), n = nvars + degree - 1, for a ring whose
+    monomial table is small enough to build: at most ``MAX_MONOMIALS``
+    monomials and ``MAX_CELLS`` exponents in all; a larger one raises
+    ValueError.  C(n, k) grows with k up to min(degree, nvars - 1) <= n / 2,
+    so even a huge ring is refused within a few small steps."""
+    if nvars < 1:
+        raise ValueError(f"need at least one variable, got {nvars}")
+    n = nvars + degree - 1
+    for k in range(1, min(degree, nvars - 1) + 1):
+        if binomial(n, k) > MAX_MONOMIALS:
+            raise ValueError(f"degree {degree} in {nvars} variables has over "
+                             f"{MAX_MONOMIALS} monomials")
+    size = binomial(n, degree)
+    if size * nvars > MAX_CELLS:
+        raise ValueError(f"degree {degree} in {nvars} variables has {size} monomials "
+                         f"of {nvars} exponents, over {MAX_CELLS} cells")
+    return size
 
 
 @lru_cache(maxsize=None)
@@ -275,100 +307,53 @@ def format_form(form: Form) -> str:
     return " + ".join(parts) or "0"
 
 
-_TOKEN = re.compile(r"(?:(?P<num>\d+)|(?P<var>y(?P<idx>\d+)(?:\^(?P<exp>\d+))?)|(?P<op>[+\-*]))")
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", position=pos)
-        if match.group("num") is not None:
-            out.append(("num", int(match.group("num")), pos))
-        elif match.group("var") is not None:
-            out.append(("var", (int(match.group("idx")), int(match.group("exp") or 1)), pos))
-        else:
-            out.append((match.group("op"), None, pos))
-        pos = match.end()
-    return out
+# One term and the sign before it.  Groups: 1 the sign, 2 the term, 3 its
+# coefficient, 4 its factors (led by the '*' after a coefficient), 5 a '*'
+# that no factor follows.
+_FACTOR = re.compile(r"y(\d+)(?:\^(\d+))?")
+_TERM = re.compile(r"\s*([+-]?)\s*((\d+)?((?(3)\s*\*\s*)y\d+(?:\^\d+)?"
+                   r"(?:\s*\*\s*y\d+(?:\^\d+)?)*)?)\s*(\*\s*)?")
 
 
 def parse_form(
     text: str, nvars: int, p: int = DEFAULT_PRIME, expected_degree: int | None = None
 ) -> Form:
-    """Parse one form from text like ``y1^4 + 3*y2^3*y3``.
-
-    Terms are separated by + or -, factors inside a term by *.  A bare
-    integer is a constant term.  Homogeneity is enforced: all terms must
-    share one degree (the zero constant 0 is accepted for any degree).
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty form text", position=0)
-    items: list[tuple[Monomial, int]] = []
-    degree: int | None = None
-    i = 0
-    sign = 1
-    if tokens[0][0] in "+-":
-        sign = -1 if tokens[0][0] == "-" else 1
-        i = 1
-    while i < len(tokens):
-        kind, value, pos = tokens[i]
-        coeff = 1
-        exps = [0] * nvars
-        saw_factor = False
-        if kind == "num":
-            coeff = value
-            i += 1
-            saw_factor = True
-            if i < len(tokens) and tokens[i][0] == "var":
-                raise ParseError("missing '*' between coefficient and variable", position=tokens[i][2])
-            if i < len(tokens) and tokens[i][0] == "*":
-                i += 1
-                kind = tokens[i][0] if i < len(tokens) else None
-                if kind != "var":
-                    raise ParseError("expected a variable after '*'", position=tokens[i - 1][2])
-        while i < len(tokens) and tokens[i][0] == "var":
-            idx, exp = tokens[i][1]
-            if not 1 <= idx <= nvars:
-                raise ParseError(f"variable y{idx} out of range 1..{nvars}", position=tokens[i][2])
-            exps[idx - 1] += exp
-            saw_factor = True
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "var":
-                raise ParseError("missing '*' between factors", position=tokens[i][2])
-            if i < len(tokens) and tokens[i][0] == "*":
-                star_pos = tokens[i][2]
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "var":
-                    raise ParseError("expected a variable after '*'", position=star_pos)
-        if not saw_factor:
-            raise ParseError("expected a term", position=pos)
-        term_degree = sum(exps)
-        # a term with a zero coefficient carries no degree and is dropped
-        if coeff % p != 0:
-            if degree is None:
-                degree = term_degree
-            elif degree != term_degree:
-                raise ParseError(
-                    f"mixed degrees {degree} and {term_degree} in one form", position=pos
-                )
-            items.append((tuple(exps), sign * coeff))
-        if i < len(tokens):
-            kind = tokens[i][0]
-            if kind not in "+-":
-                raise ParseError("expected '+' or '-' between terms", position=tokens[i][2])
-            sign = -1 if kind == "-" else 1
-            i += 1
-            if i >= len(tokens):
-                raise ParseError("dangling sign at end of form", position=tokens[i - 1][2])
-    if degree is None:
-        degree = expected_degree if expected_degree is not None else 0
-    if expected_degree is not None and degree != expected_degree:
-        raise ParseError(f"form has degree {degree}, expected {expected_degree}", position=0)
+    """Parse one form from text like ``y1^4 + 3*y2^3*y3``: ``[sign] term
+    (sign term)*`` with ``term := int | [int '*'] factor ('*' factor)*``,
+    ``factor := y<i>[^<e>]``, signs + and -, and whitespace around operators
+    and at both ends.  Repeated variables add their exponents.  Terms with a
+    nonzero coefficient share one degree, ``expected_degree`` if given, and
+    text with none (like ``0``) is the zero form of that degree.  A
+    ParseError gives the offset where the text leaves the grammar, or names
+    a ring too large for ``check_ring``."""
+    terms, degree, pos = [], expected_degree, 0
+    while pos < len(text) or not pos:  # empty text still reads one term
+        term = _TERM.match(text, pos)
+        if pos and not term[1]:
+            raise ParseError("expected '+' or '-' between terms", position=term.start(1))
+        if not term[2]:
+            raise ParseError("expected a term", position=term.start(2))
+        if term[5]:
+            raise ParseError("expected a variable after '*'", position=term.end(5))
+        exps = Counter()  # a bare integer's factor span (-1, -1) reads as empty
+        for factor in _FACTOR.finditer(text, *term.span(4)):
+            var = int(factor[1])
+            if not 1 <= var <= nvars:
+                raise ParseError(f"variable y{var} out of range 1..{nvars}",
+                                 position=factor.start())
+            exps[var] += int(factor[2] or 1)
+        coeff, term_degree = int(term[3] or 1), sum(exps.values())
+        if coeff % p:  # a term with a zero coefficient carries no degree
+            if degree not in (None, term_degree):
+                raise ParseError(f"term of degree {term_degree} in a form of degree {degree}",
+                                 position=term.start(2))
+            degree = term_degree
+            terms.append((exps, -coeff if term[1] == "-" else coeff))
+        pos = term.end()
+    degree = degree or 0
+    try:
+        check_ring(nvars, degree)
+    except ValueError as exc:
+        raise ParseError(str(exc), position=0) from None
+    items = [(tuple(exps[v] for v in range(1, nvars + 1)), c) for exps, c in terms]
     return Form.from_terms(nvars, degree, items, p)

@@ -23,6 +23,7 @@ from levellab.forms import (
     DEFAULT_PRIME,
     Form,
     check_prime,
+    check_ring,
     format_form,
     parse_form,
     randrange_many,
@@ -191,7 +192,9 @@ def module_to_text(module: InverseModule) -> str:
 
 
 def module_from_text(text: str, p: int = DEFAULT_PRIME) -> InverseModule:
-    """Parse a generator file: comments, one header, one form per line."""
+    """Parse a generator file: comments, one header, one form per line.
+    A header whose ring ``check_ring`` refuses is refused before any form
+    is read."""
     header: tuple[int, int] | None = None
     forms: list[Form] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -206,8 +209,10 @@ def module_from_text(text: str, p: int = DEFAULT_PRIME) -> InverseModule:
                     line=lineno,
                 )
             header = (int(match.group(1)), int(match.group(2)))
-            if header[0] < 1:
-                raise ParseError("header needs r >= 1", line=lineno)
+            try:
+                check_ring(*header)
+            except ValueError as exc:
+                raise ParseError(f"bad header: {exc}", line=lineno) from None
             continue
         try:
             forms.append(parse_form(line, header[0], p, expected_degree=header[1]))

@@ -17,9 +17,9 @@ reaches ncols the span is everything: the identity is returned, and
 neither the rows not yet read nor the blocks are reduced any further.
 Derivative towers stack many more partials than their level has
 monomials, and most of their levels end that way.  Any other matrix is
-back-substituted once, at return, last block first: each block loses its
-part on the pivots of the reduced blocks after it in one product, and
-the rows are sorted by pivot column.
+back-substituted once, at return: each block loses its part on the pivots
+of every later block, one product each, and the rows are sorted by pivot
+column.
 
 A batch with more than 2 _BATCH columns right of the current position is
 reduced by panels (``_pivot_steps``): its next _BATCH columns that are
@@ -36,12 +36,10 @@ the four half products sum terms below 2^30, 2^31, 2^31 and 2^32, so for
 k <= 2^21 every partial sum stays below 2^53 and float64 holds it exactly.
 They recombine in int64 as (x1 y1 mod p) (2^32 mod p) + (x1 y0 + x0 y1)
 2^16 + x0 y0 < 2^62 + k 2^48 + k 2^32, which stays below 2^63 for
-k <= _INNER = 2^13.  A back-substitution's inner dimension is the rank of
-the blocks after it, which can reach ncols, so a wider product runs over
-slices of _INNER and sums their residues.  The reduced row echelon form
-of a span is unique, so the result depends neither on the batches, the
-blocks, the panels or the slices, nor on which rows are picked as
-pivots.
+k <= _INNER = 2^13.  A wider product runs over slices of _INNER and sums
+their residues.  The reduced row echelon form of a span is unique, so the
+result depends neither on the batches, the blocks, the panels or the
+slices, nor on which rows are picked as pivots.
 
 A derivative tower walks a set of degree-e generators down to degree 0,
 reducing the stacked partial derivatives of each basis in turn.  Its
@@ -98,9 +96,7 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
         x = matrix[lo:lo + _BATCH].astype(np.int64) % p
         if blocks:
             for block in blocks:
-                if block.halves is None:
-                    block.halves = _halves(block.rows)
-                _subtract_product(x, block.cols, block.halves, p)
+                block.clear(x, p)
             x = x[x.any(axis=1)]
         cols = _pivot_steps(x, p)
         k = len(cols)
@@ -117,7 +113,7 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
                 cols, rows = np.concatenate([last.cols, cols]), np.vstack([last.rows, rows])
             blocks.append(_Block(cols, rows))
             rank += k
-    return _back_substitute(blocks, rank, ncols, p)
+    return _back_substitute(blocks, ncols, p)
 
 
 @dataclass
@@ -130,30 +126,28 @@ class _Block:
     rows: np.ndarray
     halves: tuple | None = None
 
+    def clear(self, a: np.ndarray, p: int) -> None:
+        """a -= a[:, cols] rows mod p in place: ``a`` loses its part on
+        this block's pivots."""
+        if self.halves is None:
+            self.halves = _halves(self.rows)
+        _subtract_product(a, self.cols, self.halves, p)
 
-def _back_substitute(blocks: list[_Block], rank: int, ncols: int, p: int) -> np.ndarray:
+
+def _back_substitute(blocks: list[_Block], ncols: int, p: int) -> np.ndarray:
     """The basis of ``blocks`` in reduced echelon form, sorted by pivot.
 
-    The last block is reduced already.  Going back, each block loses its
-    part on the pivots of the reduced blocks after it in one product; the
-    rows of those blocks are zero on its own pivots, so they stay put."""
-    out = np.empty((rank, ncols), dtype=np.int64)
-    pivots = np.empty(rank, dtype=np.intp)
-    low = high = None
-    end = rank
-    while blocks:
-        block = blocks.pop()
-        start = end - len(block.cols)
-        if end < rank:
-            _subtract_product(block.rows, pivots[end:], (low[end:], high[end:]), p)
-        out[start:end] = block.rows
-        pivots[start:end] = block.cols
-        if blocks:
-            if low is None:
-                low, high = np.empty((2, rank, ncols))
-            low[start:end], high[start:end] = _halves(block.rows)
-        end = start
-    return out[np.argsort(pivots)]
+    Each block loses its part on the pivots of every later block, in the
+    order they were found: a later block is zero on the pivots of the
+    earlier ones, so a step never refills the columns a step before it
+    cleared, and the block's own pivots stay put."""
+    if not blocks:
+        return np.zeros((0, ncols), dtype=np.int64)
+    for i, block in enumerate(blocks):
+        for later in blocks[i + 1:]:
+            later.clear(block.rows, p)
+    rows = np.vstack([block.rows for block in blocks])
+    return rows[np.argsort(np.concatenate([block.cols for block in blocks]))]
 
 
 def _subtract_product(a: np.ndarray, cols: np.ndarray, halves: tuple, p: int) -> None:

@@ -21,17 +21,14 @@ from levellab.classify import (
     criterion_still_holds,
 )
 from levellab.errors import LevelLabError, VerificationError
-from levellab.forms import check_prime
-from levellab.macaulay import HVector, binomial
+# MAX_MONOMIALS is re-exported: callers import it from this module
+from levellab.forms import MAX_MONOMIALS, check_prime, check_ring  # noqa: F401
+from levellab.macaulay import HVector
 from levellab.modules import h_vector, module_from_text, module_to_text
 
 SCHEMA_VERSION = 1
 STORE_ENV = "LEVELLAB_STORE"
 CHARACTERISTICS = ("char-p", "char-0-verified")
-# The most monomials of one degree a replay may build: its forms,
-# coefficient matrices and derivative maps are as wide as that table.  It
-# admits r = 40, e = 4, which has 123,410 quartic monomials.
-MAX_MONOMIALS = 1 << 17
 
 
 def default_store_path() -> str | None:
@@ -173,7 +170,7 @@ def store_verify(record: dict) -> None:
     if ring is None or ring.group(2) != str(h.socle_degree):
         raise VerificationError(f"generators do not start with 'ring r=<r> e={h.socle_degree}'")
     r = _replay(int, ring.group(1))
-    _replay(_ring_size, r, h.socle_degree)
+    _replay(check_ring, r, h.socle_degree)
 
     recipe = record.get("recipe")
     if recipe is not None:
@@ -204,8 +201,8 @@ def store_verify(record: dict) -> None:
 def _recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
     """The (nvars, degree) of a recipe's module.  Before anything is built
     it refuses a node in more than r variables, of degree above 2e + 2 (the
-    largest truncate source ``candidate_recipes`` emits), with more than
-    ``MAX_MONOMIALS`` monomials, or with a count or part above dim R_degree."""
+    largest truncate source ``candidate_recipes`` emits), in a ring
+    ``check_ring`` refuses, or with a count or part above dim R_degree."""
     kind = recipe["kind"]
     if kind == "truncate":
         return _recipe_size(recipe["source"], r, e)[0], recipe["to"]
@@ -220,22 +217,10 @@ def _recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
         raise ValueError(f"{kind} names {nvars} variables, more than the ring's {r}")
     if degree > 2 * e + 2:
         raise ValueError(f"{kind} has degree {degree}, above 2e + 2 = {2 * e + 2}")
-    cap = _ring_size(nvars, degree)
+    cap = check_ring(nvars, degree)
     if any(count > cap for count in counts):
         raise ValueError(f"{kind} counts {counts} exceed dim R_{degree} = {cap}")
     return nvars, degree
-
-
-def _ring_size(nvars: int, degree: int) -> int:
-    """dim R_degree = C(n, degree), n = nvars + degree - 1, refused above
-    ``MAX_MONOMIALS``.  C(n, k) grows with k up to min(degree, nvars - 1)
-    <= n / 2, so even a huge ring is refused within a few small steps."""
-    n = nvars + degree - 1
-    for k in range(1, min(degree, nvars - 1) + 1):
-        if binomial(n, k) > MAX_MONOMIALS:
-            raise ValueError(f"degree {degree} in {nvars} variables has over "
-                             f"{MAX_MONOMIALS} monomials")
-    return binomial(n, degree)
 
 
 def _replay(step, *args):

@@ -1,15 +1,22 @@
 """Tests for forms, differentiation, and the text grammar."""
 
 import random
+import time
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levellab.errors import HypothesisError, ParseError
 from levellab.forms import (
     _BULK_DRAWS,
     DEFAULT_PRIME,
+    MAX_CELLS,
+    MAX_MONOMIALS,
     Form,
     check_prime,
+    check_ring,
     format_form,
     is_prime,
     monomials_of_degree,
@@ -47,6 +54,28 @@ def test_monomial_order_frozen():
     )
     assert monomials_of_degree(2, 0) == ((0, 0),)
     assert monomials_of_degree(1, 5) == ((5,),)
+
+
+def test_monomial_order_is_descending_grevlex():
+    # among monomials of one degree, m comes before m' in descending
+    # grevlex when the last nonzero entry of m - m' is negative, which is
+    # ascending order of the reversed tuples
+    for r in range(1, 8):
+        for d in range(0, 7):
+            monos = [tuple(c.count(v) for v in range(r))
+                     for c in combinations_with_replacement(range(r), d)]
+            assert monomials_of_degree(r, d) == tuple(sorted(monos, key=lambda m: m[::-1]))
+
+
+def test_check_ring_bounds_monomials_and_cells():
+    assert check_ring(40, 4) == 123410 and 123410 * 40 == 4936400 <= MAX_CELLS
+    assert check_ring(1, 10**9) == 1
+    with pytest.raises(ValueError, match=f"degree 2 in 100000 variables has over {MAX_MONOMIALS}"):
+        check_ring(100000, 2)
+    with pytest.raises(ValueError, match=f"4000 monomials of 4000 exponents, over {MAX_CELLS}"):
+        check_ring(4000, 1)
+    with pytest.raises(ValueError, match="at least one variable"):
+        check_ring(0, 2)
 
 
 def test_monomial_counts():
@@ -206,6 +235,12 @@ def test_parse_rejects_bad_text():
         ("", 2),               # empty
         ("x1", 2),             # unknown letter
         ("y1 y2", 2),          # missing separator
+        ("+", 2),              # lone signs
+        ("-", 2),
+        (" - ", 2),
+        ("3*4", 2),            # a coefficient is not a factor
+        ("y1*3", 2),
+        ("--y1", 2),
     ]
     for text, nvars in cases:
         with pytest.raises(ParseError):
@@ -224,3 +259,59 @@ def test_parse_error_reports_position():
 def test_parse_degree_guard():
     with pytest.raises(ParseError):
         parse_form("y1^2", 2, expected_degree=3)
+
+
+def test_parse_refuses_a_ring_too_large_to_tabulate_at_once():
+    start = time.perf_counter()
+    for text, nvars in (("y1", 4000), ("7", 10**7), ("y1^1000000", 2)):
+        with pytest.raises(ParseError, match="over"):
+            parse_form(text, nvars)
+    assert time.perf_counter() - start < 1
+
+
+SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def form_texts(draw):
+    """Text in the form grammar and the (nvars, degree, p, coefficients by
+    monomial) it names.  Exponents stay at most 4, so every table is
+    small; terms with a coefficient divisible by p may take another
+    degree, since they carry none."""
+    nvars = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 4))
+    p = draw(st.sampled_from([7, 101, DEFAULT_PRIME]))
+    coeffs = dict.fromkeys(monomials_of_degree(nvars, degree), 0)
+    text = draw(SPACE)
+    for i in range(draw(st.integers(1, 4))):
+        coeff = draw(st.one_of(st.just(0), st.just(p), st.integers(1, 3 * p)))
+        left = degree if coeff % p else draw(st.integers(0, 4))
+        factors, exps = [], [0] * nvars
+        while left or draw(st.integers(0, 4)) == 4:  # now and then a y<i>^0
+            exp = draw(st.integers(min(1, left), min(4, left)))
+            var = draw(st.integers(1, nvars))
+            factors.append(f"y{var}" if exp == 1 and draw(st.booleans()) else f"y{var}^{exp}")
+            exps[var - 1] += exp
+            left -= exp
+        star = draw(SPACE) + "*" + draw(SPACE)
+        if not factors:
+            body = str(coeff)
+        elif coeff == 1 and draw(st.booleans()):
+            body = star.join(factors)
+        else:
+            body = star.join([str(coeff)] + factors)
+        sign = draw(st.sampled_from(["+", "-"] if i else ["", "", "+", "-"]))
+        text += sign + draw(SPACE) + body + draw(SPACE)
+        if coeff % p:
+            coeffs[tuple(exps)] += -coeff if sign == "-" else coeff
+    return text, (nvars, degree, p, coeffs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(form_texts())
+def test_parse_grammar_property(case):
+    text, (nvars, degree, p, coeffs) = case
+    want = Form(nvars, degree, p, tuple(c % p for c in coeffs.values()))
+    assert parse_form(text, nvars, p, expected_degree=degree) == want
+    if not want.is_zero:
+        assert parse_form(text, nvars, p) == want

@@ -3,6 +3,7 @@
 import copy
 import functools
 import json
+import time
 from pathlib import Path
 from random import Random
 
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levellab.classify import build_recipe, classify, expected_h_for_recipe
-from levellab.errors import VerificationError
+from levellab.errors import ParseError, VerificationError
 from levellab.macaulay import HVector, binomial
-from levellab.modules import h_vector, module_to_text
+from levellab.modules import h_vector, module_from_text, module_to_text
 from levellab.constructions import powers_partition_module
 from levellab.forms import DEFAULT_PRIME
 from levellab.store import (
@@ -331,6 +332,16 @@ def test_recipe_node_with_too_many_monomials_refused():
         store_verify(record)
 
 
+def test_recipe_node_with_too_many_cells_refused():
+    record = corpus_record_of_kind("truncate")
+    # the header's 4,095 quadrics in 90 variables pass, and so do the
+    # node's 125,580 cubics, but their table holds 11,302,200 exponents
+    record["generators"] = record["generators"].replace("ring r=3 ", "ring r=90 ", 1)
+    record["recipe"]["source"].update(nvars=90, degree=3)
+    with pytest.raises(VerificationError, match="degree 3 in 90 variables .* over 8388608 cells"):
+        store_verify(record)
+
+
 def test_ring_header_too_large_to_build_refused():
     record = recipe_free(corpus_record_of_kind("sum_of_powers"))
     # C(100001, 2) quadric monomials
@@ -344,6 +355,20 @@ def test_ring_header_too_large_to_build_refused():
         with pytest.raises(VerificationError, match="do not start with 'ring r=<r> e=2'"):
             store_verify(record)
     assert MAX_MONOMIALS >= binomial(40 + 4 - 1, 4) == 123410
+
+
+def test_ring_header_with_too_many_cells_refused_at_once():
+    # 4000 linear monomials are few, but a table of them holds 4000
+    # exponents each, 16,000,000 in all
+    text = "ring r=4000 e=1\ny1\n"
+    record = recipe_free(corpus_record_of_kind("sum_of_powers"), h=[1, 1], r=1, e=1, t=1,
+                         ranks=[1, 1], characteristic="char-p", generators=text)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="over 8388608 cells at line 1"):
+        module_from_text(text)
+    with pytest.raises(VerificationError, match="4000 variables .* over 8388608 cells"):
+        store_verify(record)
+    assert time.perf_counter() - start < 1
 
 
 def test_recipe_degree_above_2e_plus_2_refused():
