@@ -315,6 +315,15 @@ _TERM = re.compile(r"\s*([+-]?)\s*((\d+)?((?(3)\s*\*\s*)y\d+(?:\^\d+)?"
                    r"(?:\s*\*\s*y\d+(?:\^\d+)?)*)?)\s*(\*\s*)?")
 
 
+def _integer(match: re.Match, group: int) -> int:
+    """The digits of ``group`` as an int, 1 if it did not match; a
+    ParseError at them past the digits Python converts."""
+    try:
+        return int(match[group] or 1)
+    except ValueError:
+        raise ParseError("integer too long to convert", position=match.start(group)) from None
+
+
 def parse_form(
     text: str, nvars: int, p: int = DEFAULT_PRIME, expected_degree: int | None = None
 ) -> Form:
@@ -337,12 +346,12 @@ def parse_form(
             raise ParseError("expected a variable after '*'", position=term.end(5))
         exps = Counter()  # a bare integer's factor span (-1, -1) reads as empty
         for factor in _FACTOR.finditer(text, *term.span(4)):
-            var = int(factor[1])
+            var = _integer(factor, 1)
             if not 1 <= var <= nvars:
                 raise ParseError(f"variable y{var} out of range 1..{nvars}",
                                  position=factor.start())
-            exps[var] += int(factor[2] or 1)
-        coeff, term_degree = int(term[3] or 1), sum(exps.values())
+            exps[var] += _integer(factor, 2)
+        coeff, term_degree = _integer(term, 3), sum(exps.values())
         if coeff % p:  # a term with a zero coefficient carries no degree
             if degree not in (None, term_degree):
                 raise ParseError(f"term of degree {term_degree} in a form of degree {degree}",

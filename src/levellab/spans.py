@@ -21,25 +21,27 @@ back-substituted once, at return: each block loses its part on the pivots
 of every later block, one product each, and the rows are sorted by pivot
 column.
 
-A batch with more than 2 _BATCH columns right of the current position is
-reduced by panels (``_pivot_steps``): its next _BATCH columns that are
-nonzero in the rows not yet pivoted are reduced beside an identity,
-[panel | I] -> [panel' | T], and one product applies T to every column
-right of the panel.  That covers the top levels of the towers and their
-wide R_2 and R_3 levels.  Narrower batches, every scan matrix and most
-replayed ones, take the per-pivot steps in place: on them the panel's
-extra product costs more than the row updates it saves.
+A batch of more than two rows and more than 2 _BATCH columns right of
+the current position is reduced by panels (``_pivot_steps``): its next
+_BATCH columns that are nonzero in the rows not yet pivoted are reduced
+beside an identity, [panel | I] -> [panel' | T], and one product applies
+T to every column right of the panel.  That covers the top levels of the
+towers and their wide R_2 and R_3 levels.  Other batches, every scan
+matrix and most replayed ones, take the per-pivot steps in place: on them
+the panel's extra product costs more than the row updates it saves.
 
-The matrix product is exact: residues below 2^31 split into 16-bit halves,
-x = x1 2^16 + x0 with x1 < 2^15 and x0 < 2^16.  Over an inner dimension k
-the four half products sum terms below 2^30, 2^31, 2^31 and 2^32, so for
-k <= 2^21 every partial sum stays below 2^53 and float64 holds it exactly.
-They recombine in int64 as (x1 y1 mod p) (2^32 mod p) + (x1 y0 + x0 y1)
-2^16 + x0 y0 < 2^62 + k 2^48 + k 2^32, which stays below 2^63 for
-k <= _INNER = 2^13.  A wider product runs over slices of _INNER and sums
-their residues.  The reduced row echelon form of a span is unique, so the
-result depends neither on the batches, the blocks, the panels or the
-slices, nor on which rows are picked as pivots.
+The matrix product is exact: ``_matmul_mod`` keeps its left operand x as
+residues below 2^31, splits the right one into 16-bit halves y1 < 2^15
+and y0 < 2^16, and returns (x y1 mod p) 2^16 + x y0 from two float64
+products.  Each runs over at most 2 _BATCH - 1 = 63 inner terms: the rows
+of a block that a batch, or an earlier block at back-substitution, is
+cleared against (a block under _BATCH rows takes in at most _BATCH more),
+or at most _BATCH rows when a short block takes in new rows or a panel
+transform is applied.  So every sum stays below 63 2^31 2^16 < 2^53,
+exact in float64, and the result below 2^54 in int64; a wider product
+raises SoundnessError.  The reduced row echelon form of a span is unique,
+so the result depends neither on the batches, the blocks or the panels,
+nor on which rows are picked as pivots.
 
 A derivative tower walks a set of degree-e generators down to degree 0,
 reducing the stacked partial derivatives of each basis in turn.  Its
@@ -56,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from levellab.errors import HypothesisError
+from levellab.errors import HypothesisError, SoundnessError
 from levellab.forms import PRIME_LIMIT, Form, monomials_of_degree
 
 
@@ -66,9 +68,6 @@ from levellab.forms import PRIME_LIMIT, Form, monomials_of_degree
 # (0.98-1.05 s); more rows make fewer, larger products against the blocks
 # but more pivot steps per batch.
 _BATCH = 32
-# Inner dimension of one modular matrix product: a power of two at which
-# its int64 recombination provably stays below 2^63 (module docstring).
-_INNER = 1 << 13
 # Cells per product chunk, which bounds the temporaries of the modular
 # product to a few arrays of 128 KiB.  On the tower matrices 2^14 beat 2^13
 # and 2^15 (0.63-0.70 s a pass against 0.70 s and 0.69-0.83 s): smaller
@@ -158,7 +157,7 @@ def _subtract_product(a: np.ndarray, cols: np.ndarray, halves: tuple, p: int) ->
     step = max(1, _CHUNK_CELLS // a.shape[1])
     for lo in range(0, len(a), step):
         chunk = a[lo:lo + step]
-        chunk -= _matmul_mod(_halves(chunk[:, cols]), halves, p)
+        chunk -= _matmul_mod(chunk[:, cols].astype(np.float64), halves, p)
         chunk %= p
 
 
@@ -166,16 +165,17 @@ def _pivot_steps(a: np.ndarray, p: int) -> np.ndarray:
     """Gauss-Jordan elimination of ``a`` in place; returns the pivot
     columns, whose reduced rows end up on top.
 
-    While more than 2 _BATCH columns lie right of the current position, it
-    runs on panels: the next _BATCH columns that are nonzero in the rows not
-    yet pivoted are reduced together with an identity, [panel | I] ->
-    [panel' | T], and T reduces every column right of the panel in one
-    product.  The columns it skipped are zero in the rows T mixes, so T
-    leaves them as they are.  The narrow rest is reduced in place."""
+    While ``a`` has more than two rows and more than 2 _BATCH columns lie
+    right of the current position, it runs on panels: the next _BATCH
+    columns that are nonzero in the rows not yet pivoted are reduced
+    together with an identity, [panel | I] -> [panel' | T], and T reduces
+    every column right of the panel in one product.  The columns it
+    skipped are zero in the rows T mixes, so T leaves them as they are.
+    The rest is reduced in place."""
     nrows, ncols = a.shape
     cols: list[int] = []
     start = 0
-    while len(cols) < nrows and ncols - start > 2 * _BATCH:
+    while 2 < nrows and len(cols) < nrows and ncols - start > 2 * _BATCH:
         pivot = len(cols)
         live = start + np.flatnonzero(a[pivot:, start:].any(axis=0))[:_BATCH]
         if not live.size:
@@ -186,7 +186,7 @@ def _pivot_steps(a: np.ndarray, p: int) -> np.ndarray:
         found = _steps(panel, p, pivot, width)
         a[:, live] = panel[:, :width]
         start = int(live[-1]) + 1
-        transform = _halves(panel[:, width:])
+        transform = panel[:, width:].astype(np.float64)
         step = max(1, _CHUNK_CELLS // nrows)
         for lo in range(start, ncols, step):
             chunk = a[:, lo:lo + step]
@@ -201,15 +201,19 @@ def _steps(a: np.ndarray, p: int, pivot: int, stop: int) -> list[int]:
     taking pivots from row ``pivot`` on; returns the columns they land in.
     ``a`` is one batch, so each step updates all its rows at once; the rows
     not yet used as pivots are zero left of the column searched, so only
-    the columns from the pivot on change."""
+    the columns from the pivot on change.  One search skips a run of
+    columns zero in those rows, as in a sparse batch of one wide row."""
     nrows = len(a)
     found = []
-    for col in range(stop):
-        if pivot >= nrows:
-            break
+    col = 0
+    while pivot < nrows and col < stop:
         stuck = np.flatnonzero(a[pivot:, col])
         if stuck.size == 0:
-            continue
+            live = np.flatnonzero(a[pivot:, col:stop].any(axis=0))
+            if not live.size:
+                break
+            col += int(live[0])
+            stuck = np.flatnonzero(a[pivot:, col])
         first = pivot + int(stuck[0])
         if first != pivot:
             a[[pivot, first]] = a[[first, pivot]]
@@ -223,6 +227,7 @@ def _steps(a: np.ndarray, p: int, pivot: int, stop: int) -> list[int]:
         rest %= p
         found.append(col)
         pivot += 1
+        col += 1
     return found
 
 
@@ -231,21 +236,15 @@ def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x & 0xFFFF).astype(np.float64), (x >> 16).astype(np.float64)
 
 
-def _matmul_mod(x: tuple, y: tuple, p: int) -> np.ndarray:
-    """The product of two matrices given by their halves, congruent to it
-    mod p and below 2^63: four exact float64 products recombined in int64,
-    over slices of at most ``_INNER`` of the inner dimension."""
-    (x0, x1), (y0, y1) = x, y
-    inner = x0.shape[1]
-    if inner > _INNER:
-        out = 0
-        for lo in range(0, inner, _INNER):
-            part = slice(lo, lo + _INNER)
-            out = out + _matmul_mod((x0[:, part], x1[:, part]), (y0[part], y1[part]), p) % p
-        return out
-    out = (x1 @ y1).astype(np.int64) % p * (2**32 % p)
-    out += (x1 @ y0 + x0 @ y1).astype(np.int64) << 16
-    out += (x0 @ y0).astype(np.int64)
+def _matmul_mod(x: np.ndarray, y: tuple, p: int) -> np.ndarray:
+    """x @ y, congruent mod p and in [0, 2^54), for residues ``x`` as
+    float64 and ``y`` given by its ``_halves``: two exact float64 products
+    over at most 63 inner terms (module docstring)."""
+    if x.shape[1] > 63:
+        raise SoundnessError(f"inner dimension {x.shape[1]} is above 63: float64 may round")
+    y0, y1 = y
+    out = ((x @ y1).astype(np.int64) % p) << 16
+    out += (x @ y0).astype(np.int64)
     return out
 
 

@@ -21,8 +21,7 @@ from levellab.classify import (
     criterion_still_holds,
 )
 from levellab.errors import LevelLabError, VerificationError
-# MAX_MONOMIALS is re-exported: callers import it from this module
-from levellab.forms import MAX_MONOMIALS, check_prime, check_ring  # noqa: F401
+from levellab.forms import check_prime, check_ring
 from levellab.macaulay import HVector
 from levellab.modules import h_vector, module_from_text, module_to_text
 

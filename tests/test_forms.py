@@ -241,6 +241,9 @@ def test_parse_rejects_bad_text():
         ("3*4", 2),            # a coefficient is not a factor
         ("y1*3", 2),
         ("--y1", 2),
+        ("1" * 5000 + "*y1", 2),  # integers beyond Python's 4,300 digits
+        ("y1^" + "1" * 5000, 2),
+        ("y" + "1" * 5000, 2),
     ]
     for text, nvars in cases:
         with pytest.raises(ParseError):

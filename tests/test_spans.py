@@ -18,11 +18,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from levellab import spans
 from levellab.constructions import compressed_generic_module
-from levellab.errors import HypothesisError
+from levellab.errors import HypothesisError, SoundnessError
 from levellab.forms import DEFAULT_PRIME, Form, monomials_of_degree, parse_form, random_form
 from levellab.macaulay import binomial
 from levellab.spans import (
-    _INNER,
     _BATCH,
     derivative_spaces,
     rank_mod_p,
@@ -492,8 +491,9 @@ def test_many_blocks_back_substituted_match_reference(monkeypatch, p):
 
 
 def test_narrow_batches_take_no_panel_product(monkeypatch):
-    # Matrices at most 2 _BATCH wide are reduced by in-place pivot steps;
-    # the panel product only pays off on wider ones.
+    # Matrices at most 2 _BATCH wide, and batches of one or two rows, are
+    # reduced by in-place pivot steps; the panel product only pays off on
+    # wider batches of more rows.
     p = DEFAULT_PRIME
     gen = np.random.default_rng(137)
     inside = []
@@ -512,7 +512,8 @@ def test_narrow_batches_take_no_panel_product(monkeypatch):
 
     monkeypatch.setattr(spans, "_pivot_steps", tracked_steps)
     monkeypatch.setattr(spans, "_matmul_mod", counted_product)
-    for rows, cols in ((_BATCH, 2 * _BATCH), (200, 2 * _BATCH), (150, 50), (_BATCH, 1)):
+    for rows, cols in ((_BATCH, 2 * _BATCH), (200, 2 * _BATCH), (150, 50), (_BATCH, 1),
+                       (1, 3 * _BATCH), (2, 3 * _BATCH)):
         calls = []
         assert_same_rref(random_residues(gen, rows, cols, p), p)
         assert not any(calls)
@@ -521,36 +522,21 @@ def test_narrow_batches_take_no_panel_product(monkeypatch):
     assert any(calls)
 
 
-def test_products_wider_than_one_slice_stay_exact():
-    # every half of p - 1 is as large as p allows; unsliced, this inner
-    # dimension would carry the int64 recombination past 2^63
+def test_products_at_the_inner_bound_stay_exact():
+    # 63 inner terms of the largest residue against right halves at their
+    # largest (0x7FFF high in p - 1, 0xFFFF low in p - 2^16) carry the
+    # float64 sums as close to 2^53 as the kernel's products come
     p = DEFAULT_PRIME
-    inner = 5 * _INNER
-    x = np.full((2, inner), p - 1, dtype=np.int64)
-    y = np.full((inner, 3), p - 1, dtype=np.int64)
-    y[::7] = np.arange(3) + p - 40
-    got = spans._matmul_mod(spans._halves(x), spans._halves(y), p)
+    x = np.full((2, 63), p - 1, dtype=np.int64)
+    y = np.full((63, 3), p - 1, dtype=np.int64)
+    y[:, 1] = p - 2**16
+    y[::7, 2] = np.arange(9) + p - 40
+    got = spans._matmul_mod(x.astype(np.float64), spans._halves(y), p)
     want = x.astype(object).dot(y.astype(object)) % p
     assert (got >= 0).all()
     assert (got % p).tolist() == want.tolist()
-
-
-def test_basis_rank_beyond_the_product_slice(monkeypatch):
-    # A basis wider than the real slice needs far more memory than a test
-    # should take, so the slice shrinks instead; the sliced products then
-    # carry the batch reductions, the panel transforms and the
-    # back-substitutions.
-    p = DEFAULT_PRIME
-    monkeypatch.setattr(spans, "_INNER", 8)
-    gen = np.random.default_rng(107)
-    for rank in (61, 69):
-        mat = low_rank(gen, 300, 70, rank, p)
-        assert_same_rref(mat, p)
-        # full rank only from row 150 on, reduced against the basis before it
-        mat[150:] = random_residues(gen, 150, 70, p, lo=p - 40)
-        assert_same_rref(mat, p)
-    # eight blocks back-substituted, and panel transforms wider than a slice
-    assert_same_rref(many_blocks(gen, p), p)
+    with pytest.raises(SoundnessError, match="64"):
+        spans._matmul_mod(np.ones((2, 64)), spans._halves(np.ones((64, 3), dtype=np.int64)), p)
 
 
 @pytest.mark.parametrize("p", (0, 1, -7, 2**31, 2**32 - 5, 2**61 - 1))

@@ -16,9 +16,8 @@ from levellab.errors import ParseError, VerificationError
 from levellab.macaulay import HVector, binomial
 from levellab.modules import h_vector, module_from_text, module_to_text
 from levellab.constructions import powers_partition_module
-from levellab.forms import DEFAULT_PRIME
+from levellab.forms import DEFAULT_PRIME, MAX_MONOMIALS
 from levellab.store import (
-    MAX_MONOMIALS,
     STORE_ENV,
     record_from_classification,
     store_append,
