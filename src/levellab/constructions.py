@@ -19,7 +19,7 @@ from __future__ import annotations
 from random import Random
 
 from levellab.errors import DependentGeneratorsError, HypothesisError
-from levellab.forms import DEFAULT_PRIME, Form, random_form, random_linear_form
+from levellab.forms import DEFAULT_PRIME, Form, random_form, random_linear_form, ring_dim
 from levellab.macaulay import HVector, binomial
 from levellab.modules import HProfile, InverseModule, h_vector, type_of
 from levellab.seeds import derive_seed
@@ -27,10 +27,6 @@ from levellab.seeds import derive_seed
 
 # Random trials per construction, unless a caller's budget says otherwise.
 DEFAULT_TRIALS = 5
-
-
-def _ring_dim(nvars: int, degree: int) -> int:
-    return binomial(nvars + degree - 1, degree)
 
 
 def sum_of_powers(nvars: int, degree: int, count: int, rng: Random,
@@ -49,10 +45,8 @@ def sum_of_powers(nvars: int, degree: int, count: int, rng: Random,
 def expected_h_sum_of_powers(nvars: int, degree: int, count: int) -> HVector:
     """Generic h-vector of a sum of ``count`` e-th powers:
     h_j = min(count, dim R_j, dim R_{e-j})."""
-    entries = [1]
-    for j in range(1, degree + 1):
-        entries.append(min(count, _ring_dim(nvars, j), _ring_dim(nvars, degree - j)))
-    return HVector(entries)
+    return HVector((1,) + tuple(min(count, ring_dim(nvars, j), ring_dim(nvars, degree - j))
+                                for j in range(1, degree + 1)))
 
 
 def powers_partition_module(nvars: int, degree: int, parts: tuple[int, ...], rng: Random,
@@ -73,9 +67,9 @@ def expected_h_powers_partition(nvars: int, degree: int, parts: tuple[int, ...])
     entries = [1]
     for j in range(1, degree + 1):
         contribution = sum(
-            min(m, _ring_dim(nvars, j), _ring_dim(nvars, degree - j)) for m in parts
+            min(m, ring_dim(nvars, j), ring_dim(nvars, degree - j)) for m in parts
         )
-        entries.append(min(contribution, _ring_dim(nvars, j)))
+        entries.append(min(contribution, ring_dim(nvars, j)))
     return HVector(entries)
 
 
@@ -118,7 +112,7 @@ def realize_socle3_partition(nvars: int, parts: tuple[int, ...], rng: Random,
 
 def augment_with_powers(module: InverseModule, count: int, rng: Random) -> InverseModule:
     """Adjoin one generator, a sum of ``count`` general e-th powers."""
-    room = _ring_dim(module.nvars, module.degree) - type_of(module)
+    room = ring_dim(module.nvars, module.degree) - type_of(module)
     if not 1 <= count <= room:
         raise HypothesisError(
             f"augmentation size must be in 1..{room} "
@@ -136,10 +130,8 @@ def expected_h_augment(h: HVector, nvars: int, count: int) -> HVector:
     level module with h-vector h: degreewise sum capped by the ring."""
     e = h.socle_degree
     addend = expected_h_sum_of_powers(nvars, e, count)
-    entries = [1]
-    for j in range(1, e + 1):
-        entries.append(min(h[j] + addend[j], _ring_dim(nvars, j)))
-    return HVector(entries)
+    return HVector((1,) + tuple(min(h[j] + addend[j], ring_dim(nvars, j))
+                                for j in range(1, e + 1)))
 
 
 def add_new_variable_power(module: InverseModule) -> InverseModule:
@@ -158,7 +150,7 @@ def compressed_generic_module(nvars: int, degree: int, count: int, rng: Random,
                               p: int = DEFAULT_PRIME) -> InverseModule:
     """``count`` dense random generators of the given degree; generically
     the module is compressed, meeting both caps in every degree."""
-    cap = _ring_dim(nvars, degree)
+    cap = ring_dim(nvars, degree)
     if not 1 <= count <= cap:
         raise ValueError(f"type must be in 1..{cap}, got {count}")
     gens = tuple(random_form(nvars, degree, rng, p) for _ in range(count))
@@ -168,10 +160,8 @@ def compressed_generic_module(nvars: int, degree: int, count: int, rng: Random,
 def expected_h_compressed(nvars: int, degree: int, count: int) -> HVector:
     """Maximal profile h_j = min(dim R_j, count * dim R_{e-j}), observed
     generically for dense random generators."""
-    entries = [1]
-    for j in range(1, degree + 1):
-        entries.append(min(_ring_dim(nvars, j), count * _ring_dim(nvars, degree - j)))
-    return HVector(entries)
+    return HVector((1,) + tuple(min(ring_dim(nvars, j), count * ring_dim(nvars, degree - j))
+                                for j in range(1, degree + 1)))
 
 
 def maximal_profile(builder, master_seed: int,

@@ -4,10 +4,12 @@ Forms live in a divided-power style polynomial ring k[y1..yr] on which the
 dual ring acts by partial differentiation (``levellab.spans`` differentiates
 whole coefficient matrices at once).  A form of degree d stores one
 residue modulo a prime p, a plain integer in [0, p-1], for every monomial
-of degree d, zeros included.  Monomials are exponent tuples, and the
-coefficients follow ``monomials_of_degree``, which lists them in
-descending graded reverse lexicographic order (grevlex); that order fixes
-every coefficient matrix and every printed and serialized representation.
+of degree d, zeros included, in descending graded reverse lexicographic
+order (grevlex); that order fixes every coefficient matrix and every
+printed and serialized representation.  Sizes come from ``ring_dim``, a
+binomial.  ``monomial_positions`` is the one cached monomial table: terms,
+products and text read its exponent tuples.  The derivative tower keeps
+none; it reads partials through the raising table of ``levellab.spans``.
 
 The default prime 2^31 - 1 keeps products inside 64-bit integers so the
 elimination kernel can vectorize; any prime larger than the degrees in
@@ -21,14 +23,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 from operator import add, sub
 from random import Random
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from levellab.errors import HypothesisError, ParseError
-from levellab.macaulay import binomial
 
 DEFAULT_PRIME = 2**31 - 1
 # Every modulus stays below this, so int64 products of residues are exact.
@@ -87,40 +89,44 @@ def check_prime(p: int, degree: int) -> int:
     return p
 
 
-@lru_cache(maxsize=None)
-def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
-    """All exponent tuples of the given total degree, in descending grevlex
-    order.  The order is what makes printed forms and stored certificate
-    payloads reproducible byte for byte."""
+def ring_dim(nvars: int, degree: int) -> int:
+    """dim R_degree = C(nvars + degree - 1, degree), listing no monomial."""
     if nvars <= 0:
         raise ValueError(f"need at least one variable, got {nvars}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    # Descending grevlex is ascending order of the reversed exponent tuples,
-    # whose partial sums s_0 <= ... <= s_{r-2} <= degree come in ascending
-    # order from combinations_with_replacement; the exponents are their
-    # gaps, read last variable first.
-    monos = []
+    return comb(nvars + degree - 1, degree)
+
+
+def grevlex(nvars: int, degree: int) -> Iterator[Monomial]:
+    """The exponent tuples of total degree ``degree``, one at a time, in
+    descending grevlex order: ascending order of the reversed tuples, whose
+    partial sums s_0 <= ... <= s_{r-2} <= degree come in ascending order
+    from combinations_with_replacement; the exponents are their gaps."""
     for sums in combinations_with_replacement(range(degree + 1), nvars - 1):
         cuts = (degree, *sums[::-1], 0)
-        monos.append(tuple(map(sub, cuts, cuts[1:])))
-    return tuple(monos)
+        yield tuple(map(sub, cuts, cuts[1:]))
+
+
+def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
+    """All exponent tuples of total degree ``degree``, in grevlex order, which
+    makes printed forms and stored certificates reproducible byte for
+    byte.  Uncached: ``monomial_positions`` is the table a ring keeps."""
+    ring_dim(nvars, degree)
+    return tuple(grevlex(nvars, degree))
 
 
 def check_ring(nvars: int, degree: int) -> int:
-    """dim R_degree = C(n, degree), n = nvars + degree - 1, for a ring whose
-    monomial table is small enough to build: at most ``MAX_MONOMIALS``
-    monomials and ``MAX_CELLS`` exponents in all; a larger one raises
-    ValueError.  C(n, k) grows with k up to min(degree, nvars - 1) <= n / 2,
-    so even a huge ring is refused within a few small steps."""
-    if nvars < 1:
-        raise ValueError(f"need at least one variable, got {nvars}")
-    n = nvars + degree - 1
+    """``ring_dim(nvars, degree)`` for a ring whose monomial table is small
+    enough to build: at most ``MAX_MONOMIALS`` monomials and ``MAX_CELLS``
+    exponents in all; a larger one raises ValueError.  C(n, k) for
+    n = nvars + degree - 1 grows with k up to min(degree, nvars - 1) <= n / 2,
+    so a huge ring is refused within a few small steps, before ``ring_dim``."""
     for k in range(1, min(degree, nvars - 1) + 1):
-        if binomial(n, k) > MAX_MONOMIALS:
+        if comb(nvars + degree - 1, k) > MAX_MONOMIALS:
             raise ValueError(f"degree {degree} in {nvars} variables has over "
                              f"{MAX_MONOMIALS} monomials")
-    size = binomial(n, degree)
+    size = ring_dim(nvars, degree)
     if size * nvars > MAX_CELLS:
         raise ValueError(f"degree {degree} in {nvars} variables has {size} monomials "
                          f"of {nvars} exponents, over {MAX_CELLS} cells")
@@ -129,6 +135,7 @@ def check_ring(nvars: int, degree: int) -> int:
 
 @lru_cache(maxsize=None)
 def monomial_positions(nvars: int, degree: int) -> Mapping[Monomial, int]:
+    """Coordinates by monomial, keyed in grevlex order: a ring's one cached table."""
     return {m: i for i, m in enumerate(monomials_of_degree(nvars, degree))}
 
 
@@ -136,9 +143,9 @@ def monomial_positions(nvars: int, degree: int) -> Mapping[Monomial, int]:
 class Form:
     """A homogeneous polynomial with coefficients in F_p.
 
-    ``coeffs`` holds one residue in [0, p) per monomial of
-    ``monomials_of_degree(nvars, degree)``, in that order.  The degree is
-    carried explicitly so the zero form of any degree is representable.
+    ``coeffs`` holds one residue in [0, p) per monomial of the degree, in
+    descending grevlex order.  The degree is carried explicitly so the zero
+    form of any degree is representable.
     """
 
     nvars: int
@@ -147,7 +154,7 @@ class Form:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        size = len(monomials_of_degree(self.nvars, self.degree))
+        size = ring_dim(self.nvars, self.degree)
         if len(self.coeffs) != size:
             raise ValueError(f"{len(self.coeffs)} coefficients for {size} monomials")
         if not 0 <= min(self.coeffs) <= max(self.coeffs) < self.p:
@@ -155,7 +162,7 @@ class Form:
 
     @classmethod
     def zero(cls, nvars: int, degree: int, p: int = DEFAULT_PRIME) -> "Form":
-        return cls(nvars, degree, p, (0,) * len(monomials_of_degree(nvars, degree)))
+        return cls(nvars, degree, p, (0,) * ring_dim(nvars, degree))
 
     @classmethod
     def from_terms(
@@ -174,7 +181,7 @@ class Form:
     @property
     def terms(self) -> dict[Monomial, int]:
         """The nonzero coefficients by monomial, derived from ``coeffs``."""
-        monos = monomials_of_degree(self.nvars, self.degree)
+        monos = monomial_positions(self.nvars, self.degree)
         return {m: c for m, c in zip(monos, self.coeffs) if c}
 
     @property
@@ -230,7 +237,7 @@ class Form:
         grevlex, in their old order, so the coefficients only gain zeros."""
         if nvars < self.nvars:
             raise ValueError("cannot embed into fewer variables")
-        pad = len(monomials_of_degree(nvars, self.degree)) - len(self.coeffs)
+        pad = ring_dim(nvars, self.degree) - len(self.coeffs)
         return Form(nvars, self.degree, self.p, self.coeffs + (0,) * pad)
 
     def __str__(self) -> str:
@@ -247,7 +254,7 @@ def random_linear_form(nvars: int, rng: Random, p: int = DEFAULT_PRIME) -> Form:
 
 def random_form(nvars: int, degree: int, rng: Random, p: int = DEFAULT_PRIME) -> Form:
     """A dense random form: every monomial gets a uniform residue."""
-    size = len(monomials_of_degree(nvars, degree))
+    size = ring_dim(nvars, degree)
     while True:
         coeffs = tuple(randrange_many(rng, p, size))
         if any(coeffs):
@@ -294,7 +301,7 @@ def format_form(form: Form) -> str:
     """Canonical text: terms in descending grevlex, coefficients as plain
     residues, unit coefficients omitted.  ``parse_form`` inverts this."""
     parts = []
-    for mono, coeff in zip(monomials_of_degree(form.nvars, form.degree), form.coeffs):
+    for mono, coeff in zip(monomial_positions(form.nvars, form.degree), form.coeffs):
         if not coeff:
             continue
         body = format_monomial(mono)

@@ -44,9 +44,12 @@ so the result depends neither on the batches, the blocks or the panels,
 nor on which rows are picked as pivots.
 
 A derivative tower walks a set of degree-e generators down to degree 0,
-reducing the stacked partial derivatives of each basis in turn.  Its
-per-degree dimensions are exactly the h-vector of the module the
-generators span.
+reducing the stacked partial derivatives of each basis in turn; its
+per-degree dimensions are the h-vector of the module the generators span.
+Sizes come from ``forms.ring_dim``, and ``forms.monomial_positions``
+stays the one cached monomial table: the tower keeps none.  It gathers
+the partial d/dy_v of a degree-d basis as basis[:, index[v]] mult[v],
+through a cached raising table of two nvars x dim R_{d-1} int32 arrays.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from levellab.errors import HypothesisError, SoundnessError
-from levellab.forms import PRIME_LIMIT, Form, monomials_of_degree
+from levellab.forms import PRIME_LIMIT, Form, grevlex, ring_dim
 
 
 # Rows per batch and columns per panel, by measurement: on the matrices of
@@ -272,8 +275,7 @@ class SpanBasis:
 
 
 def coefficient_matrix(forms: Sequence[Form], nvars: int, degree: int, p: int) -> np.ndarray:
-    n = len(monomials_of_degree(nvars, degree))
-    mat = np.zeros((len(forms), n), dtype=np.int64)
+    mat = np.zeros((len(forms), ring_dim(nvars, degree)), dtype=np.int64)
     for i, f in enumerate(forms):
         if f.nvars != nvars or f.p != p:
             raise ValueError("forms live in different rings")
@@ -292,34 +294,31 @@ def span_dimension(forms: Sequence[Form]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _derivative_maps(nvars: int, degree: int) -> tuple:
-    """For each variable y_var, index arrays mapping degree-d monomial
-    coordinates to their degree d-1 images under d/dy_var, with the exponent
-    multipliers, built in one pass over the monomials.  They are int32
-    because the cache keeps every shape for the life of the process."""
-    target = {m: i for i, m in enumerate(monomials_of_degree(nvars, degree - 1))}
-    maps = [([], [], []) for _ in range(nvars)]
-    for i, mono in enumerate(monomials_of_degree(nvars, degree)):
+def _raising_table(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """nvars x dim R_{d-1} int32 arrays ``index`` and ``mult``: for y_v and
+    the degree d-1 monomial m, the coordinate of y_v m among the degree-d
+    monomials and its exponent of y_v.  The degree-d monomials are walked
+    once, not kept; only a dict of the degree d-1 ones lives meanwhile."""
+    lower = {m: j for j, m in enumerate(grevlex(nvars, degree - 1))}
+    index = np.empty((nvars, len(lower)), dtype=np.int32)
+    mult = np.empty_like(index)
+    for i, mono in enumerate(grevlex(nvars, degree)):
         for var in compress(range(nvars), mono):
-            exp = mono[var]
-            src, dst, mult = maps[var]
-            src.append(i)
-            dst.append(target[mono[:var] + (exp - 1,) + mono[var + 1:]])
-            mult.append(exp)
-    return tuple(tuple(np.array(x, dtype=np.int32) for x in m) for m in maps)
+            j = lower[mono[:var] + (mono[var] - 1,) + mono[var + 1:]]
+            index[var, j], mult[var, j] = i, mono[var]
+    return index, mult
 
 
 def _stacked_derivatives(basis: SpanBasis) -> np.ndarray:
-    """All first partials of the basis rows, one block per variable.
-
-    Residues below 2^31 fit int32, which halves the largest array of a
-    tower; ``rref_mod_p`` reduces an int64 copy of it."""
-    lower = len(monomials_of_degree(basis.nvars, basis.degree - 1))
+    """All first partials of the basis rows, one block per variable, each
+    one gather through the raising table.  Residues below 2^31 fit int32,
+    which halves the largest array of a tower; ``rref_mod_p`` reduces an
+    int64 copy of it."""
+    index, mult = _raising_table(basis.nvars, basis.degree)
     dim = basis.dim
-    stacked = np.zeros((basis.nvars * dim, lower), dtype=np.int32)
-    for var, (src, dst, mult) in enumerate(_derivative_maps(basis.nvars, basis.degree)):
-        if src.size:
-            stacked[var * dim:(var + 1) * dim, dst] = basis.matrix[:, src] * mult % basis.p
+    stacked = np.empty((basis.nvars * dim, index.shape[1]), dtype=np.int32)
+    for var in range(basis.nvars):
+        stacked[var * dim:(var + 1) * dim] = basis.matrix[:, index[var]] * mult[var] % basis.p
     return stacked
 
 

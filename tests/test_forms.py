@@ -24,6 +24,7 @@ from levellab.forms import (
     random_form,
     random_linear_form,
     randrange_many,
+    ring_dim,
 )
 from test_spans import reference_derivative
 
@@ -76,6 +77,8 @@ def test_check_ring_bounds_monomials_and_cells():
         check_ring(4000, 1)
     with pytest.raises(ValueError, match="at least one variable"):
         check_ring(0, 2)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        check_ring(3, -1)
 
 
 def test_monomial_counts():
@@ -84,6 +87,11 @@ def test_monomial_counts():
     for r in range(1, 6):
         for d in range(0, 7):
             assert len(monomials_of_degree(r, d)) == binomial(r + d - 1, d)
+            assert ring_dim(r, d) == len(monomials_of_degree(r, d))
+    with pytest.raises(ValueError, match="at least one variable"):
+        ring_dim(0, 2)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        ring_dim(2, -1)
 
 
 def test_form_validation():

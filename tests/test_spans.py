@@ -8,7 +8,9 @@ elimination, on square and wide shapes as well as on tall ones that it
 reads in many batches and leaves early once they reach full column rank.
 """
 
+import inspect
 import random
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -21,6 +23,7 @@ from levellab.constructions import compressed_generic_module
 from levellab.errors import HypothesisError, SoundnessError
 from levellab.forms import DEFAULT_PRIME, Form, monomials_of_degree, parse_form, random_form
 from levellab.macaulay import binomial
+from levellab.modules import h_vector
 from levellab.spans import (
     _BATCH,
     derivative_spaces,
@@ -220,6 +223,30 @@ def test_stacked_derivatives_match_the_reference_derivative(p):
                 block = stacked[var * basis.dim:(var + 1) * basis.dim]
                 assert block.tolist() == [list(reference_derivative(f, var).coeffs)
                                           for f in forms]
+
+
+def test_a_tower_pins_no_monomial_table():
+    # warm what towers share across rings (the prime check, code objects),
+    # then run one in a ring no other test uses.  Once its module is
+    # dropped, nothing forms.py allocated stays alive, and the only new
+    # arrays are the raising tables of degrees 3, 2 and 1.  Exponent tuples
+    # of 20 or more entries skip CPython's tuple free lists, which would
+    # keep freed ones traced.  The slack covers array and cache headers.
+    h_vector(compressed_generic_module(20, 3, 2, Random(3)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        module = compressed_generic_module(21, 3, 2, Random(5))
+        assert h_vector(module).h == (1, 21, 42, 2)
+        del module
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    grown = {stat.traceback[0].filename: stat.size_diff
+             for stat in after.compare_to(before, "filename") if stat.size_diff > 0}
+    assert grown.get(inspect.getfile(Form), 0) == 0
+    tables = sum(array.nbytes for d in (1, 2, 3) for array in spans._raising_table(21, d))
+    assert tables <= grown[spans.__file__] < tables + 8192
 
 
 def test_rational_dims_see_characteristic():
