@@ -29,7 +29,7 @@ from levellab.constructions import (
     sum_of_powers,
 )
 from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
-from levellab.forms import DEFAULT_PRIME, check_prime
+from levellab.forms import DEFAULT_PRIME, check_prime, check_ring
 from levellab.macaulay import HVector, is_si_sequence, o_sequence_violation
 from levellab.modules import (
     HProfile,
@@ -291,12 +291,22 @@ def build_recipe(recipe: dict, rng: Random, p: int = DEFAULT_PRIME) -> InverseMo
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
-def candidate_recipes(h: HVector, nested: bool = True) -> list[dict]:
+def candidate_recipes(h: HVector) -> list[dict]:
     """Recipes whose expected h-vector equals h exactly, cheapest first.
 
     Everything here is arithmetic; no matrix ranks are computed until a
     candidate is realized.
     """
+    out = _direct_recipes(h)
+    e = h.socle_degree
+    if h.codimension >= 2 and e >= 1 and all(h[j] >= 2 for j in range(1, e + 1)):
+        # a new variable's power adds one in every positive degree
+        smaller = HVector((1,) + tuple(h[j] - 1 for j in range(1, e + 1)))
+        out += [{"kind": "add_variable", "base": base} for base in _direct_recipes(smaller)]
+    return out
+
+
+def _direct_recipes(h: HVector) -> list[dict]:
     r, e, t = h.codimension, h.socle_degree, h.type
     out: list[dict] = []
     seen: set[str] = set()
@@ -332,12 +342,32 @@ def candidate_recipes(h: HVector, nested: bool = True) -> list[dict]:
         add({"kind": "truncate", "to": e,
              "source": {"kind": "sum_of_powers", "nvars": r,
                         "degree": degree_src, "count": max(h.entries)}})
-    if nested and r >= 2 and all(h[j] >= 2 for j in range(1, e + 1)):
-        smaller = HVector((1,) + tuple(h[j] - 1 for j in range(1, e + 1)))
-        if smaller.codimension == r - 1:
-            for base in candidate_recipes(smaller, nested=False):
-                add({"kind": "add_variable", "base": base})
     return out
+
+
+def _recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
+    """The (nvars, degree) of a recipe's module.  Before anything is built
+    it refuses a node in more than r variables, of degree above 2e + 2 (the
+    largest truncate source ``candidate_recipes`` emits), in a ring
+    ``check_ring`` refuses, or with a count or part above dim R_degree."""
+    kind = recipe["kind"]
+    if kind == "truncate":
+        return _recipe_size(recipe["source"], r, e)[0], recipe["to"]
+    if kind in ("add_variable", "augment"):
+        nvars, degree = _recipe_size(recipe["base"], r, e)
+        nvars += kind == "add_variable"
+    else:
+        nvars, degree = recipe["nvars"], recipe["degree"]
+    parts = recipe.get("parts", [])
+    counts = [*parts, len(parts), recipe.get("count", 0)]
+    if nvars > r:
+        raise ValueError(f"{kind} names {nvars} variables, more than the ring's {r}")
+    if degree > 2 * e + 2:
+        raise ValueError(f"{kind} has degree {degree}, above 2e + 2 = {2 * e + 2}")
+    cap = check_ring(nvars, degree)
+    if any(count > cap for count in counts):
+        raise ValueError(f"{kind} counts {counts} exceed dim R_{degree} = {cap}")
+    return nvars, degree
 
 
 def realize_recipe(recipe: dict, master_seed: int, trials: int,
@@ -389,16 +419,22 @@ def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
     if not recipes:
         diagnostics.append("no construction recipe matches this h-vector")
     for recipe in recipes:
+        # the store refuses to replay a recipe this large, so build none
+        try:
+            _recipe_size(recipe, hv.codimension, hv.socle_degree)
+        except ValueError as exc:
+            raise HypothesisError(f"{recipe_tag(recipe)}: {exc}") from exc
+    for recipe in recipes:
         trials_used += budget.trials
         try:
             module, profile = realize_recipe(recipe, master_seed, budget.trials, prime)
         except DependentGeneratorsError:
             diagnostics.append(f"every trial of {recipe_tag(recipe)} degenerated")
             continue
-        bound = expected_h_for_recipe(recipe)
-        if any(d > b for d, b in zip(profile.dims, bound)):
+        # every candidate's bound is hv
+        if any(d > b for d, b in zip(profile.dims, hv)):
             raise SoundnessError(
-                f"{recipe_tag(recipe)} realized {profile.h} above its bound {bound}"
+                f"{recipe_tag(recipe)} realized {profile.h} above its bound {hv}"
             )
         if profile.h != hv:
             diagnostics.append(

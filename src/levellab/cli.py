@@ -66,89 +66,89 @@ def _parts(text: str) -> tuple[int, ...]:
     return tuple(int(piece) for piece in text.split(","))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                        help="prime modulus for all rank computations")
-    common.add_argument("--seed", type=int, default=0,
-                        help="master seed; every random draw derives from it")
-    common.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
-                        help="random trials per construction")
-    common.add_argument("--store", default=None,
-                        help="certificate store path (default: $LEVELLAB_STORE)")
+_FLAGS = {
+    "prime": dict(type=int, default=DEFAULT_PRIME,
+                  help="prime modulus for all rank computations"),
+    "seed": dict(type=int, default=0,
+                 help="master seed; every random draw derives from it"),
+    "trials": dict(type=_positive_int, default=DEFAULT_TRIALS,
+                   help="random trials per construction"),
+    "store": dict(default=None,
+                  help="certificate store path (default: $LEVELLAB_STORE)"),
+}
+_SEARCH_FLAGS = ("prime", "seed", "trials", "store")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levellab",
         description="Hilbert functions of level algebras: bounds, constructions, "
                     "classification and interval scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hvec", parents=[common],
-                       help="Hilbert function of a generator file")
+    def command(name: str, flags: tuple[str, ...], help_text: str):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        return p
+
+    p = command("hvec", ("prime",), "Hilbert function of a generator file")
     p.add_argument("file")
 
-    p = sub.add_parser("expand", parents=[common], help="i-binomial expansion")
+    p = command("expand", (), "i-binomial expansion")
     p.add_argument("n", type=_positive_int)
     p.add_argument("i", type=_positive_int)
 
-    p = sub.add_parser("bound", parents=[common],
-                       help="growth and adjacency bounds")
+    p = command("bound", (), "growth and adjacency bounds")
     p.add_argument("rule", choices=["upper", "bg", "ci"])
     p.add_argument("n", type=_positive_int)
     p.add_argument("d", type=_positive_int)
     p.add_argument("r", type=_positive_int, nargs="?",
                    help="number of variables (ci rule only)")
 
-    p = sub.add_parser("osequence", parents=[common],
-                       help="check the growth condition")
+    p = command("osequence", (), "check the growth condition")
     p.add_argument("h", type=HVector.parse)
 
-    p = sub.add_parser("si", parents=[common],
-                       help="check the symmetric differentiable condition")
+    p = command("si", (), "check the symmetric differentiable condition")
     p.add_argument("h", type=HVector.parse)
 
-    p = sub.add_parser("construct", parents=[common],
-                       help="build a module and print it as a generator file")
+    p = command("construct", ("prime", "seed", "trials"),
+                "build a module and print it as a generator file")
     p.add_argument("family", choices=["powers", "compressed", "socle2", "socle3"])
     p.add_argument("args", type=_positive_int, nargs="*",
                    help="powers r e m | compressed r e t | socle2 r t | socle3 r")
     p.add_argument("--parts", type=_parts, default=None,
                    help="socle3 partition, e.g. 3,3,2")
 
-    p = sub.add_parser("augment", parents=[common],
-                       help="adjoin a sum of general powers to a module file")
+    p = command("augment", ("prime", "seed"),
+                "adjoin a sum of general powers to a module file")
     p.add_argument("file")
     p.add_argument("--count", type=_positive_int, required=True)
 
-    p = sub.add_parser("quotient", parents=[common],
-                       help="generic level quotient of a module file")
+    p = command("quotient", ("prime", "seed"), "generic level quotient of a module file")
     p.add_argument("file")
     p.add_argument("--type", dest="quotient_type", type=_positive_int, required=True)
 
-    p = sub.add_parser("truncate", parents=[common],
-                       help="truncate a module file to a smaller socle degree")
+    p = command("truncate", ("prime",), "truncate a module file to a smaller socle degree")
     p.add_argument("file")
     p.add_argument("--to", dest="to_degree", type=_positive_int, required=True)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="level / non-level / unknown with certificate")
+    p = command("classify", _SEARCH_FLAGS, "level / non-level / unknown with certificate")
     p.add_argument("h", type=HVector.parse)
 
     for name, help_text in (("scan-ic", "sweep one entry over a value range"),
                             ("scan-gic", "sweep a symmetric pair of a type 1 vector")):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = command(name, _SEARCH_FLAGS, help_text)
         p.add_argument("h", type=HVector.parse)
         p.add_argument("--at", type=_positive_int, required=True,
                        help="degree of the scanned entry")
         p.add_argument("--from", dest="start", type=_positive_int, required=True)
         p.add_argument("--to", dest="stop", type=_positive_int, required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="replay every certificate in a store file")
+    p = command("verify", (), "replay every certificate in a store file")
     p.add_argument("file", nargs="?", default=None)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="summarize a store file")
+    p = command("report", (), "summarize a store file")
     p.add_argument("file", nargs="?", default=None)
 
     return parser
@@ -336,13 +336,13 @@ def _cmd_scan(args, out, scan) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    count = verify_store_file(args.file or args.store)
+    count = verify_store_file(args.file)
     print(f"verified {count} records", file=out)
     return EXIT_OK
 
 
 def _cmd_report(args, out) -> int:
-    records = store_load(args.file or args.store)
+    records = store_load(args.file)
     counts = {"level": 0, "nonlevel": 0, "unknown": 0}
     constructions = criteria = 0
     families: dict[tuple[int, int], int] = {}
@@ -385,7 +385,8 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        check_prime(args.prime, 0)
+        if "prime" in args:
+            check_prime(args.prime, 0)
         return _COMMANDS[args.command](args, out)
     except LevelLabError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)

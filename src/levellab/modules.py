@@ -70,13 +70,12 @@ class HProfile:
     """Computed Hilbert function of a module, with its provenance."""
 
     h: HVector
-    dims: tuple[int, ...]
     prime: int
     seed: int | None = None
 
-    def __post_init__(self):
-        if tuple(self.h) != self.dims:
-            raise SoundnessError("profile entries disagree with recorded dimensions")
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.h.entries
 
 
 def type_of(module: InverseModule) -> int:
@@ -106,7 +105,7 @@ def h_vector(module: InverseModule) -> HProfile:
             presented=presented,
             rank=dims[-1],
         )
-    return HProfile(HVector(dims), dims, module.p, module.seed)
+    return HProfile(HVector(dims), module.p, module.seed)
 
 
 def is_gorenstein(module: InverseModule) -> bool:

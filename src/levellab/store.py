@@ -9,6 +9,7 @@ re-evaluated from scratch.
 import json
 import os
 import re
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from random import Random
 
@@ -16,6 +17,7 @@ from levellab.classify import (
     Classification,
     Status,
     build_recipe,
+    _recipe_size,
     char0_certified,
     condition_still_violated,
     criterion_still_holds,
@@ -86,7 +88,8 @@ def store_load(path: str | None = None, **filters) -> list[dict]:
     """Load records, optionally filtered by field equality.
 
     The ``h`` filter accepts anything HVector.parse-compatible or a
-    sequence of entries.
+    sequence of entries.  A line that is not a JSON object with a known
+    status and integer ``r`` and ``e`` raises VerificationError naming it.
     """
     path = _require_path(path)
     if "h" in filters:
@@ -96,16 +99,8 @@ def store_load(path: str | None = None, **filters) -> list[dict]:
         elif not isinstance(wanted, HVector):
             wanted = HVector(wanted)
         filters["h"] = list(wanted.entries)
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if all(record.get(key) == value for key, value in filters.items()):
-                records.append(record)
-    return records
+    return [record for record in _read_records(path, _check_summary)
+            if all(record.get(key) == value for key, value in filters.items())]
 
 
 def store_verify(record: dict) -> None:
@@ -119,8 +114,7 @@ def store_verify(record: dict) -> None:
     carry it.  Criterion and non-level records re-run their decision rule.
     A malformed record of any shape raises VerificationError.
     """
-    if not isinstance(record, dict):
-        raise VerificationError(f"a record must be an object, got {type(record).__name__}")
+    _check_summary(record)
     if record.get("schema") != SCHEMA_VERSION:
         raise VerificationError(f"unsupported schema {record.get('schema')!r}")
     h = _replay(HVector, _require_integers("h", record.get("h")))
@@ -139,8 +133,6 @@ def store_verify(record: dict) -> None:
         return
     if status == Status.UNKNOWN.value:
         return
-    if status != Status.LEVEL.value:
-        raise VerificationError(f"unknown status {status!r}")
 
     if record.get("criterion"):
         if not _replay(criterion_still_holds, record["criterion"], h):
@@ -197,31 +189,6 @@ def store_verify(record: dict) -> None:
         )
 
 
-def _recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
-    """The (nvars, degree) of a recipe's module.  Before anything is built
-    it refuses a node in more than r variables, of degree above 2e + 2 (the
-    largest truncate source ``candidate_recipes`` emits), in a ring
-    ``check_ring`` refuses, or with a count or part above dim R_degree."""
-    kind = recipe["kind"]
-    if kind == "truncate":
-        return _recipe_size(recipe["source"], r, e)[0], recipe["to"]
-    if kind in ("add_variable", "augment"):
-        nvars, degree = _recipe_size(recipe["base"], r, e)
-        nvars += kind == "add_variable"
-    else:
-        nvars, degree = recipe["nvars"], recipe["degree"]
-    parts = recipe.get("parts", [])
-    counts = [*parts, len(parts), recipe.get("count", 0)]
-    if nvars > r:
-        raise ValueError(f"{kind} names {nvars} variables, more than the ring's {r}")
-    if degree > 2 * e + 2:
-        raise ValueError(f"{kind} has degree {degree}, above 2e + 2 = {2 * e + 2}")
-    cap = check_ring(nvars, degree)
-    if any(count > cap for count in counts):
-        raise ValueError(f"{kind} counts {counts} exceed dim R_{degree} = {cap}")
-    return nvars, degree
-
-
 def _replay(step, *args):
     """One step of a replay; the error a malformed field raises in it
     becomes a VerificationError naming the step."""
@@ -245,18 +212,32 @@ def _require_integers(key: str, value) -> list:
 def verify_store_file(path: str | None = None) -> int:
     """Verify every record in a store; returns the count, raises on the
     first failure with its line number."""
-    path = _require_path(path)
-    count = 0
+    return sum(1 for _ in _read_records(_require_path(path), store_verify))
+
+
+def _read_records(path: str, check) -> Iterator:
+    """Every non-blank line of a store, parsed and passed to ``check``; a
+    line that does not parse or that ``check`` refuses raises
+    VerificationError with its line number."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                store_verify(json.loads(line))
+                record = json.loads(line)
+                check(record)
             except VerificationError as exc:
                 raise VerificationError(f"line {lineno}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise VerificationError(f"line {lineno}: not valid JSON: {exc}") from exc
-            count += 1
-    return count
+            yield record
+
+
+def _check_summary(record) -> None:
+    """The fields every record carries and ``levellab report`` counts by."""
+    if not isinstance(record, dict):
+        raise VerificationError(f"a record must be an object, got {type(record).__name__}")
+    if record.get("status") not in [status.value for status in Status]:
+        raise VerificationError(f"unknown status {record.get('status')!r}")
+    _require_integer("r", record.get("r"))
+    _require_integer("e", record.get("e"))

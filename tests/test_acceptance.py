@@ -5,7 +5,6 @@ under plain pytest the per-test PASSED/FAILED line serves the same role.
 The whole module is budgeted to run in well under a minute.
 """
 
-import os
 import time
 from random import Random
 
@@ -203,8 +202,6 @@ def test_criterion_08_formula_level_intervals():
     _pass(8, "socle 3 interval 35..820, type interval 59..70, middle interval 30..820")
 
 
-@pytest.mark.skipif(os.environ.get("LEVELLAB_HEAVY") != "1",
-                    reason="large-codimension rank computations; set LEVELLAB_HEAVY=1")
 def test_interval_endpoints_realized_at_codim_40():
     # top member of the socle-3 interval: 45 generic cubics in 40 variables
     module = compressed_generic_module(40, 3, 45, Random(0), DEFAULT_PRIME)

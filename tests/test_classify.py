@@ -1,6 +1,7 @@
 """Tests for the classification pipeline and its certificates."""
 
 import importlib
+import time
 from random import Random
 
 import pytest
@@ -101,7 +102,7 @@ def test_candidate_recipes_match_their_expectation():
             assert expected_h_for_recipe(recipe) == h
 
 
-def test_expected_arithmetic_for_nested_recipes():
+def test_expected_arithmetic_for_composite_recipes():
     trunc = {"kind": "truncate", "to": 3,
              "source": {"kind": "sum_of_powers", "nvars": 3, "degree": 6, "count": 5}}
     assert expected_h_for_recipe(trunc) == (1, 3, 5, 5)
@@ -175,8 +176,7 @@ def test_char0_certified_is_the_recipe_bound():
 def test_profile_above_the_recipe_bound_is_a_soundness_error(monkeypatch):
     def inflated(recipe, master_seed, trials, p):
         module, profile = realize_recipe(recipe, master_seed, trials, p)
-        dims = (1, 3, 5, 2)
-        return module, HProfile(HVector(dims), dims, p, profile.seed)
+        return module, HProfile(HVector((1, 3, 5, 2)), p, profile.seed)
 
     # the package exports the function classify under the module's name
     module = importlib.import_module("levellab.classify")
@@ -205,3 +205,12 @@ def test_classify_refuses_primes_outside_the_exact_range():
     for prime in (4294967291, 2**61 - 1, 3, 91):
         with pytest.raises(HypothesisError, match=str(prime)):
             classify(h, prime=prime)
+
+
+def test_classify_refuses_a_ring_the_store_refuses():
+    # every candidate for (1,300,1) names the 300-variable quadrics, whose
+    # table of 45,150 monomials holds 13,545,000 exponents
+    start = time.perf_counter()
+    with pytest.raises(HypothesisError, match="degree 2 in 300 variables .* over 8388608 cells"):
+        classify(HVector((1, 300, 1)))
+    assert time.perf_counter() - start < 1

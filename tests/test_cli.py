@@ -1,11 +1,13 @@
 """End-to-end tests of the command line interface via main()."""
 
+import argparse
 import io
+import time
 
 import pytest
 
 from levellab.classify import Certificate, Classification, Status
-from levellab.cli import main
+from levellab.cli import build_parser, main
 from levellab.store import STORE_ENV
 
 
@@ -171,12 +173,70 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run([])
     assert exc.value.code == 2
+    # a flag the command does not read is refused, not ignored
+    for argv in (["expand", "25", "2", "--seed", "1"],
+                 ["verify", "f", "--store", "g"],
+                 ["verify", "runs.jsonl", "--prime", "101"],
+                 ["report", "f", "--trials", "3"],
+                 ["hvec", "f", "--seed", "1"],
+                 ["augment", "f", "--count", "1", "--trials", "2"],
+                 ["construct", "powers", "3", "5", "5", "--store", "s"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+
+
+SUBCOMMAND_FLAGS = {
+    "hvec": {"--prime"},
+    "truncate": {"--prime"},
+    "augment": {"--prime", "--seed"},
+    "quotient": {"--prime", "--seed"},
+    "construct": {"--prime", "--seed", "--trials"},
+    **{name: {"--prime", "--seed", "--trials", "--store"}
+       for name in ("classify", "scan-ic", "scan-gic")},
+    **{name: set() for name in ("expand", "bound", "osequence", "si", "verify", "report")},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    shared = {"--prime", "--seed", "--trials", "--store"}
+    taken = {name: shared & {flag for action in parser._actions
+                             for flag in action.option_strings}
+             for name, parser in sub.choices.items()}
+    assert taken == SUBCOMMAND_FLAGS
+    assert sum(map(len, taken.values())) == 21
 
 
 def test_nonprime_modulus_rejected(capsys):
-    code, text = run(["expand", "25", "2", "--prime", "10"])
+    code, text = run(["classify", "1,3,6,9,3", "--prime", "10"])
     assert code == 1
+    assert text == ""
     assert "error: hypothesis: modulus 10 is not prime" in capsys.readouterr().err
+
+
+def test_classify_refuses_a_ring_the_store_refuses(capsys):
+    start = time.perf_counter()
+    code, text = run(["classify", "1,300,1"])
+    assert time.perf_counter() - start < 1
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: hypothesis: ")
+    assert "degree 2 in 300 variables" in err and "over 8388608 cells" in err
+
+
+@pytest.mark.parametrize("line, fault", [
+    ("{}", "unknown status None"),
+    ("[1,2]", "a record must be an object, got list"),
+    ('{"status":"level","r":1}', "field e=None is not an integer"),
+])
+def test_report_on_a_malformed_line_is_a_verify_error(tmp_path, capsys, line, fault):
+    store = tmp_path / "store.jsonl"
+    store.write_text(line + "\n", encoding="utf-8")
+    code, text = run(["report", str(store)])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == f"error: verify: line 1: {fault}\n"
 
 
 def test_prime_beyond_int64_range_refused(capsys):

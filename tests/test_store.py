@@ -281,6 +281,7 @@ MALFORMED = {
     "unknown condition": dict(
         next(r for r in corpus_records() if r["status"] == "nonlevel"), condition="wishful"),
     "not an object": [CONSTRUCTION],
+    "status that is a list": dict(CONSTRUCTION, status=["level"]),
     "augment in the wrong ring": dict(
         next(r for r in corpus_records() if (r.get("recipe") or {}).get("kind") == "augment"),
         recipe={"kind": "augment", "nvars": 2, "count": 1,
@@ -303,6 +304,20 @@ def test_malformed_record_raises_only_verification_error(tmp_path, name):
         verify_store_file(str(path))
 
 
+@pytest.mark.parametrize("line, fault", [
+    ("{}", "unknown status None"),
+    ("[1,2]", "a record must be an object, got list"),
+    ('{"status":"level","r":1}', "field e=None is not an integer"),
+    ('{"status":["level"],"r":1,"e":1}', r"unknown status \['level'\]"),
+])
+def test_store_load_names_a_malformed_line(tmp_path, line, fault):
+    path = tmp_path / "store.jsonl"
+    path.write_text(json.dumps(CONSTRUCTION) + "\n" + line + "\n", encoding="utf-8")
+    for filters in ({}, {"status": "level"}):
+        with pytest.raises(VerificationError, match=f"line 2: {fault}"):
+            store_load(str(path), **filters)
+
+
 def corpus_record_of_kind(kind):
     return copy.deepcopy(
         next(r for r in corpus_records() if (r.get("recipe") or {}).get("kind") == kind))
@@ -315,10 +330,10 @@ def test_recipe_with_more_variables_than_its_ring_refused():
     record["recipe"]["nvars"] = 10**6
     with pytest.raises(VerificationError, match="variables, more than the ring's 4"):
         store_verify(record)
-    nested = corpus_record_of_kind("add_variable")
-    nested["recipe"]["base"]["nvars"] = 10**6
+    grown = corpus_record_of_kind("add_variable")
+    grown["recipe"]["base"]["nvars"] = 10**6
     with pytest.raises(VerificationError, match="variables"):
-        store_verify(nested)
+        store_verify(grown)
 
 
 def test_recipe_node_with_too_many_monomials_refused():
@@ -405,7 +420,7 @@ JUNK = st.one_of(
 
 
 def field_slots(value, slots):
-    """Every (container, key) pair inside a record, nested recipes too."""
+    """Every (container, key) pair inside a record, recipes within recipes too."""
     keys = value.keys() if isinstance(value, dict) else range(len(value))
     for key in keys:
         slots.append((value, key))
