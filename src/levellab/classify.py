@@ -418,13 +418,15 @@ def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
     recipes = candidate_recipes(hv)
     if not recipes:
         diagnostics.append("no construction recipe matches this h-vector")
+    refused = []
     for recipe in recipes:
-        # the store refuses to replay a recipe this large, so build none
+        # the store refuses to replay a recipe this large, so skip building it
         try:
             _recipe_size(recipe, hv.codimension, hv.socle_degree)
         except ValueError as exc:
-            raise HypothesisError(f"{recipe_tag(recipe)}: {exc}") from exc
-    for recipe in recipes:
+            refused.append(f"{recipe_tag(recipe)}: {exc}")
+            diagnostics.append(f"refused {refused[-1]}")
+            continue
         trials_used += budget.trials
         try:
             module, profile = realize_recipe(recipe, master_seed, budget.trials, prime)
@@ -451,6 +453,8 @@ def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
                               trials_used=trials_used,
                               elapsed=time.monotonic() - start,
                               diagnostics=tuple(diagnostics))
+    if refused and len(refused) == len(recipes):
+        raise HypothesisError(refused[0])
     return Classification(hv, Status.UNKNOWN, trials_used=trials_used,
                           elapsed=time.monotonic() - start,
                           diagnostics=tuple(diagnostics))

@@ -347,7 +347,7 @@ def _cmd_report(args, out) -> int:
     constructions = criteria = 0
     families: dict[tuple[int, int], int] = {}
     for record in records:
-        counts[record["status"]] = counts.get(record["status"], 0) + 1
+        counts[record["status"]] += 1
         if record.get("recipe"):
             constructions += 1
         elif record.get("criterion"):

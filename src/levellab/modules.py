@@ -13,7 +13,7 @@ generator in the form grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from random import Random
 
 import numpy as np
@@ -70,6 +70,7 @@ class HProfile:
     """Computed Hilbert function of a module, with its provenance."""
 
     h: HVector
+    _: KW_ONLY
     prime: int
     seed: int | None = None
 
@@ -105,7 +106,7 @@ def h_vector(module: InverseModule) -> HProfile:
             presented=presented,
             rank=dims[-1],
         )
-    return HProfile(HVector(dims), module.p, module.seed)
+    return HProfile(HVector(dims), prime=module.p, seed=module.seed)
 
 
 def is_gorenstein(module: InverseModule) -> bool:

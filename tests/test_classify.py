@@ -1,7 +1,6 @@
 """Tests for the classification pipeline and its certificates."""
 
 import importlib
-import time
 from random import Random
 
 import pytest
@@ -21,7 +20,7 @@ from levellab.classify import (
     recipe_tag,
 )
 from levellab.constructions import maximal_profile
-from levellab.errors import HypothesisError, SoundnessError
+from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
 from levellab.macaulay import HVector
 from levellab.modules import HProfile
 
@@ -176,7 +175,7 @@ def test_char0_certified_is_the_recipe_bound():
 def test_profile_above_the_recipe_bound_is_a_soundness_error(monkeypatch):
     def inflated(recipe, master_seed, trials, p):
         module, profile = realize_recipe(recipe, master_seed, trials, p)
-        return module, HProfile(HVector((1, 3, 5, 2)), p, profile.seed)
+        return module, HProfile(HVector((1, 3, 5, 2)), prime=p, seed=profile.seed)
 
     # the package exports the function classify under the module's name
     module = importlib.import_module("levellab.classify")
@@ -207,10 +206,33 @@ def test_classify_refuses_primes_outside_the_exact_range():
             classify(h, prime=prime)
 
 
-def test_classify_refuses_a_ring_the_store_refuses():
+def test_classify_refuses_a_ring_the_store_refuses(monkeypatch):
     # every candidate for (1,300,1) names the 300-variable quadrics, whose
-    # table of 45,150 monomials holds 13,545,000 exponents
-    start = time.perf_counter()
+    # table of 45,150 monomials holds 13,545,000 exponents; none is built
+    monkeypatch.setattr(importlib.import_module("levellab.classify"),
+                        "realize_recipe", None)
     with pytest.raises(HypothesisError, match="degree 2 in 300 variables .* over 8388608 cells"):
         classify(HVector((1, 300, 1)))
-    assert time.perf_counter() - start < 1
+
+
+def test_classify_skips_refused_candidates_and_tries_the_rest(monkeypatch):
+    # the degree-6 truncate sources of (1,20,30) and of its add-variable base
+    # are refused; the other eight candidates are admitted.  Each admitted one
+    # is made to degenerate, since building them takes about a minute.
+    built = []
+
+    def degenerate(recipe, *args):
+        built.append(recipe)
+        raise DependentGeneratorsError("stub")
+
+    monkeypatch.setattr(importlib.import_module("levellab.classify"),
+                        "realize_recipe", degenerate)
+    hv = HVector((1, 20, 30))
+    recipes = candidate_recipes(hv)
+    result = classify(hv, Budget(trials=1))
+    refused = [d for d in result.diagnostics if d.startswith("refused ")]
+    assert result.status is Status.UNKNOWN
+    assert len(recipes) == 10 and len(built) == 8 and len(refused) == 2
+    assert built == [rc for rc in recipes if '"degree":6' not in recipe_tag(rc)]
+    assert all("degree 6 in" in line and "over 131072 monomials" in line
+               for line in refused)
