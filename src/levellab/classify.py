@@ -345,16 +345,18 @@ def _direct_recipes(h: HVector) -> list[dict]:
     return out
 
 
-def _recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
-    """The (nvars, degree) of a recipe's module.  Before anything is built
-    it refuses a node in more than r variables, of degree above 2e + 2 (the
-    largest truncate source ``candidate_recipes`` emits), in a ring
-    ``check_ring`` refuses, or with a count or part above dim R_degree."""
+def recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
+    """The (nvars, degree) of a recipe's module, by the size rule that
+    ``classify``, ``store_verify`` and ``levellab construct`` share.  Before
+    anything is built it refuses a node in more than r variables, of degree
+    above 2e + 2 (the largest truncate source ``candidate_recipes`` emits),
+    in a ring ``check_ring`` refuses, or with a count or part above
+    dim R_degree."""
     kind = recipe["kind"]
     if kind == "truncate":
-        return _recipe_size(recipe["source"], r, e)[0], recipe["to"]
+        return recipe_size(recipe["source"], r, e)[0], recipe["to"]
     if kind in ("add_variable", "augment"):
-        nvars, degree = _recipe_size(recipe["base"], r, e)
+        nvars, degree = recipe_size(recipe["base"], r, e)
         nvars += kind == "add_variable"
     else:
         nvars, degree = recipe["nvars"], recipe["degree"]
@@ -422,7 +424,7 @@ def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
     for recipe in recipes:
         # the store refuses to replay a recipe this large, so skip building it
         try:
-            _recipe_size(recipe, hv.codimension, hv.socle_degree)
+            recipe_size(recipe, hv.codimension, hv.socle_degree)
         except ValueError as exc:
             refused.append(f"{recipe_tag(recipe)}: {exc}")
             diagnostics.append(f"refused {refused[-1]}")

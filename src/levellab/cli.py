@@ -13,20 +13,19 @@ from levellab.bounds import (
     min_prev_entry,
     prev_entry_range,
 )
-from levellab.classify import Budget, Status, classify
+from levellab.classify import Budget, Status, build_recipe, classify, recipe_size
 from levellab.constructions import (
     DEFAULT_TRIALS,
     augment_with_powers,
-    compressed_generic_module,
     maximal_profile,
     realize_socle2,
     realize_socle3_partition,
-    sum_of_powers,
 )
-from levellab.errors import LevelLabError
+from levellab.errors import HypothesisError, LevelLabError
 from levellab.forms import DEFAULT_PRIME, check_prime
 from levellab.macaulay import (
     HVector,
+    binomial,
     binomial_expansion,
     is_si_sequence,
     macaulay_upper_bound,
@@ -246,7 +245,9 @@ def _cmd_si(args, out) -> int:
 
 
 def _cmd_construct(args, out) -> int:
-    family, extra = args.family, list(args.args)
+    """Refuse a family by the recipe size rule before any draw, then keep
+    the best of its trials."""
+    family, extra, p = args.family, list(args.args), args.prime
 
     def need(count: int) -> list[int]:
         if len(extra) != count:
@@ -255,22 +256,27 @@ def _cmd_construct(args, out) -> int:
             )
         return extra
 
-    if family == "powers":
-        r, e, m = need(3)
-        builder = lambda rng: InverseModule(
-            r, e, args.prime, (sum_of_powers(r, e, m, rng, args.prime),))
-    elif family == "compressed":
-        r, e, t = need(3)
-        builder = lambda rng: compressed_generic_module(r, e, t, rng, args.prime)
+    if family in ("powers", "compressed"):
+        r, e, count = need(3)
+        kind = "sum_of_powers" if family == "powers" else "compressed"
+        recipe = {"kind": kind, "nvars": r, "degree": e, "count": count}
+        builder = lambda rng: build_recipe(recipe, rng, p)
     elif family == "socle2":
-        r, t = need(2)
-        builder = lambda rng: realize_socle2(r, t, rng, args.prime)
+        (r, t), e = need(2), 2
+        cap = binomial(r + 1, 2)
+        if t > cap:  # realize_socle2's refusal, before a list of t parts is made
+            raise HypothesisError(f"socle degree 2 type must be in 1..{cap}, got {t}")
+        recipe = {"kind": "powers_partition", "nvars": r, "degree": e, "parts": [r] * t}
+        builder = lambda rng: realize_socle2(r, t, rng, p)
     else:
-        (r,) = need(1)
+        (r,), e = need(1), 3
         if args.parts is None:
             raise ValueError("socle3 needs --parts, e.g. --parts 3,3,2")
-        builder = lambda rng: realize_socle3_partition(r, args.parts, rng, args.prime)
+        recipe = {"kind": "powers_partition", "nvars": r, "degree": e,
+                  "parts": list(args.parts)}
+        builder = lambda rng: realize_socle3_partition(r, args.parts, rng, p)
 
+    recipe_size(recipe, r, e)
     module, _ = maximal_profile(builder, derive_seed(args.seed, "construct", family),
                                 args.trials)
     _print_module(module, out)

@@ -16,10 +16,11 @@ whole family used by the socle degree 2 and 3 realizations.
 
 from __future__ import annotations
 
+from operator import add
 from random import Random
 
 from levellab.errors import DependentGeneratorsError, HypothesisError
-from levellab.forms import DEFAULT_PRIME, Form, random_form, random_linear_form, ring_dim
+from levellab.forms import DEFAULT_PRIME, Form, random_form, ring_dim
 from levellab.macaulay import HVector, binomial
 from levellab.modules import HProfile, InverseModule, h_vector, type_of
 from levellab.seeds import derive_seed
@@ -31,15 +32,16 @@ DEFAULT_TRIALS = 5
 
 def sum_of_powers(nvars: int, degree: int, count: int, rng: Random,
                   p: int = DEFAULT_PRIME) -> Form:
-    """Sum of ``count`` e-th powers of independent random linear forms."""
+    """Sum of ``count`` e-th powers of independent random linear forms.
+    The coefficients are added as Python ints and reduced once."""
     if count < 1:
         raise ValueError(f"need at least one power, got {count}")
     if degree < 1:
         raise ValueError(f"powers need degree >= 1, got {degree}")
-    total = Form.zero(nvars, degree, p)
+    total = [0] * ring_dim(nvars, degree)
     for _ in range(count):
-        total = total + random_linear_form(nvars, rng, p) ** degree
-    return total
+        total = list(map(add, total, (random_form(nvars, 1, rng, p) ** degree).coeffs))
+    return Form(nvars, degree, p, tuple(c % p for c in total))
 
 
 def expected_h_sum_of_powers(nvars: int, degree: int, count: int) -> HVector:
@@ -138,12 +140,17 @@ def add_new_variable_power(module: InverseModule) -> InverseModule:
     """Juxtapose a fresh variable: embed the generators in r+1 variables
     and adjoin the pure power of the new variable.  Every entry of the
     h-vector from degree 1 through e grows by exactly one, because the new
-    tower meets the old one only in the constants."""
-    wide = module.nvars + 1
-    gens = [g.embedded(wide) for g in module.generators]
-    power_mono = (0,) * module.nvars + (module.degree,)
-    gens.append(Form.from_terms(wide, module.degree, [(power_mono, 1)], module.p))
-    return InverseModule(wide, module.degree, module.p, tuple(gens), seed=module.seed)
+    tower meets the old one only in the constants.
+
+    Monomials free of the new variable come first in descending grevlex,
+    in their old order, and its pure power comes last: each generator's
+    coefficients gain trailing zeros, and the power is the last unit vector."""
+    wide, e, p = module.nvars + 1, module.degree, module.p
+    size = ring_dim(wide, e)
+    pad = (0,) * (size - ring_dim(module.nvars, e))
+    gens = [Form(wide, e, p, g.coeffs + pad) for g in module.generators]
+    gens.append(Form(wide, e, p, (0,) * (size - 1) + (1,)))
+    return InverseModule(wide, e, p, tuple(gens), seed=module.seed)
 
 
 def compressed_generic_module(nvars: int, degree: int, count: int, rng: Random,

@@ -1,4 +1,4 @@
-"""Homogeneous forms over a prime field: dense coefficients, arithmetic, text.
+"""Homogeneous forms over a prime field: dense coefficients, products, text.
 
 Forms live in a divided-power style polynomial ring k[y1..yr] on which the
 dual ring acts by partial differentiation (``levellab.spans`` differentiates
@@ -108,14 +108,6 @@ def grevlex(nvars: int, degree: int) -> Iterator[Monomial]:
         yield tuple(map(sub, cuts, cuts[1:]))
 
 
-def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
-    """All exponent tuples of total degree ``degree``, in grevlex order, which
-    makes printed forms and stored certificates reproducible byte for
-    byte.  Uncached: ``monomial_positions`` is the table a ring keeps."""
-    ring_dim(nvars, degree)
-    return tuple(grevlex(nvars, degree))
-
-
 def check_ring(nvars: int, degree: int) -> int:
     """``ring_dim(nvars, degree)`` for a ring whose monomial table is small
     enough to build: at most ``MAX_MONOMIALS`` monomials and ``MAX_CELLS``
@@ -135,8 +127,11 @@ def check_ring(nvars: int, degree: int) -> int:
 
 @lru_cache(maxsize=None)
 def monomial_positions(nvars: int, degree: int) -> Mapping[Monomial, int]:
-    """Coordinates by monomial, keyed in grevlex order: a ring's one cached table."""
-    return {m: i for i, m in enumerate(monomials_of_degree(nvars, degree))}
+    """Coordinates by monomial, keyed in grevlex order: a ring's one cached
+    table, which makes printed forms and stored certificates reproducible
+    byte for byte."""
+    ring_dim(nvars, degree)
+    return {m: i for i, m in enumerate(grevlex(nvars, degree))}
 
 
 @dataclass(frozen=True, eq=True)
@@ -159,10 +154,6 @@ class Form:
             raise ValueError(f"{len(self.coeffs)} coefficients for {size} monomials")
         if not 0 <= min(self.coeffs) <= max(self.coeffs) < self.p:
             raise ValueError(f"coefficients out of range for p={self.p}")
-
-    @classmethod
-    def zero(cls, nvars: int, degree: int, p: int = DEFAULT_PRIME) -> "Form":
-        return cls(nvars, degree, p, (0,) * ring_dim(nvars, degree))
 
     @classmethod
     def from_terms(
@@ -192,19 +183,6 @@ class Form:
         if self.nvars != other.nvars or self.p != other.p:
             raise ValueError("forms live in different rings")
 
-    def __add__(self, other: "Form") -> "Form":
-        self._check_compatible(other)
-        if self.degree != other.degree:
-            raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
-        p = self.p
-        return Form(self.nvars, self.degree, p,
-                    tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, c: int) -> "Form":
-        p = self.p
-        c %= p
-        return Form(self.nvars, self.degree, p, tuple(v * c % p for v in self.coeffs))
-
     def __mul__(self, other: "Form") -> "Form":
         self._check_compatible(other)
         degree = self.degree + other.degree
@@ -230,26 +208,11 @@ class Form:
             e >>= 1
         return result
 
-    def embedded(self, nvars: int) -> "Form":
-        """The same form viewed in a ring with extra trailing variables.
-
-        Monomials free of the new variables come first in descending
-        grevlex, in their old order, so the coefficients only gain zeros."""
-        if nvars < self.nvars:
-            raise ValueError("cannot embed into fewer variables")
-        pad = ring_dim(nvars, self.degree) - len(self.coeffs)
-        return Form(nvars, self.degree, self.p, self.coeffs + (0,) * pad)
-
     def __str__(self) -> str:
         return format_form(self)
 
     def __repr__(self) -> str:
         return f"Form({self.nvars} vars, deg {self.degree}, {format_form(self)})"
-
-
-def random_linear_form(nvars: int, rng: Random, p: int = DEFAULT_PRIME) -> Form:
-    """A uniformly random nonzero linear form: coefficients of y1, ..., yr."""
-    return random_form(nvars, 1, rng, p)
 
 
 def random_form(nvars: int, degree: int, rng: Random, p: int = DEFAULT_PRIME) -> Form:

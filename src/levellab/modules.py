@@ -97,8 +97,7 @@ def h_vector(module: InverseModule) -> HProfile:
     level module, but of smaller type, and the caller must decide whether
     that was intended.
     """
-    spans = derivative_spaces(list(module.generators))
-    dims = tuple(s.dim for s in spans)
+    dims = tuple(map(len, derivative_spaces(list(module.generators))))
     presented = len(module.generators)
     if dims[-1] != presented:
         raise DependentGeneratorsError(
@@ -113,7 +112,7 @@ def is_gorenstein(module: InverseModule) -> bool:
     """True when the module spans a principal (type 1) inverse system, in
     any presentation.  A principal span has a symmetric tower, so an
     asymmetric one is an arithmetic bug and raises."""
-    dims = tuple(s.dim for s in derivative_spaces(list(module.generators)))
+    dims = tuple(map(len, derivative_spaces(list(module.generators))))
     if dims[-1] != 1:
         return False
     if dims != dims[::-1]:
@@ -132,16 +131,15 @@ def common_derivative_dims(f: Form, g: Form) -> tuple[int, ...]:
         raise ValueError("common derivative dimensions need equal degrees")
     if f.is_zero or g.is_zero:
         raise ValueError("zero forms have no derivative tower")
-    dims_f = [s.dim for s in derivative_spaces([f])]
-    dims_g = [s.dim for s in derivative_spaces([g])]
-    dims_fg = [s.dim for s in derivative_spaces([f, g])]
+    dims_f, dims_g, dims_fg = (map(len, derivative_spaces(forms)) for forms in ([f], [g], [f, g]))
     return tuple(a + b - c for a, b, c in zip(dims_f, dims_g, dims_fg))
 
 
 def generic_subquotient(module: InverseModule, c: int, rng: Random) -> InverseModule:
     """Module generated by c random independent combinations of the
     generators.  The combination matrix is resampled until it has rank c,
-    so the result presents a type-c level quotient."""
+    so the result presents a type-c level quotient.  Each combination is a
+    sum of coefficient rows in int64, reduced mod p after every product."""
     t = len(module.generators)
     if not 1 <= c <= t:
         raise ValueError(f"subquotient type must be in 1..{t}, got {c}")
@@ -157,13 +155,13 @@ def generic_subquotient(module: InverseModule, c: int, rng: Random) -> InverseMo
         rows = [drawn[i:i + t] for i in range(0, c * t, t)]
         if rank_mod_p(np.array(rows, dtype=np.int64), p) == c:
             break
+    gens = np.array([g.coeffs for g in module.generators], dtype=np.int64)
     combos = []
     for row in rows:
-        acc = Form.zero(module.nvars, module.degree, p)
-        for coeff, gen in zip(row, module.generators):
-            if coeff:
-                acc = acc + gen.scaled(coeff)
-        combos.append(acc)
+        acc = np.zeros_like(gens[0])
+        for coeff, gen in zip(row, gens):
+            acc = (acc + coeff * gen) % p  # below 2^62 + 2^31 before the reduction
+        combos.append(Form(module.nvars, module.degree, p, tuple(acc.tolist())))
     return InverseModule(module.nvars, module.degree, p, tuple(combos), seed=module.seed)
 
 
@@ -174,9 +172,9 @@ def truncate_level(module: InverseModule, new_degree: int) -> InverseModule:
         raise ValueError(
             f"truncation degree must be in 1..{module.degree}, got {new_degree}"
         )
-    spans = derivative_spaces(list(module.generators))
-    basis = spans[new_degree].forms()
-    return InverseModule(module.nvars, new_degree, module.p, tuple(basis), seed=module.seed)
+    basis = derivative_spaces(list(module.generators))[new_degree]
+    forms = tuple(Form(module.nvars, new_degree, module.p, tuple(row)) for row in basis.tolist())
+    return InverseModule(module.nvars, new_degree, module.p, forms, seed=module.seed)
 
 
 # --------------------------------------------------------- generator files

@@ -44,8 +44,9 @@ so the result depends neither on the batches, the blocks or the panels,
 nor on which rows are picked as pivots.
 
 A derivative tower walks a set of degree-e generators down to degree 0,
-reducing the stacked partial derivatives of each basis in turn; its
-per-degree dimensions are the h-vector of the module the generators span.
+reducing the stacked partial derivatives of each basis in turn; each
+basis is a plain RREF int64 matrix, and their lengths, the per-degree
+dimensions, are the h-vector of the module the generators span.
 Sizes come from ``forms.ring_dim``, and ``forms.monomial_positions``
 stays the one cached monomial table: the tower keeps none.  It gathers
 the partial d/dy_v of a degree-d basis as basis[:, index[v]] mult[v],
@@ -255,25 +256,6 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return len(rref_mod_p(matrix, p))
 
 
-@dataclass(frozen=True)
-class SpanBasis:
-    """Canonical basis (RREF rows over the grevlex monomial order) of the
-    degree ``degree`` component of a span of forms."""
-
-    nvars: int
-    degree: int
-    p: int
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    def forms(self) -> list[Form]:
-        return [Form(self.nvars, self.degree, self.p, tuple(row.tolist()))
-                for row in self.matrix]
-
-
 def coefficient_matrix(forms: Sequence[Form], nvars: int, degree: int, p: int) -> np.ndarray:
     mat = np.zeros((len(forms), ring_dim(nvars, degree)), dtype=np.int64)
     for i, f in enumerate(forms):
@@ -309,22 +291,24 @@ def _raising_table(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return index, mult
 
 
-def _stacked_derivatives(basis: SpanBasis) -> np.ndarray:
-    """All first partials of the basis rows, one block per variable, each
-    one gather through the raising table.  Residues below 2^31 fit int32,
-    which halves the largest array of a tower; ``rref_mod_p`` reduces an
-    int64 copy of it."""
-    index, mult = _raising_table(basis.nvars, basis.degree)
-    dim = basis.dim
-    stacked = np.empty((basis.nvars * dim, index.shape[1]), dtype=np.int32)
-    for var in range(basis.nvars):
-        stacked[var * dim:(var + 1) * dim] = basis.matrix[:, index[var]] * mult[var] % basis.p
+def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int) -> np.ndarray:
+    """All first partials of the rows of ``matrix``, coefficients of degree
+    ``degree`` forms, one block per variable, each one gather through the
+    raising table.  Residues below 2^31 fit int32, which halves the largest
+    array of a tower; ``rref_mod_p`` reduces an int64 copy of it."""
+    index, mult = _raising_table(nvars, degree)
+    dim = len(matrix)
+    stacked = np.empty((nvars * dim, index.shape[1]), dtype=np.int32)
+    for var in range(nvars):
+        stacked[var * dim:(var + 1) * dim] = matrix[:, index[var]] * mult[var] % p
     return stacked
 
 
-def derivative_spaces(generators: Sequence[Form]) -> list[SpanBasis]:
+def derivative_spaces(generators: Sequence[Form]) -> list[np.ndarray]:
     """Canonical bases of every graded piece of the span closed under
-    differentiation, listed by degree 0..e.
+    differentiation, listed by degree 0..e: for each degree d, the RREF
+    int64 rows over the degree-d monomials in grevlex order, so its
+    dimension is its length.
 
     An empty generator list is the zero module and yields an empty list.
     """
@@ -332,12 +316,10 @@ def derivative_spaces(generators: Sequence[Form]) -> list[SpanBasis]:
         return []
     first = generators[0]
     nvars, e, p = first.nvars, first.degree, first.p
-    top = rref_mod_p(coefficient_matrix(generators, nvars, e, p), p)
-    spans = [SpanBasis(nvars, e, p, top)]
+    spans = [rref_mod_p(coefficient_matrix(generators, nvars, e, p), p)]
     for degree in range(e, 0, -1):
         # no name keeps a level's stacked matrix alive while the next is built
-        reduced = rref_mod_p(_stacked_derivatives(spans[-1]), p)
-        spans.append(SpanBasis(nvars, degree - 1, p, reduced))
+        spans.append(rref_mod_p(_stacked_derivatives(spans[-1], nvars, degree, p), p))
     spans.reverse()
     return spans
 

@@ -17,10 +17,10 @@ from levellab.classify import (
     Classification,
     Status,
     build_recipe,
-    _recipe_size,
     char0_certified,
     condition_still_violated,
     criterion_still_holds,
+    recipe_size,
 )
 from levellab.errors import LevelLabError, VerificationError
 from levellab.forms import check_prime, check_ring
@@ -167,7 +167,7 @@ def store_verify(record: dict) -> None:
     if recipe is not None:
         seed = record.get("seed")
         _require_integer("seed", seed)
-        _replay(_recipe_size, recipe, r, h.socle_degree)
+        _replay(recipe_size, recipe, r, h.socle_degree)
         module = _replay(build_recipe, recipe, Random(seed), prime)
         replayed = module_to_text(module)
         if replayed != generators:

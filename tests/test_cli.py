@@ -227,6 +227,21 @@ def test_classify_refuses_a_ring_the_store_refuses(monkeypatch, capsys):
     assert "degree 2 in 300 variables" in err and "over 8388608 cells" in err
 
 
+@pytest.mark.parametrize("argv, fault", [
+    (["powers", "100", "3", "1"], "degree 3 in 100 variables has over 131072 monomials"),
+    (["compressed", "70", "4", "1"], "degree 4 in 70 variables has over 131072 monomials"),
+    (["powers", "3", "3", "100000000"], "exceed dim R_3 = 10"),
+    (["powers", "3", "5", "30"], "exceed dim R_5 = 21"),
+])
+def test_construct_refuses_a_ring_the_store_refuses(monkeypatch, capsys, argv, fault):
+    # refused before any trial is built
+    monkeypatch.setattr(importlib.import_module("levellab.cli"), "maximal_profile", None)
+    code, text = run(["construct", *argv])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: value: ") and fault in err
+
+
 @pytest.mark.parametrize("line, fault", [
     ("{}", "unknown status None"),
     ("[1,2]", "a record must be an object, got list"),

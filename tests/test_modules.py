@@ -10,7 +10,7 @@ from levellab.errors import (
     ParseError,
     SoundnessError,
 )
-from levellab.forms import DEFAULT_PRIME, parse_form, random_form
+from levellab.forms import DEFAULT_PRIME, Form, parse_form, random_form
 from levellab.modules import (
     InverseModule,
     common_derivative_dims,
@@ -74,7 +74,8 @@ def test_h_vector_profile_consistency():
 
 def test_dependent_generators_reported():
     f = parse_form("y1^2 + y2^2", 2)
-    module = InverseModule(2, 2, DEFAULT_PRIME, (f, f.scaled(5)))
+    five_f = Form(2, 2, DEFAULT_PRIME, tuple(5 * c for c in f.coeffs))
+    module = InverseModule(2, 2, DEFAULT_PRIME, (f, five_f))
     assert type_of(module) == 1
     assert not is_level_presentation(module)
     with pytest.raises(DependentGeneratorsError) as exc:
@@ -101,19 +102,17 @@ def test_is_gorenstein():
 def test_is_gorenstein_reads_the_span_not_the_presentation():
     f = parse_form("y1^4 + y2^4 + y3^4", 3)
     g = parse_form("y1^2*y2^2", 3)
+    five_f = Form(3, 4, DEFAULT_PRIME, tuple(5 * c for c in f.coeffs))
+    f_plus_g = Form(3, 4, DEFAULT_PRIME, tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
     # a dependent presentation of a principal span is still Gorenstein
-    assert is_gorenstein(InverseModule(3, 4, DEFAULT_PRIME, (f, f.scaled(5))))
+    assert is_gorenstein(InverseModule(3, 4, DEFAULT_PRIME, (f, five_f)))
     # a dependent presentation of a type-2 span is not
-    assert not is_gorenstein(InverseModule(3, 4, DEFAULT_PRIME, (f, g, f + g)))
+    assert not is_gorenstein(InverseModule(3, 4, DEFAULT_PRIME, (f, g, f_plus_g)))
 
 
 def test_is_gorenstein_refuses_an_asymmetric_principal_tower(monkeypatch):
-    class Span:
-        def __init__(self, dim):
-            self.dim = dim
-
     monkeypatch.setattr("levellab.modules.derivative_spaces",
-                        lambda forms: [Span(d) for d in (1, 3, 2, 1)])
+                        lambda forms: [[0] * d for d in (1, 3, 2, 1)])
     module = make_module(["y1^3 + y2^3 + y3^3"], 3)
     with pytest.raises(SoundnessError, match="asymmetric"):
         is_gorenstein(module)
@@ -129,7 +128,7 @@ def test_common_derivative_dims_same_form():
     from levellab.spans import derivative_spaces
 
     f = parse_form("y1^2*y2 + y2^3", 3)
-    dims = tuple(s.dim for s in derivative_spaces([f]))
+    dims = tuple(map(len, derivative_spaces([f])))
     assert common_derivative_dims(f, f) == dims
 
 
@@ -140,8 +139,8 @@ def test_common_derivative_dims_bounds():
     for _ in range(10):
         f = random_form(3, 4, rng)
         g = random_form(3, 4, rng)
-        dims_f = [s.dim for s in derivative_spaces([f])]
-        dims_g = [s.dim for s in derivative_spaces([g])]
+        dims_f = list(map(len, derivative_spaces([f])))
+        dims_g = list(map(len, derivative_spaces([g])))
         common = common_derivative_dims(f, g)
         for c, a, b in zip(common, dims_f, dims_g):
             assert 0 <= c <= min(a, b)
@@ -160,6 +159,31 @@ def test_generic_subquotient_type_and_domination():
         generic_subquotient(module, 4, rng)
     with pytest.raises(ValueError):
         generic_subquotient(module, 0, rng)
+
+
+@pytest.mark.parametrize("shape, c, seed, text", [
+    ((2, 3, 3, 1, DEFAULT_PRIME), 2, 2,
+     "ring r=2 e=3\n"
+     "1758445687*y1^3 + 366947531*y1^2*y2 + 2130971862*y1*y2^2 + 260837268*y2^3\n"
+     "1727160469*y1^3 + 63840868*y1^2*y2 + 1269809547*y1*y2^2 + 73248044*y2^3\n"),
+    # p = 5 and p = 3 are the smallest primes above the degrees 4 and 2
+    ((3, 4, 3, 3, 5), 2, 4,
+     "ring r=3 e=4\n"
+     "3*y1^4 + 2*y1^2*y2^2 + 4*y1*y2^3 + 3*y2^4 + y1*y2^2*y3 + 2*y2^3*y3 + 2*y1^2*y3^2"
+     " + y1*y2*y3^2 + 3*y2^2*y3^2 + 2*y1*y3^3 + y2*y3^3 + 4*y3^4\n"
+     "y1^4 + 3*y1^3*y2 + 4*y1^2*y2^2 + 2*y1*y2^3 + 3*y2^4 + 3*y1*y2^2*y3 + y2^3*y3"
+     " + 3*y1^2*y3^2 + 2*y1*y2*y3^2 + 3*y1*y3^3\n"),
+    ((2, 2, 3, 5, 3), 1, 6, "ring r=2 e=2\ny1*y2 + y2^2\n"),
+    ((3, 2, 4, 7, 101), 3, 8,
+     "ring r=3 e=2\n"
+     "69*y1*y2 + 8*y2^2 + 97*y1*y3 + 28*y2*y3 + 58*y3^2\n"
+     "65*y1^2 + 50*y1*y2 + 35*y2^2 + 74*y1*y3 + 99*y2*y3 + 70*y3^2\n"
+     "61*y1^2 + 25*y1*y2 + 53*y2^2 + 44*y1*y3 + 55*y2*y3 + 77*y3^2\n"),
+])
+def test_generic_subquotient_frozen(shape, c, seed, text):
+    nvars, degree, count, module_seed, p = shape
+    module = random_module(nvars, degree, count, random.Random(module_seed), p)
+    assert module_to_text(generic_subquotient(module, c, random.Random(seed))) == text
 
 
 def test_truncate_level_prefix():
