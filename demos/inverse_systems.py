@@ -10,7 +10,6 @@ Run: python3 demos/inverse_systems.py
 from random import Random
 
 from levellab import (
-    DEFAULT_PRIME,
     InverseModule,
     common_derivative_dims,
     generic_subquotient,
@@ -26,7 +25,7 @@ from levellab import (
 def main() -> None:
     # A monomial with all three variables: the complete intersection shape.
     f = parse_form("y1*y2*y3", nvars=3, expected_degree=3)
-    module = InverseModule(3, 3, DEFAULT_PRIME, (f,))
+    module = InverseModule.from_forms([f])
     profile = h_vector(module)
     print(f"y1*y2*y3 generates h = ({profile.h}), "
           f"Gorenstein: {is_gorenstein(module)}")
@@ -34,14 +33,14 @@ def main() -> None:
     # Three pure powers: the derivative spans stay 3-dimensional all the
     # way down, so the h-vector is flat.
     g = parse_form("y1^4 + y2^4 + y3^4", nvars=3, expected_degree=4)
-    module = InverseModule(3, 4, DEFAULT_PRIME, (g,))
+    module = InverseModule.from_forms([g])
     print(f"y1^4+y2^4+y3^4 generates h = ({h_vector(module).h})")
 
     # Two generators of the same degree make a type 2 module.
-    pair = InverseModule(3, 3, DEFAULT_PRIME, (
+    pair = InverseModule.from_forms([
         parse_form("y1^3 + y2^3", nvars=3, expected_degree=3),
         parse_form("y2*y3^2", nvars=3, expected_degree=3),
-    ))
+    ])
     profile = h_vector(pair)
     print(f"two cubics generate h = ({profile.h}), type {profile.h.type}")
 

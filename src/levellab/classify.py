@@ -270,7 +270,7 @@ def build_recipe(recipe: dict, rng: Random, p: int = DEFAULT_PRIME) -> InverseMo
     kind = recipe["kind"]
     if kind == "sum_of_powers":
         form = sum_of_powers(recipe["nvars"], recipe["degree"], recipe["count"], rng, p)
-        return InverseModule(recipe["nvars"], recipe["degree"], p, (form,))
+        return InverseModule.from_forms([form])
     if kind == "powers_partition":
         return powers_partition_module(
             recipe["nvars"], recipe["degree"], tuple(recipe["parts"]), rng, p

@@ -16,11 +16,14 @@ whole family used by the socle degree 2 and 3 realizations.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from operator import add
 from random import Random
 
 from levellab.errors import DependentGeneratorsError, HypothesisError
-from levellab.forms import DEFAULT_PRIME, Form, random_form, ring_dim
+import numpy as np
+
+from levellab.forms import DEFAULT_PRIME, Form, random_form, randrange_many, ring_dim
 from levellab.macaulay import HVector, binomial
 from levellab.modules import HProfile, InverseModule, h_vector, type_of
 from levellab.seeds import derive_seed
@@ -59,8 +62,7 @@ def powers_partition_module(nvars: int, degree: int, parts: tuple[int, ...], rng
         raise ValueError("partition must have at least one part")
     if any(m < 1 for m in parts):
         raise ValueError(f"parts must be positive, got {parts}")
-    gens = tuple(sum_of_powers(nvars, degree, m, rng, p) for m in parts)
-    return InverseModule(nvars, degree, p, gens)
+    return InverseModule.from_forms([sum_of_powers(nvars, degree, m, rng, p) for m in parts])
 
 
 def expected_h_powers_partition(nvars: int, degree: int, parts: tuple[int, ...]) -> HVector:
@@ -121,10 +123,7 @@ def augment_with_powers(module: InverseModule, count: int, rng: Random) -> Inver
             f"(ring dimension minus current type), got {count}"
         )
     extra = sum_of_powers(module.nvars, module.degree, count, rng, module.p)
-    return InverseModule(
-        module.nvars, module.degree, module.p,
-        module.generators + (extra,), seed=module.seed,
-    )
+    return replace(module, coeffs=np.vstack([module.coeffs, [extra.coeffs]]))
 
 
 def expected_h_augment(h: HVector, nvars: int, count: int) -> HVector:
@@ -145,23 +144,25 @@ def add_new_variable_power(module: InverseModule) -> InverseModule:
     Monomials free of the new variable come first in descending grevlex,
     in their old order, and its pure power comes last: each generator's
     coefficients gain trailing zeros, and the power is the last unit vector."""
-    wide, e, p = module.nvars + 1, module.degree, module.p
-    size = ring_dim(wide, e)
-    pad = (0,) * (size - ring_dim(module.nvars, e))
-    gens = [Form(wide, e, p, g.coeffs + pad) for g in module.generators]
-    gens.append(Form(wide, e, p, (0,) * (size - 1) + (1,)))
-    return InverseModule(wide, e, p, tuple(gens), seed=module.seed)
+    wide = module.nvars + 1
+    coeffs = np.zeros((len(module.coeffs) + 1, ring_dim(wide, module.degree)), dtype=np.int64)
+    coeffs[:-1, :module.coeffs.shape[1]] = module.coeffs
+    coeffs[-1, -1] = 1
+    return replace(module, nvars=wide, coeffs=coeffs)
 
 
 def compressed_generic_module(nvars: int, degree: int, count: int, rng: Random,
                               p: int = DEFAULT_PRIME) -> InverseModule:
-    """``count`` dense random generators of the given degree; generically
-    the module is compressed, meeting both caps in every degree."""
+    """``count`` dense random generators, drawn into the module's array row by
+    row (a zero row drawn again); generically the module is compressed."""
     cap = ring_dim(nvars, degree)
     if not 1 <= count <= cap:
         raise ValueError(f"type must be in 1..{cap}, got {count}")
-    gens = tuple(random_form(nvars, degree, rng, p) for _ in range(count))
-    return InverseModule(nvars, degree, p, gens)
+    rows = np.zeros((count, cap), dtype=np.int64)
+    for row in rows:
+        while not row.any():
+            row[:] = randrange_many(rng, p, cap)
+    return InverseModule(nvars, degree, p, rows)
 
 
 def expected_h_compressed(nvars: int, degree: int, count: int) -> HVector:

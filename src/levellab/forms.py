@@ -5,11 +5,11 @@ dual ring acts by partial differentiation (``levellab.spans`` differentiates
 whole coefficient matrices at once).  A form of degree d stores one
 residue modulo a prime p, a plain integer in [0, p-1], for every monomial
 of degree d, zeros included, in descending graded reverse lexicographic
-order (grevlex); that order fixes every coefficient matrix and every
-printed and serialized representation.  Sizes come from ``ring_dim``, a
-binomial.  ``monomial_positions`` is the one cached monomial table: terms,
-products and text read its exponent tuples.  The derivative tower keeps
-none; it reads partials through the raising table of ``levellab.spans``.
+order (grevlex); that order fixes every coefficient array and every
+printed and serialized representation.  ``Form`` serves text and powers;
+modules keep their generators as int64 arrays.  ``monomial_positions`` is
+the one cached monomial table, read by terms, products and text; the
+derivative tower reads partials through ``levellab.spans`` instead.
 
 The default prime 2^31 - 1 keeps products inside 64-bit integers so the
 elimination kernel can vectorize; any prime larger than the degrees in
@@ -175,16 +175,9 @@ class Form:
         monos = monomial_positions(self.nvars, self.degree)
         return {m: c for m, c in zip(monos, self.coeffs) if c}
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _check_compatible(self, other: "Form"):
+    def __mul__(self, other: "Form") -> "Form":
         if self.nvars != other.nvars or self.p != other.p:
             raise ValueError("forms live in different rings")
-
-    def __mul__(self, other: "Form") -> "Form":
-        self._check_compatible(other)
         degree = self.degree + other.degree
         order = monomial_positions(self.nvars, degree)
         out = [0] * len(order)
@@ -219,14 +212,14 @@ def random_form(nvars: int, degree: int, rng: Random, p: int = DEFAULT_PRIME) ->
     """A dense random form: every monomial gets a uniform residue."""
     size = ring_dim(nvars, degree)
     while True:
-        coeffs = tuple(randrange_many(rng, p, size))
+        coeffs = tuple(randrange_many(rng, p, size).tolist())
         if any(coeffs):
             return Form(nvars, degree, p, coeffs)
 
 
-def randrange_many(rng: Random, n: int, count: int) -> list[int]:
-    """The values of ``count`` calls of ``rng.randrange(n)``, with ``rng``
-    left in the same state as those calls leave it.
+def randrange_many(rng: Random, n: int, count: int) -> np.ndarray:
+    """The values of ``count`` calls of ``rng.randrange(n)`` as an int64
+    array, with ``rng`` left in the same state as those calls leave it.
 
     ``randrange(n)`` keeps the top n.bit_length() bits of one 32-bit
     Mersenne Twister word per attempt and rejects values >= n, and
@@ -237,14 +230,14 @@ def randrange_many(rng: Random, n: int, count: int) -> list[int]:
     if not 2 <= n < PRIME_LIMIT:
         raise HypothesisError(f"modulus {n} is outside 2..2^31-1")
     if count < _BULK_DRAWS:
-        return [rng.randrange(n) for _ in range(count)]
+        return np.array([rng.randrange(n) for _ in range(count)], dtype=np.int64)
     shift = 32 - n.bit_length()
-    kept = []
+    kept = np.empty(0, dtype=np.int64)
     while len(kept) < count:
         want = count - len(kept)
         words = rng.getrandbits(32 * want).to_bytes(4 * want, "little")
         drawn = np.frombuffer(words, dtype="<u4") >> shift
-        kept += drawn[drawn < n].tolist()
+        kept = np.concatenate([kept, drawn[drawn < n]])
     return kept
 
 

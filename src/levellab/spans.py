@@ -43,27 +43,26 @@ raises SoundnessError.  The reduced row echelon form of a span is unique,
 so the result depends neither on the batches, the blocks or the panels,
 nor on which rows are picked as pivots.
 
-A derivative tower walks a set of degree-e generators down to degree 0,
-reducing the stacked partial derivatives of each basis in turn; each
-basis is a plain RREF int64 matrix, and their lengths, the per-degree
-dimensions, are the h-vector of the module the generators span.
-Sizes come from ``forms.ring_dim``, and ``forms.monomial_positions``
-stays the one cached monomial table: the tower keeps none.  It gathers
-the partial d/dy_v of a degree-d basis as basis[:, index[v]] mult[v],
-through a cached raising table of two nvars x dim R_{d-1} int32 arrays.
+A derivative tower walks a module's degree-e generators, read straight
+from its int64 array, down to degree 0, reducing the stacked partial
+derivatives of each basis in turn until a level is all of R_d, below which
+every level is the identity.  Each basis is a plain RREF int64 matrix, and
+their lengths are the h-vector of the module.  Sizes come from
+``forms.ring_dim``, and the tower keeps no monomial table: it gathers the
+partial d/dy_v of a degree-d basis as basis[:, index[v]] mult[v], through
+a cached raising table of two nvars x dim R_{d-1} int32 arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from typing import Sequence
+from math import comb
 
 import numpy as np
 
 from levellab.errors import HypothesisError, SoundnessError
-from levellab.forms import PRIME_LIMIT, Form, grevlex, ring_dim
+from levellab.forms import PRIME_LIMIT, ring_dim
 
 
 # Rows per batch and columns per panel, by measurement: on the matrices of
@@ -256,39 +255,36 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return len(rref_mod_p(matrix, p))
 
 
-def coefficient_matrix(forms: Sequence[Form], nvars: int, degree: int, p: int) -> np.ndarray:
-    mat = np.zeros((len(forms), ring_dim(nvars, degree)), dtype=np.int64)
-    for i, f in enumerate(forms):
-        if f.nvars != nvars or f.p != p:
-            raise ValueError("forms live in different rings")
-        if f.degree != degree:
-            raise ValueError(f"mixed degrees: expected {degree}, found {f.degree}")
-        mat[i] = f.coeffs
-    return mat
-
-
-def span_dimension(forms: Sequence[Form]) -> int:
-    """Dimension of the linear span of the given forms (all one degree)."""
-    if not forms:
-        return 0
-    first = forms[0]
-    return rank_mod_p(coefficient_matrix(forms, first.nvars, first.degree, first.p), first.p)
+def coefficient_matrix(module) -> np.ndarray:
+    """The module's read-only t x dim R_e int64 array itself, not a copy."""
+    return module.coeffs
 
 
 @lru_cache(maxsize=None)
 def _raising_table(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """nvars x dim R_{d-1} int32 arrays ``index`` and ``mult``: for y_v and
     the degree d-1 monomial m, the coordinate of y_v m among the degree-d
-    monomials and its exponent of y_v.  The degree-d monomials are walked
-    once, not kept; only a dict of the degree d-1 ones lives meanwhile."""
-    lower = {m: j for j, m in enumerate(grevlex(nvars, degree - 1))}
-    index = np.empty((nvars, len(lower)), dtype=np.int32)
-    mult = np.empty_like(index)
-    for i, mono in enumerate(grevlex(nvars, degree)):
-        for var in compress(range(nvars), mono):
-            j = lower[mono[:var] + (mono[var] - 1,) + mono[var + 1:]]
-            index[var, j], mult[var, j] = i, mono[var]
-    return index, mult
+    monomials and its exponent of y_v.  Grevlex lists a degree-d monomial
+    at dim R_d - 1 - sum_k C(c_k, k) for c_k = a_1 + ... + a_k + k - 1,
+    k = 1..nvars-1, by the combinatorial number system; so the c_k of the
+    degree d-1 monomials are read off their coordinates greedily, and y_v,
+    which raises c_k by one exactly for k > v, moves m by a running sum."""
+    size = ring_dim(nvars, degree - 1)
+    cap = ring_dim(nvars, degree)  # keeps columns exact below it, and sorted
+    choose = np.array([[min(comb(n, k), cap) for k in range(nvars)]
+                       for n in range(degree + nvars)], dtype=np.int64)
+    rest = np.arange(size - 1, -1, -1)
+    cuts = np.empty((nvars - 1, size), dtype=np.int64)
+    for k in range(nvars - 1, 0, -1):
+        cuts[k - 1] = np.searchsorted(choose[:, k], rest, side="right") - 1
+        rest -= choose[cuts[k - 1], k]
+    # y_v m sits at cap - 1 - sum_k C(c_k + 1, k) + sum_{k<=v} C(c_k, k - 1),
+    # as C(c + 1, k) - C(c, k) = C(c, k - 1)
+    k = np.arange(1, nvars)[:, None]
+    steps = np.vstack([np.zeros((1, size), np.int64), np.cumsum(choose[cuts, k - 1], axis=0)])
+    index = cap - 1 - choose[cuts + 1, k].sum(axis=0) + steps
+    exps = np.diff(cuts - k + 1, axis=0, prepend=0, append=degree - 1)
+    return index.astype(np.int32), (exps + 1).astype(np.int32)
 
 
 def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int) -> np.ndarray:
@@ -304,22 +300,20 @@ def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int) ->
     return stacked
 
 
-def derivative_spaces(generators: Sequence[Form]) -> list[np.ndarray]:
-    """Canonical bases of every graded piece of the span closed under
-    differentiation, listed by degree 0..e: for each degree d, the RREF
-    int64 rows over the degree-d monomials in grevlex order, so its
-    dimension is its length.
-
-    An empty generator list is the zero module and yields an empty list.
-    """
-    if not generators:
-        return []
-    first = generators[0]
-    nvars, e, p = first.nvars, first.degree, first.p
-    spans = [rref_mod_p(coefficient_matrix(generators, nvars, e, p), p)]
-    for degree in range(e, 0, -1):
-        # no name keeps a level's stacked matrix alive while the next is built
-        spans.append(rref_mod_p(_stacked_derivatives(spans[-1], nvars, degree, p), p))
+def derivative_spaces(module) -> list[np.ndarray]:
+    """Canonical bases of every graded piece of the span of a module's
+    generators closed under differentiation, listed by degree 0..e: for
+    each degree d, the RREF int64 rows over the degree-d monomials in
+    grevlex order, so its dimension is its length.  Below a level that is
+    all of R_d each level is the identity, neither stacked nor reduced:
+    for p > d, d/dy_v (y_v m) is a unit times m."""
+    nvars, p = module.nvars, module.p
+    spans = [rref_mod_p(coefficient_matrix(module), p)]
+    for degree in range(module.degree, 0, -1):
+        if len(spans[-1]) == ring_dim(nvars, degree):
+            spans.append(np.eye(ring_dim(nvars, degree - 1), dtype=np.int64))
+        else:
+            # no name keeps a level's stacked matrix alive while the next is built
+            spans.append(rref_mod_p(_stacked_derivatives(spans[-1], nvars, degree, p), p))
     spans.reverse()
     return spans
-

@@ -22,7 +22,7 @@ from levellab.constructions import (
 from levellab.errors import HypothesisError
 from levellab.forms import DEFAULT_PRIME
 from levellab.macaulay import binomial
-from levellab.modules import InverseModule, h_vector
+from levellab.modules import InverseModule, h_vector, module_to_text
 from levellab.seeds import derive_seed
 
 
@@ -43,10 +43,8 @@ def test_sum_of_powers_matches_expected():
             for count in range(1, 7):
                 expected = expected_h_sum_of_powers(nvars, degree, count)
                 h = best_h(
-                    lambda rng: InverseModule(
-                        nvars, degree, DEFAULT_PRIME,
-                        (sum_of_powers(nvars, degree, count, rng),)
-                    ),
+                    lambda rng: InverseModule.from_forms(
+                        [sum_of_powers(nvars, degree, count, rng)]),
                     derive_seed(101, nvars, degree, count),
                 )
                 assert h == expected, (nvars, degree, count)
@@ -183,3 +181,65 @@ def test_derive_seed_stable():
     assert derive_seed(1, "a") != derive_seed(1, "b")
     assert derive_seed(1, "a", 0) != derive_seed(1, "a", 1)
     assert 0 <= derive_seed(0) < 2 ** 64
+
+
+# (nvars, degree, type, seed, prime), the rng's next 32 bits after the
+# build, and the generator text.  Rows are drawn one after another, one
+# randrange_many each, and a zero row is drawn again: at p = 2 and r = 1
+# seed 3 draws two zero rows first.
+FROZEN_DRAWS = [
+    ((1, 1, 1, 0, 2), 3255389356,
+     "ring r=1 e=1\n"
+     "y1\n"
+    ),
+    ((1, 1, 1, 3, 2), 3933953013,
+     "ring r=1 e=1\n"
+     "y1\n"
+    ),
+    ((2, 1, 2, 4, 2), 2056767043,
+     "ring r=2 e=1\n"
+     "y2\n"
+     "y2\n"
+    ),
+    ((3, 2, 2, 1, 3), 2095328386,
+     "ring r=3 e=2\n"
+     "2*y1*y2 + y1*y3 + y3^2\n"
+     "y1^2 + y1*y2 + 2*y2^2 + y1*y3\n"
+    ),
+    ((4, 3, 3, 7, 101), 2658625969,
+     "ring r=4 e=3\n"
+     "41*y1^3 + 19*y1^2*y2 + 50*y1*y2^2 + 83*y2^3 + 6*y1^2*y3 + 9*y1*y2*y3"
+     " + 68*y2^2*y3 + 12*y1*y3^2 + 46*y2*y3^2 + 74*y3^3 + 7*y1^2*y4"
+     " + 64*y1*y2*y4 + 27*y2^2*y4 + 4*y1*y3*y4 + 11*y2*y3*y4 + 55*y3^2*y4"
+     " + 53*y1*y4^2 + 8*y2*y4^2 + 30*y3*y4^2 + 11*y4^3\n"
+     "70*y1^3 + 54*y1^2*y2 + 7*y1*y2^2 + 72*y2^3 + 15*y1^2*y3 + 28*y1*y2*y3"
+     " + 80*y2^2*y3 + 80*y1*y3^2 + 74*y2*y3^2 + 7*y3^3 + 73*y1^2*y4"
+     " + 74*y1*y2*y4 + 50*y2^2*y4 + 6*y1*y3*y4 + 28*y2*y3*y4 + 5*y3^2*y4"
+     " + 71*y1*y4^2 + 17*y2*y4^2 + 37*y3*y4^2 + 53*y4^3\n"
+     "18*y1^3 + 69*y1^2*y2 + 15*y1*y2^2 + 73*y2^3 + 39*y1^2*y3 + 71*y1*y2*y3"
+     " + 87*y2^2*y3 + 23*y1*y3^2 + 13*y2*y3^2 + 74*y3^3 + 73*y1^2*y4"
+     " + 81*y1*y2*y4 + 24*y2^2*y4 + 47*y1*y3*y4 + 12*y2*y3*y4 + 70*y3^2*y4"
+     " + 91*y1*y4^2 + 8*y2*y4^2 + 72*y3*y4^2 + 7*y4^3\n"
+    ),
+    ((3, 4, 2, 9, DEFAULT_PRIME), 674984870,
+     "ring r=3 e=4\n"
+     "994300727*y1^4 + 1316869687*y1^3*y2 + 801681272*y1^2*y2^2"
+     " + 573666814*y1*y2^3 + 297511125*y2^4 + 399743235*y1^3*y3"
+     " + 1860927402*y1^2*y2*y3 + 1453081007*y1*y2^2*y3 + 13819176*y2^3*y3"
+     " + 726548507*y1^2*y3^2 + 1079716291*y1*y2*y3^2 + 995834408*y2^2*y3^2"
+     " + 1929080206*y1*y3^3 + 1298580838*y2*y3^3 + 173548139*y3^4\n"
+     "717311089*y1^4 + 1190286755*y1^3*y2 + 2010873343*y1^2*y2^2"
+     " + 1324245884*y1*y2^3 + 1503449659*y2^4 + 87822983*y1^3*y3"
+     " + 1563780918*y1^2*y2*y3 + 813938401*y1*y2^2*y3 + 363814224*y2^3*y3"
+     " + 1510712627*y1^2*y3^2 + 2031982178*y1*y2*y3^2 + 970707528*y2^2*y3^2"
+     " + 2042839338*y1*y3^3 + 1557066026*y2*y3^3 + 907497995*y3^4\n"
+    ),
+]
+
+
+@pytest.mark.parametrize("shape, after, text", FROZEN_DRAWS)
+def test_compressed_draws_are_frozen(shape, after, text):
+    nvars, degree, count, seed, p = shape
+    rng = random.Random(seed)
+    assert module_to_text(compressed_generic_module(nvars, degree, count, rng, p)) == text
+    assert rng.getrandbits(32) == after

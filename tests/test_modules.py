@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from levellab.errors import (
@@ -26,29 +27,68 @@ from levellab.modules import (
 
 
 def make_module(texts, nvars, p=DEFAULT_PRIME):
-    forms = [parse_form(t, nvars, p) for t in texts]
-    return InverseModule(nvars, forms[0].degree, p, tuple(forms))
+    return InverseModule.from_forms([parse_form(t, nvars, p) for t in texts])
 
 
 def random_module(nvars, degree, count, rng, p=DEFAULT_PRIME):
-    return InverseModule(
-        nvars, degree, p, tuple(random_form(nvars, degree, rng, p) for _ in range(count))
-    )
+    return InverseModule.from_forms([random_form(nvars, degree, rng, p) for _ in range(count)])
 
 
 def test_module_validation():
     with pytest.raises(ValueError):
-        InverseModule(2, 2, DEFAULT_PRIME, ())
+        InverseModule.from_forms(())
     quadric = parse_form("y1^2", 2)
     cubic = parse_form("y1^3", 2)
     with pytest.raises(ValueError):
-        InverseModule(2, 2, DEFAULT_PRIME, (quadric, cubic))
+        InverseModule.from_forms((quadric, cubic))
     with pytest.raises(ValueError):
-        InverseModule(2, 2, DEFAULT_PRIME, (parse_form("0", 2, expected_degree=2),))
+        InverseModule.from_forms((parse_form("0", 2, expected_degree=2),))
     # at p <= e the derivative multipliers vanish; above 2^31 int64 overflows
     for p in (5, 7, 4294967291):
         with pytest.raises(HypothesisError, match=f"prime {p} "):
-            InverseModule(2, 7, p, (parse_form("y1^7", 2, p),))
+            InverseModule.from_forms((parse_form("y1^7", 2, p),))
+
+
+@pytest.mark.parametrize("rows, match", [
+    (np.zeros((0, 3), dtype=np.int64), "shape"),
+    ([[1, 2]], "shape"),
+    ([1, 2, 3], "shape"),
+    ([[1, 2, 3], [0, 0, 0]], "zero forms"),
+    ([[1, 2, -1]], "out of range"),
+    ([[1, 2, 7]], "out of range"),
+])
+def test_module_array_is_checked_at_construction(rows, match):
+    with pytest.raises(ValueError, match=match):
+        InverseModule(2, 2, 7, rows)
+
+
+def test_module_array_is_read_only():
+    from levellab.spans import coefficient_matrix
+
+    rows = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
+    view = rows[0]
+    module = InverseModule(2, 2, 7, rows)
+    for array in (module.coeffs, coefficient_matrix(module)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 5
+    # the module keeps its own copy: the caller's array and its views
+    # still write, and the module does not change
+    view[0] = 6
+    rows[1] = 0
+    assert module.coeffs.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert module_to_text(module) == ("ring r=2 e=2\ny1^2 + 2*y1*y2 + 3*y2^2\n"
+                                      "4*y1^2 + 5*y1*y2 + 6*y2^2\n")
+
+
+def test_module_equality_reads_ring_prime_seed_and_array():
+    module = make_module(["y1^2 + y2^2", "y1*y2"], 2)
+    same = make_module(["y1^2 + y2^2", "y1*y2"], 2)
+    assert module == same
+    assert module != make_module(["y1^2 + y2^2", "2*y1*y2"], 2)
+    assert module != make_module(["y1^2 + y2^2", "y1*y2"], 2, p=101)
+    assert module != same.with_seed(3)
+    assert module.with_seed(3) == same.with_seed(3)
+    assert module != module_to_text(module)
 
 
 def test_h_vector_frozen_examples():
@@ -75,7 +115,7 @@ def test_h_vector_profile_consistency():
 def test_dependent_generators_reported():
     f = parse_form("y1^2 + y2^2", 2)
     five_f = Form(2, 2, DEFAULT_PRIME, tuple(5 * c for c in f.coeffs))
-    module = InverseModule(2, 2, DEFAULT_PRIME, (f, five_f))
+    module = InverseModule.from_forms((f, five_f))
     assert type_of(module) == 1
     assert not is_level_presentation(module)
     with pytest.raises(DependentGeneratorsError) as exc:
@@ -94,9 +134,9 @@ def test_is_gorenstein():
     from levellab.constructions import sum_of_powers
 
     form = sum_of_powers(3, 5, 5, rng)
-    profile = h_vector(InverseModule(3, 5, DEFAULT_PRIME, (form,)))
+    profile = h_vector(InverseModule.from_forms((form,)))
     assert profile.h == (1, 3, 5, 5, 3, 1)
-    assert is_gorenstein(InverseModule(3, 5, DEFAULT_PRIME, (form,)))
+    assert is_gorenstein(InverseModule.from_forms((form,)))
 
 
 def test_is_gorenstein_reads_the_span_not_the_presentation():
@@ -105,14 +145,14 @@ def test_is_gorenstein_reads_the_span_not_the_presentation():
     five_f = Form(3, 4, DEFAULT_PRIME, tuple(5 * c for c in f.coeffs))
     f_plus_g = Form(3, 4, DEFAULT_PRIME, tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
     # a dependent presentation of a principal span is still Gorenstein
-    assert is_gorenstein(InverseModule(3, 4, DEFAULT_PRIME, (f, five_f)))
+    assert is_gorenstein(InverseModule.from_forms((f, five_f)))
     # a dependent presentation of a type-2 span is not
-    assert not is_gorenstein(InverseModule(3, 4, DEFAULT_PRIME, (f, g, f_plus_g)))
+    assert not is_gorenstein(InverseModule.from_forms((f, g, f_plus_g)))
 
 
 def test_is_gorenstein_refuses_an_asymmetric_principal_tower(monkeypatch):
     monkeypatch.setattr("levellab.modules.derivative_spaces",
-                        lambda forms: [[0] * d for d in (1, 3, 2, 1)])
+                        lambda module: [[0] * d for d in (1, 3, 2, 1)])
     module = make_module(["y1^3 + y2^3 + y3^3"], 3)
     with pytest.raises(SoundnessError, match="asymmetric"):
         is_gorenstein(module)
@@ -128,7 +168,7 @@ def test_common_derivative_dims_same_form():
     from levellab.spans import derivative_spaces
 
     f = parse_form("y1^2*y2 + y2^3", 3)
-    dims = tuple(map(len, derivative_spaces([f])))
+    dims = tuple(map(len, derivative_spaces(InverseModule.from_forms([f]))))
     assert common_derivative_dims(f, f) == dims
 
 
@@ -139,8 +179,8 @@ def test_common_derivative_dims_bounds():
     for _ in range(10):
         f = random_form(3, 4, rng)
         g = random_form(3, 4, rng)
-        dims_f = list(map(len, derivative_spaces([f])))
-        dims_g = list(map(len, derivative_spaces([g])))
+        dims_f = list(map(len, derivative_spaces(InverseModule.from_forms([f]))))
+        dims_g = list(map(len, derivative_spaces(InverseModule.from_forms([g]))))
         common = common_derivative_dims(f, g)
         for c, a, b in zip(common, dims_f, dims_g):
             assert 0 <= c <= min(a, b)

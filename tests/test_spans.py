@@ -11,6 +11,7 @@ reads in many batches and leaves early once they reach full column rank.
 import inspect
 import random
 import tracemalloc
+from itertools import compress
 from random import Random
 
 import numpy as np
@@ -19,17 +20,16 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from levellab import spans
-from levellab.constructions import compressed_generic_module
+from levellab.constructions import compressed_generic_module, sum_of_powers
 from levellab.errors import HypothesisError, SoundnessError
-from levellab.forms import DEFAULT_PRIME, Form, parse_form, random_form, ring_dim
+from levellab.forms import DEFAULT_PRIME, Form, grevlex, parse_form, random_form, ring_dim
 from levellab.macaulay import binomial
-from levellab.modules import h_vector
+from levellab.modules import InverseModule, h_vector, type_of
 from levellab.spans import (
     _BATCH,
     derivative_spaces,
     rank_mod_p,
     rref_mod_p,
-    span_dimension,
 )
 
 
@@ -43,6 +43,10 @@ def reference_derivative(f, var):
             lowered[var] -= 1
             items.append((tuple(lowered), coeff * mono[var]))
     return Form.from_terms(f.nvars, f.degree - 1, items, f.p)
+
+
+def tower(forms):
+    return derivative_spaces(InverseModule.from_forms(forms))
 
 
 def scaled(f, c):
@@ -132,6 +136,11 @@ def test_rref_is_canonical_for_the_row_space():
         assert np.array_equal(rref_mod_p(recombined, p), reduced)
 
 
+def span_dimension(forms):
+    """Dimension of the span of forms of one ring and degree."""
+    return type_of(InverseModule.from_forms(forms))
+
+
 def test_span_dimension_basics():
     rng = random.Random(31)
     quadrics = [random_form(3, 2, rng) for _ in range(3)]
@@ -139,8 +148,10 @@ def test_span_dimension_basics():
     assert span_dimension(quadrics + [quadrics[0]]) == 3
     doubled = quadrics + [scaled(quadrics[1], 7)]
     assert span_dimension(doubled) == 3
-    assert span_dimension([]) == 0
-    assert span_dimension([Form(3, 2, DEFAULT_PRIME, (0,) * 6)]) == 0
+    # a module has a nonzero generator: no form, or a zero form, is refused
+    for forms in ([], [Form(3, 2, DEFAULT_PRIME, (0,) * 6)]):
+        with pytest.raises(ValueError):
+            InverseModule.from_forms(forms)
 
 
 def test_span_dimension_rejects_mixed_degrees():
@@ -162,20 +173,20 @@ def test_span_dimension_invariant_under_scaling_and_order():
 
 def test_tower_of_three_fourth_powers():
     f = parse_form("y1^4 + y2^4 + y3^4", 3)
-    dims = tuple(map(len, derivative_spaces([f])))
+    dims = tuple(map(len, tower([f])))
     assert dims == (1, 3, 3, 3, 1)
 
 
 def test_tower_of_monomial_product():
     f = parse_form("y1*y2*y3", 3)
-    dims = tuple(map(len, derivative_spaces([f])))
+    dims = tuple(map(len, tower([f])))
     assert dims == (1, 3, 3, 1)
 
 
 def test_tower_of_generic_quartics():
     rng = random.Random(41)
     gens = [random_form(3, 4, rng) for _ in range(4)]
-    dims = tuple(map(len, derivative_spaces(gens)))
+    dims = tuple(map(len, tower(gens)))
     assert dims == (1, 3, 6, 10, 4)
 
 
@@ -186,7 +197,7 @@ def test_tower_dims_respect_ring_and_derivative_caps():
         degree = rng.randint(1, 4)
         count = rng.randint(1, 3)
         gens = [random_form(nvars, degree, rng) for _ in range(count)]
-        spans = derivative_spaces(gens)
+        spans = tower(gens)
         assert len(spans) == degree + 1
         for j, basis in enumerate(spans):
             assert basis.shape[1] == ring_dim(nvars, j)
@@ -198,17 +209,18 @@ def test_tower_dims_respect_ring_and_derivative_caps():
 
 
 def test_tower_empty_generators():
-    assert derivative_spaces([]) == []
+    # a module needs a generator, so no tower starts from an empty list
+    with pytest.raises(ValueError, match="at least one generator"):
+        tower([])
 
 
 def test_basis_forms_regenerate_the_same_span():
     rng = random.Random(47)
     gens = [random_form(3, 3, rng) for _ in range(2)]
-    spans = derivative_spaces(gens)
+    spans = tower(gens)
     quadric_basis = [Form(3, 2, DEFAULT_PRIME, tuple(row)) for row in spans[2].tolist()]
     assert span_dimension(quadric_basis) == len(spans[2])
-    regenerated = derivative_spaces([Form(3, 3, DEFAULT_PRIME, tuple(row))
-                                     for row in spans[3].tolist()])
+    regenerated = tower([Form(3, 3, DEFAULT_PRIME, tuple(row)) for row in spans[3].tolist()])
     assert list(map(len, regenerated)) == list(map(len, spans))
 
 
@@ -219,7 +231,7 @@ def test_stacked_derivatives_match_the_reference_derivative(p):
         nvars = rng.randint(1, 4)
         degree = rng.randint(1, 5)
         gens = [random_form(nvars, degree, rng, p) for _ in range(rng.randint(1, 4))]
-        for d, basis in enumerate(derivative_spaces(gens)[1:], start=1):
+        for d, basis in enumerate(tower(gens)[1:], start=1):
             stacked = spans._stacked_derivatives(basis, nvars, d, p)
             dim = len(basis)
             assert stacked.shape == (nvars * dim, ring_dim(nvars, d - 1))
@@ -234,9 +246,10 @@ def test_a_tower_pins_no_monomial_table():
     # warm what towers share across rings (the prime check, code objects),
     # then run one in a ring no other test uses.  Once its module is
     # dropped, nothing forms.py allocated stays alive, and the only new
-    # arrays are the raising tables of degrees 3, 2 and 1.  Exponent tuples
-    # of 20 or more entries skip CPython's tuple free lists, which would
-    # keep freed ones traced.  The slack covers array and cache headers.
+    # arrays are the raising tables of degrees 3 and 2: level 1 is all of
+    # R_1, so the tower stops there.  Exponent tuples of 20 or more entries
+    # skip CPython's tuple free lists, which would keep freed ones traced.
+    # The slack covers array and cache headers.
     h_vector(compressed_generic_module(20, 3, 2, Random(3)))
     tracemalloc.start()
     try:
@@ -250,17 +263,44 @@ def test_a_tower_pins_no_monomial_table():
     grown = {stat.traceback[0].filename: stat.size_diff
              for stat in after.compare_to(before, "filename") if stat.size_diff > 0}
     assert grown.get(inspect.getfile(Form), 0) == 0
-    tables = sum(array.nbytes for d in (1, 2, 3) for array in spans._raising_table(21, d))
+    tables = sum(array.nbytes for d in (2, 3) for array in spans._raising_table(21, d))
     assert tables <= grown[spans.__file__] < tables + 8192
+
+
+def reference_raising_table(nvars, degree):
+    """The raising table by a walk over every degree-d monomial and each
+    variable it contains: the oracle for the binomial ranks."""
+    lower = {m: j for j, m in enumerate(grevlex(nvars, degree - 1))}
+    index = np.empty((nvars, len(lower)), dtype=np.int32)
+    mult = np.empty_like(index)
+    for i, mono in enumerate(grevlex(nvars, degree)):
+        for var in compress(range(nvars), mono):
+            j = lower[mono[:var] + (mono[var] - 1,) + mono[var + 1:]]
+            index[var, j], mult[var, j] = i, mono[var]
+    return index, mult
+
+
+@pytest.mark.parametrize("nvars", range(1, 13))
+def test_raising_table_matches_the_monomial_walk(nvars):
+    for degree in range(1, 6):
+        got = spans._raising_table(nvars, degree)
+        for a, b in zip(got, reference_raising_table(nvars, degree)):
+            assert a.dtype == b.dtype and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+    # few variables and a high degree, where the binomials grow largest
+    for a, b in zip(spans._raising_table(2, 300), reference_raising_table(2, 300)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_rational_dims_see_characteristic():
     # y1^q + y2^q with tiny prime q: over F_q all first partials vanish,
-    # so the tower loses everything below the top degree
+    # which is why a module's prime must exceed its degree
     q = 5
     f = Form.from_terms(2, q, [((q, 0), 1), ((0, q), 1)], p=q)
-    dims_p = tuple(map(len, derivative_spaces([f])))
-    assert dims_p == (0,) * q + (1,)
+    stacked = spans._stacked_derivatives(np.array([f.coeffs]), 2, q, q)
+    assert stacked.shape == (2, q) and not stacked.any()
+    with pytest.raises(HypothesisError, match=f"prime {q} "):
+        InverseModule.from_forms([f])
 
 
 # ------------------------------------------------------------ blocked kernel
@@ -344,10 +384,10 @@ def test_towers_match_reference_kernel(monkeypatch):
     # an r = 18 cubic tower and an r = 16 Gorenstein quartic tower
     cases = [compressed_generic_module(18, 3, 18, Random(83)),
              compressed_generic_module(16, 4, 1, Random(89))]
-    blocked = [derivative_spaces(list(m.generators)) for m in cases]
+    blocked = [derivative_spaces(m) for m in cases]
     monkeypatch.setattr(spans, "rref_mod_p", reference_rref)
     for module, got in zip(cases, blocked):
-        want = derivative_spaces(list(module.generators))
+        want = derivative_spaces(module)
         assert list(map(len, got)) == list(map(len, want))
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
@@ -359,6 +399,57 @@ def test_towers_match_reference_kernel(monkeypatch):
 # ------------------------------------------------------------- early exit
 
 EXIT_PRIMES = (101, 65537, DEFAULT_PRIME)
+
+
+def full_reduction(module):
+    """Every level of the tower stacked and reduced by ``reference_rref``,
+    with no stop at a full level."""
+    p = module.p
+    levels = [reference_rref(module.coeffs, p)]
+    for degree in range(module.degree, 0, -1):
+        stacked = spans._stacked_derivatives(levels[-1], module.nvars, degree, p)
+        levels.append(reference_rref(stacked, p))
+    return levels[::-1]
+
+
+def first_full(levels, nvars):
+    """The highest degree whose level is all of R_d, or None."""
+    full = [d for d in range(1, len(levels)) if len(levels[d]) == ring_dim(nvars, d)]
+    return max(full, default=None)
+
+
+# (nvars, degree, builder, the highest full level): compressed modules full
+# at the top and in the middle, and sums of few powers, full nowhere
+STOP_CASES = [
+    (3, 2, lambda rng, p: compressed_generic_module(3, 2, 6, rng, p), 2),
+    (4, 3, lambda rng, p: compressed_generic_module(4, 3, 20, rng, p), 3),
+    (6, 3, lambda rng, p: compressed_generic_module(6, 3, 6, rng, p), 2),
+    (5, 4, lambda rng, p: compressed_generic_module(5, 4, 2, rng, p), 2),
+    (4, 3, lambda rng, p: InverseModule.from_forms([sum_of_powers(4, 3, 2, rng, p)]), None),
+    (5, 4, lambda rng, p: InverseModule.from_forms([sum_of_powers(5, 4, 3, rng, p)]), None),
+]
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES + ("next",))
+@pytest.mark.parametrize("nvars, degree, build, full", STOP_CASES)
+def test_full_level_stop_matches_the_full_reduction(monkeypatch, p, nvars, degree, build, full):
+    p = {2: 3, 3: 5, 4: 5}[degree] if p == "next" else p  # the smallest prime above e
+    rng = Random(nvars * 100 + degree)
+    while True:
+        # small primes make a draw degenerate now and then: draw again
+        module = build(rng, p)
+        want = full_reduction(module)
+        if first_full(want, nvars) == full:
+            break
+    built = []
+    table = spans._raising_table
+    monkeypatch.setattr(spans, "_raising_table",
+                        lambda nvars, d: built.append(d) or table(nvars, d))
+    got = derivative_spaces(module)
+    assert [a.dtype for a in got] == [np.dtype(np.int64)] * (degree + 1)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    # no raising table is read at or below a full level
+    assert built == list(range(degree, full or 0, -1))
 
 
 def reference_schedule(matrix, p):
