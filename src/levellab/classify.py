@@ -12,6 +12,7 @@ import json
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from random import Random
 
 from levellab.constructions import (
@@ -19,14 +20,12 @@ from levellab.constructions import (
     expected_h_augment,
     expected_h_compressed,
     expected_h_powers_partition,
-    expected_h_sum_of_powers,
     add_new_variable_power,
     augment_with_powers,
     compressed_generic_module,
     greedy_partition,
     maximal_profile,
     powers_partition_module,
-    sum_of_powers,
 )
 from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
 from levellab.forms import DEFAULT_PRIME, check_prime, check_ring
@@ -207,14 +206,9 @@ def expected_h_for_recipe(recipe: dict) -> HVector:
     It is also an entrywise upper bound on the h-vector of the recipe's
     module over any field; see :func:`char0_certified`."""
     kind = recipe["kind"]
-    if kind == "sum_of_powers":
-        return expected_h_sum_of_powers(
-            recipe["nvars"], recipe["degree"], recipe["count"]
-        )
-    if kind == "powers_partition":
-        return expected_h_powers_partition(
-            recipe["nvars"], recipe["degree"], tuple(recipe["parts"])
-        )
+    if kind in ("sum_of_powers", "powers_partition"):  # a sum of m powers is the partition (m)
+        parts = recipe["parts"] if kind == "powers_partition" else [recipe["count"]]
+        return expected_h_powers_partition(recipe["nvars"], recipe["degree"], tuple(parts))
     if kind == "compressed":
         return expected_h_compressed(recipe["nvars"], recipe["degree"], recipe["count"])
     if kind == "truncate":
@@ -268,13 +262,9 @@ def build_recipe(recipe: dict, rng: Random, p: int = DEFAULT_PRIME) -> InverseMo
     """Materialize a recipe; the rng is consumed in a fixed order, so a
     seeded Random reproduces the module exactly."""
     kind = recipe["kind"]
-    if kind == "sum_of_powers":
-        form = sum_of_powers(recipe["nvars"], recipe["degree"], recipe["count"], rng, p)
-        return InverseModule.from_forms([form])
-    if kind == "powers_partition":
-        return powers_partition_module(
-            recipe["nvars"], recipe["degree"], tuple(recipe["parts"]), rng, p
-        )
+    if kind in ("sum_of_powers", "powers_partition"):  # a sum of m powers is the partition (m)
+        parts = recipe["parts"] if kind == "powers_partition" else [recipe["count"]]
+        return powers_partition_module(recipe["nvars"], recipe["degree"], tuple(parts), rng, p)
     if kind == "compressed":
         return compressed_generic_module(
             recipe["nvars"], recipe["degree"], recipe["count"], rng, p
@@ -361,14 +351,16 @@ def recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
     else:
         nvars, degree = recipe["nvars"], recipe["degree"]
     parts = recipe.get("parts", [])
-    counts = [*parts, len(parts), recipe.get("count", 0)]
     if nvars > r:
         raise ValueError(f"{kind} names {nvars} variables, more than the ring's {r}")
     if degree > 2 * e + 2:
         raise ValueError(f"{kind} has degree {degree}, above 2e + 2 = {2 * e + 2}")
     cap = check_ring(nvars, degree)
-    if any(count > cap for count in counts):
-        raise ValueError(f"{kind} counts {counts} exceed dim R_{degree} = {cap}")
+    counts = chain(parts, (len(parts), recipe.get("count", 0)))
+    over = next((count for count in counts if count > cap), None)
+    if over is not None:  # name the first only: a partition may have many parts
+        raise ValueError(f"{kind} counts exceed dim R_{degree} = {cap}: first {over}, "
+                         f"of {len(parts)} parts")
     return nvars, degree
 
 
@@ -393,8 +385,10 @@ def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
 
     Non-level verdicts re-check necessary conditions; level verdicts carry
     either an exact criterion or a construction certificate whose replay
-    reproduces the ranks.  The result is monotone in the budget: verdicts
-    reached at a smaller budget are never revoked at a larger one.  It
+    reproduces the ranks.  The verdict is monotone in the budget: a level
+    verdict reached at a smaller budget is never revoked at a larger one,
+    since a larger budget only adds trials.  Its certificate may change,
+    because an earlier recipe can win with the added trials.  The result
     depends only on the input, the seed, the prime and the budget.
     """
     budget = budget or Budget()

@@ -14,13 +14,7 @@ from levellab.bounds import (
     prev_entry_range,
 )
 from levellab.classify import Budget, Status, build_recipe, classify, recipe_size
-from levellab.constructions import (
-    DEFAULT_TRIALS,
-    augment_with_powers,
-    maximal_profile,
-    realize_socle2,
-    realize_socle3_partition,
-)
+from levellab.constructions import DEFAULT_TRIALS, augment_with_powers, maximal_profile
 from levellab.errors import HypothesisError, LevelLabError
 from levellab.forms import DEFAULT_PRIME, check_prime
 from levellab.macaulay import (
@@ -246,7 +240,7 @@ def _cmd_si(args, out) -> int:
 
 def _cmd_construct(args, out) -> int:
     """Refuse a family by the recipe size rule before any draw, then keep
-    the best of its trials."""
+    the best of its recipe's trials."""
     family, extra, p = args.family, list(args.args), args.prime
 
     def need(count: int) -> list[int]:
@@ -260,25 +254,26 @@ def _cmd_construct(args, out) -> int:
         r, e, count = need(3)
         kind = "sum_of_powers" if family == "powers" else "compressed"
         recipe = {"kind": kind, "nvars": r, "degree": e, "count": count}
-        builder = lambda rng: build_recipe(recipe, rng, p)
     elif family == "socle2":
         (r, t), e = need(2), 2
         cap = binomial(r + 1, 2)
-        if t > cap:  # realize_socle2's refusal, before a list of t parts is made
+        if t > cap:  # before a list of t parts is made
             raise HypothesisError(f"socle degree 2 type must be in 1..{cap}, got {t}")
         recipe = {"kind": "powers_partition", "nvars": r, "degree": e, "parts": [r] * t}
-        builder = lambda rng: realize_socle2(r, t, rng, p)
     else:
         (r,), e = need(1), 3
         if args.parts is None:
             raise ValueError("socle3 needs --parts, e.g. --parts 3,3,2")
         recipe = {"kind": "powers_partition", "nvars": r, "degree": e,
                   "parts": list(args.parts)}
-        builder = lambda rng: realize_socle3_partition(r, args.parts, rng, p)
 
     recipe_size(recipe, r, e)
-    module, _ = maximal_profile(builder, derive_seed(args.seed, "construct", family),
-                                args.trials)
+    # after the size rule, which bounds the parts this refusal prints
+    if family == "socle3" and not all(1 <= m <= r for m in args.parts):
+        raise HypothesisError(f"socle degree 3 parts must be nonempty with entries "
+                              f"in 1..{r}, got {args.parts}")
+    module, _ = maximal_profile(lambda rng: build_recipe(recipe, rng, p),
+                                derive_seed(args.seed, "construct", family), args.trials)
     _print_module(module, out)
     return EXIT_OK
 

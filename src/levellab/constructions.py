@@ -9,9 +9,10 @@ prediction is how certificates get verified.
 The predictions rest on two classical facts about sums of powers of
 general linear forms: a single sum of m e-th powers spans
 min(m, dim R_j, dim R_{e-j}) in each degree j, and adjoining such a sum to
-a level module adds the two towers degreewise, capped by the ring.
-Iterating the second fact over a partition (m_1, ..., m_t) predicts the
-whole family used by the socle degree 2 and 3 realizations.
+a level module adds the two towers degreewise, capped by the ring.  One
+formula applies the second fact over a partition (m_1, ..., m_t); a sum of
+m powers is the partition (m), and the socle degree 2 and 3 realizations
+are partition recipes (``levellab construct socle2`` and ``socle3``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from levellab.errors import DependentGeneratorsError, HypothesisError
 import numpy as np
 
 from levellab.forms import DEFAULT_PRIME, Form, random_form, randrange_many, ring_dim
-from levellab.macaulay import HVector, binomial
+from levellab.macaulay import HVector
 from levellab.modules import HProfile, InverseModule, h_vector, type_of
 from levellab.seeds import derive_seed
 
@@ -47,17 +48,27 @@ def sum_of_powers(nvars: int, degree: int, count: int, rng: Random,
     return Form(nvars, degree, p, tuple(c % p for c in total))
 
 
+def _add_power_sums(h: tuple[int, ...], nvars: int, parts) -> HVector:
+    """h'_j = min(h_j + sum_i min(m_i, dim R_j, dim R_{e-j}), dim R_j) for
+    j = 1..e, with e = len(h) - 1: the generic h-vector after adjoining one
+    sum of m_i e-th powers per part to a level module with h-vector h."""
+    e = len(h) - 1
+    return HVector((1,) + tuple(
+        min(h[j] + sum(min(m, ring_dim(nvars, j), ring_dim(nvars, e - j)) for m in parts),
+            ring_dim(nvars, j))
+        for j in range(1, e + 1)))
+
+
 def expected_h_sum_of_powers(nvars: int, degree: int, count: int) -> HVector:
     """Generic h-vector of a sum of ``count`` e-th powers:
     h_j = min(count, dim R_j, dim R_{e-j})."""
-    return HVector((1,) + tuple(min(count, ring_dim(nvars, j), ring_dim(nvars, degree - j))
-                                for j in range(1, degree + 1)))
+    return expected_h_powers_partition(nvars, degree, (count,))
 
 
 def powers_partition_module(nvars: int, degree: int, parts: tuple[int, ...], rng: Random,
                             p: int = DEFAULT_PRIME) -> InverseModule:
     """One generator per part, the i-th a sum of parts[i] e-th powers of
-    random linear forms."""
+    random linear forms, drawn in order."""
     if not parts:
         raise ValueError("partition must have at least one part")
     if any(m < 1 for m in parts):
@@ -68,13 +79,8 @@ def powers_partition_module(nvars: int, degree: int, parts: tuple[int, ...], rng
 def expected_h_powers_partition(nvars: int, degree: int, parts: tuple[int, ...]) -> HVector:
     """Generic h-vector of a partition module: degreewise sums of the
     single-generator profiles, capped by the ring dimension."""
-    entries = [1]
-    for j in range(1, degree + 1):
-        contribution = sum(
-            min(m, ring_dim(nvars, j), ring_dim(nvars, degree - j)) for m in parts
-        )
-        entries.append(min(contribution, ring_dim(nvars, j)))
-    return HVector(entries)
+    # a plain tuple: HVector trims trailing zeros, so it refuses a zero base
+    return _add_power_sums((0,) * (degree + 1), nvars, parts)
 
 
 def greedy_partition(total: int, count: int, cap: int) -> tuple[int, ...]:
@@ -93,27 +99,6 @@ def greedy_partition(total: int, count: int, cap: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def realize_socle2(nvars: int, count: int, rng: Random,
-                   p: int = DEFAULT_PRIME) -> InverseModule:
-    """Level module with h-vector (1, r, count): ``count`` quadric
-    generators, each a sum of r general squares."""
-    cap = binomial(nvars + 1, 2)
-    if not 1 <= count <= cap:
-        raise HypothesisError(f"socle degree 2 type must be in 1..{cap}, got {count}")
-    return powers_partition_module(nvars, 2, (nvars,) * count, rng, p)
-
-
-def realize_socle3_partition(nvars: int, parts: tuple[int, ...], rng: Random,
-                             p: int = DEFAULT_PRIME) -> InverseModule:
-    """Level module with h-vector (1, min(b, r), min(b, dim R_2), t) for
-    b = sum(parts): cubic generators, the i-th a sum of parts[i] cubes."""
-    if not parts or any(not 1 <= m <= nvars for m in parts):
-        raise HypothesisError(
-            f"socle degree 3 parts must be nonempty with entries in 1..{nvars}, got {parts}"
-        )
-    return powers_partition_module(nvars, 3, tuple(parts), rng, p)
-
-
 def augment_with_powers(module: InverseModule, count: int, rng: Random) -> InverseModule:
     """Adjoin one generator, a sum of ``count`` general e-th powers."""
     room = ring_dim(module.nvars, module.degree) - type_of(module)
@@ -129,10 +114,7 @@ def augment_with_powers(module: InverseModule, count: int, rng: Random) -> Inver
 def expected_h_augment(h: HVector, nvars: int, count: int) -> HVector:
     """Generic h-vector after adjoining a sum of ``count`` powers to a
     level module with h-vector h: degreewise sum capped by the ring."""
-    e = h.socle_degree
-    addend = expected_h_sum_of_powers(nvars, e, count)
-    return HVector((1,) + tuple(min(h[j] + addend[j], ring_dim(nvars, j))
-                                for j in range(1, e + 1)))
+    return _add_power_sums(h.entries, nvars, (count,))
 
 
 def add_new_variable_power(module: InverseModule) -> InverseModule:
@@ -181,25 +163,26 @@ def maximal_profile(builder, master_seed: int,
     entrywise-largest h-vector over independent trials is the generic one;
     ties between incomparable profiles break deterministically by entry
     sum and then lexicographic order.  ``builder`` takes a Random and
-    returns an InverseModule.
+    returns an InverseModule; the winner is returned with its trial's seed.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    best: tuple[InverseModule, HProfile] | None = None
+    best: tuple[InverseModule, HProfile, int] | None = None
     for k in range(trials):
         seed = derive_seed(master_seed, "trial", k)
-        module = builder(Random(seed)).with_seed(seed)
+        module = builder(Random(seed))
         try:
             profile = h_vector(module)
         except DependentGeneratorsError:
             continue
         if best is None or _profile_rank(profile) > _profile_rank(best[1]):
-            best = (module, profile)
+            best = (module, profile, seed)
     if best is None:
         raise DependentGeneratorsError(
             f"all {trials} trials drew dependent generators", presented=0, rank=0
         )
-    return best
+    module, profile, seed = best
+    return module.with_seed(seed), profile
 
 
 def _profile_rank(profile: HProfile) -> tuple[int, tuple[int, ...]]:

@@ -13,7 +13,7 @@ generator in the form grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Sequence
 
@@ -88,12 +88,10 @@ class InverseModule:
 
 @dataclass(frozen=True)
 class HProfile:
-    """Computed Hilbert function of a module, with its provenance."""
+    """Computed Hilbert function of a module; the module carries its prime
+    and seed."""
 
     h: HVector
-    _: KW_ONLY
-    prime: int
-    seed: int | None = None
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -126,7 +124,7 @@ def h_vector(module: InverseModule) -> HProfile:
             presented=presented,
             rank=dims[-1],
         )
-    return HProfile(HVector(dims), prime=module.p, seed=module.seed)
+    return HProfile(HVector(dims))
 
 
 def is_gorenstein(module: InverseModule) -> bool:

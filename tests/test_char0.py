@@ -37,6 +37,15 @@ def power_sum(nvars, degree, count, rng, p):
     return sympy.expand(total)
 
 
+def grevlex_monomials(nvars, degree):
+    """The degree-``degree`` monomials in y1 > ... > yr, descending grevlex:
+    the one whose last differing exponent is smaller comes first."""
+    exponents = [tuple(c.count(i) for i in range(nvars))
+                 for c in combinations_with_replacement(range(nvars), degree)]
+    return [sympy.Mul(*(y ** k for y, k in zip(Y, m)))
+            for m in sorted(exponents, key=lambda m: m[::-1])]
+
+
 def lifted(recipe, rng, p):
     """(generators over Z, nvars, degree) of a recipe, drawn like the
     construction draws them."""
@@ -47,6 +56,12 @@ def lifted(recipe, rng, p):
     if kind == "powers_partition":
         nvars, degree = recipe["nvars"], recipe["degree"]
         return [power_sum(nvars, degree, m, rng, p) for m in recipe["parts"]], nvars, degree
+    if kind == "compressed":
+        # one residue per monomial, row by row; draw_linear redraws a zero row
+        nvars, degree = recipe["nvars"], recipe["degree"]
+        monomials = grevlex_monomials(nvars, degree)
+        return [sum(c * m for c, m in zip(draw_linear(len(monomials), rng, p), monomials))
+                for _ in range(recipe["count"])], nvars, degree
     if kind == "add_variable":
         gens, nvars, degree = lifted(recipe["base"], rng, p)
         return gens + [Y[nvars] ** degree], nvars + 1, degree
@@ -92,6 +107,8 @@ SMALL_RECIPES = [
     {"kind": "powers_partition", "nvars": 2, "degree": 3, "parts": [2, 1]},
     {"kind": "powers_partition", "nvars": 3, "degree": 3, "parts": [3, 1]},
     {"kind": "powers_partition", "nvars": 3, "degree": 4, "parts": [3, 3, 3]},
+    {"kind": "compressed", "nvars": 2, "degree": 4, "count": 2},
+    {"kind": "compressed", "nvars": 3, "degree": 3, "count": 3},
     {"kind": "add_variable",
      "base": {"kind": "sum_of_powers", "nvars": 2, "degree": 3, "count": 2}},
     {"kind": "add_variable",
@@ -105,7 +122,8 @@ def test_rational_ranks_of_the_lift_meet_the_bound(recipe):
         assert_oracle_agrees(recipe, seed, DEFAULT_PRIME)
 
 
-@pytest.mark.parametrize("text", ["1,4,4,4,1", "1,4,5,4,1", "1,3,4,2", "1,3,6,9,3"])
+@pytest.mark.parametrize("text", ["1,4,4,4,1", "1,4,5,4,1", "1,3,4,2", "1,3,6,9,3",
+                                  "1,4,10,8,2"])
 def test_classify_certificates_hold_over_q(text):
     cert = classify(HVector.parse(text)).certificate
     assert cert.characteristic == "char-0-verified"

@@ -92,6 +92,78 @@ def test_construct_is_deterministic():
     assert third != first
 
 
+# Every family's stdout at --seed 9: any change to what a family draws, or
+# in which order, shows here.
+FROZEN_CONSTRUCT = [
+    (["powers", "3", "5", "5", "--seed", "9"],
+     "# h: 1,3,5,5,3,1\n"
+     "# seed: 12935857645263839508\n"
+     "ring r=3 e=5\n"
+     "1479208763*y1^5 + 1712452145*y1^4*y2 + 173595156*y1^3*y2^2"
+     " + 490166549*y1^2*y2^3 + 564007463*y1*y2^4 + 1158044390*y2^5"
+     " + 293833346*y1^4*y3 + 1487029254*y1^3*y2*y3 + 769269906*y1^2*y2^2*y3"
+     " + 951321557*y1*y2^3*y3 + 1096744365*y2^4*y3 + 1006873490*y1^3*y3^2"
+     " + 1450391064*y1^2*y2*y3^2 + 1629208786*y1*y2^2*y3^2"
+     " + 1315245275*y2^3*y3^2 + 2093050671*y1^2*y3^3 + 206887699*y1*y2*y3^3"
+     " + 1128648242*y2^2*y3^3 + 424307013*y1*y3^4 + 1332892590*y2*y3^4"
+     " + 1806547623*y3^5\n"
+    ),
+    (["compressed", "2", "3", "2", "--seed", "9"],
+     "# h: 1,2,3,2\n"
+     "# seed: 7835513308047264237\n"
+     "ring r=2 e=3\n"
+     "1488577976*y1^3 + 1457471475*y1^2*y2 + 1715006291*y1*y2^2"
+     " + 1079541384*y2^3\n"
+     "337612200*y1^3 + 311407738*y1^2*y2 + 2136606868*y1*y2^2"
+     " + 1981575042*y2^3\n"
+    ),
+    (["socle2", "3", "4", "--seed", "9"],
+     "# h: 1,3,4\n"
+     "# seed: 750400037937446319\n"
+     "ring r=3 e=2\n"
+     "974754578*y1^2 + 653558306*y1*y2 + 340243130*y2^2 + 737363767*y1*y3"
+     " + 1251206911*y2*y3 + 732612370*y3^2\n"
+     "93356072*y1^2 + 109722817*y1*y2 + 317244107*y2^2 + 176604633*y1*y3"
+     " + 110223787*y2*y3 + 1863506515*y3^2\n"
+     "1952826140*y1^2 + 2043065224*y1*y2 + 1168277633*y2^2 + 1730462725*y1*y3"
+     " + 1517974140*y2*y3 + 1357231278*y3^2\n"
+     "1605305478*y1^2 + 1733158361*y1*y2 + 1285815435*y2^2 + 551853860*y1*y3"
+     " + 2141306302*y2*y3 + 791599156*y3^2\n"
+    ),
+    (["socle3", "3", "--parts", "3,2", "--seed", "9"],
+     "# h: 1,3,5,2\n"
+     "# seed: 13002037647471662259\n"
+     "ring r=3 e=3\n"
+     "1284027198*y1^3 + 502897622*y1^2*y2 + 898144660*y1*y2^2"
+     " + 1620256538*y2^3 + 350673755*y1^2*y3 + 19231131*y1*y2*y3"
+     " + 709246963*y2^2*y3 + 924188541*y1*y3^2 + 396101976*y2*y3^2"
+     " + 1304024487*y3^3\n"
+     "1597529655*y1^3 + 1060661338*y1^2*y2 + 1280687259*y1*y2^2"
+     " + 1713361614*y2^3 + 1453888298*y1^2*y3 + 2121607380*y1*y2*y3"
+     " + 1086859373*y2^2*y3 + 797756297*y1*y3^2 + 808936363*y2*y3^2"
+     " + 1266679752*y3^3\n"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text", FROZEN_CONSTRUCT, ids=[a[0] for a, _ in FROZEN_CONSTRUCT])
+def test_construct_output_is_frozen(argv, text):
+    assert run(["construct", *argv]) == (0, text)
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (["socle2", "3", "7"], "hypothesis: socle degree 2 type must be in 1..6, got 7"),
+    (["socle3", "3", "--parts", "4"],
+     "hypothesis: socle degree 3 parts must be nonempty with entries in 1..3, got (4,)"),
+    (["socle3", "3", "--parts", "2,0"],
+     "hypothesis: socle degree 3 parts must be nonempty with entries in 1..3, got (2, 0)"),
+    (["socle3", "3"], "value: socle3 needs --parts, e.g. --parts 3,3,2"),
+])
+def test_construct_refuses_a_family_outside_its_hypothesis(capsys, argv, fault):
+    assert run(["construct", *argv]) == (1, "")
+    assert capsys.readouterr().err == f"error: {fault}\n"
+
+
 def test_file_pipeline(tmp_path):
     module_file = str(tmp_path / "module.txt")
     code, text = run(["construct", "socle3", "3", "--parts", "3,3"])

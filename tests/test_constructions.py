@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from levellab.classify import build_recipe
 from levellab.constructions import (
     add_new_variable_power,
     augment_with_powers,
@@ -15,12 +16,10 @@ from levellab.constructions import (
     greedy_partition,
     maximal_profile,
     powers_partition_module,
-    realize_socle2,
-    realize_socle3_partition,
     sum_of_powers,
 )
 from levellab.errors import HypothesisError
-from levellab.forms import DEFAULT_PRIME
+from levellab.forms import DEFAULT_PRIME, ring_dim
 from levellab.macaulay import binomial
 from levellab.modules import InverseModule, h_vector, module_to_text
 from levellab.seeds import derive_seed
@@ -76,6 +75,12 @@ def test_partition_module_random_agreement():
         assert h == expected, (nvars, degree, parts)
 
 
+@pytest.mark.parametrize("parts", [(), (0,), (3, -1)])
+def test_partition_module_refuses_an_empty_or_nonpositive_partition(parts):
+    with pytest.raises(ValueError):
+        powers_partition_module(3, 3, parts, random.Random(0))
+
+
 def test_greedy_partition():
     assert greedy_partition(6, 2, 3) == (3, 3)
     assert greedy_partition(7, 3, 3) == (3, 3, 1)
@@ -87,26 +92,15 @@ def test_greedy_partition():
         greedy_partition(1, 2, 3)
 
 
-def test_realize_socle2():
-    h = best_h(lambda rng: realize_socle2(7, 25, rng), 13)
-    assert h == (1, 7, 25)
-    h = best_h(lambda rng: realize_socle2(2, 1, rng), 13)
-    assert h == (1, 2, 1)
-    with pytest.raises(HypothesisError):
-        realize_socle2(3, 7, random.Random(0))  # C(4,2)=6 quadrics at most
-    with pytest.raises(HypothesisError):
-        realize_socle2(3, 0, random.Random(0))
-
-
-def test_realize_socle3():
-    h = best_h(lambda rng: realize_socle3_partition(3, (3, 3), rng), 17)
-    assert h == (1, 3, 6, 2)
-    h = best_h(lambda rng: realize_socle3_partition(3, (3, 2), rng), 17)
-    assert h == (1, 3, 5, 2)
-    with pytest.raises(HypothesisError):
-        realize_socle3_partition(3, (4,), random.Random(0))
-    with pytest.raises(HypothesisError):
-        realize_socle3_partition(3, (), random.Random(0))
+@pytest.mark.parametrize("r, e, parts, seed, h", [
+    (7, 2, [7] * 25, 13, (1, 7, 25)),  # socle degree 2: t sums of r squares
+    (2, 2, [2], 13, (1, 2, 1)),
+    (3, 3, [3, 3], 17, (1, 3, 6, 2)),  # socle degree 3: one sum of cubes per part
+    (3, 3, [3, 2], 17, (1, 3, 5, 2)),
+])
+def test_socle2_and_socle3_partition_recipes(r, e, parts, seed, h):
+    recipe = {"kind": "powers_partition", "nvars": r, "degree": e, "parts": parts}
+    assert best_h(lambda rng: build_recipe(recipe, rng), seed) == h
 
 
 def test_augment_frozen():
@@ -142,7 +136,7 @@ def test_augment_random_agreement():
 
 def test_augment_room_check():
     rng = random.Random(37)
-    module = realize_socle2(2, 3, rng)  # all C(3,2)=3 quadrics used up
+    module = powers_partition_module(2, 2, (2, 2, 2), rng)  # all C(3,2)=3 quadrics used up
     with pytest.raises(HypothesisError):
         augment_with_powers(module, 1, rng)
 
@@ -173,7 +167,51 @@ def test_maximal_profile_deterministic():
     assert first[1].dims == second[1].dims
     assert first[0].generators == second[0].generators
     assert first[0].seed == second[0].seed
-    assert first[1].seed == first[0].seed
+    assert first[0].seed in {derive_seed(47, "trial", k) for k in range(5)}
+
+
+# Each power-sum bound as its own closed form, for reference.
+def reference_sum_of_powers(nvars, degree, count):
+    return (1,) + tuple(min(count, ring_dim(nvars, j), ring_dim(nvars, degree - j))
+                        for j in range(1, degree + 1))
+
+
+def reference_powers_partition(nvars, degree, parts):
+    return (1,) + tuple(
+        min(sum(min(m, ring_dim(nvars, j), ring_dim(nvars, degree - j)) for m in parts),
+            ring_dim(nvars, j))
+        for j in range(1, degree + 1))
+
+
+def reference_augment(h, nvars, count):
+    e = len(h) - 1
+    addend = reference_sum_of_powers(nvars, e, count)
+    return (1,) + tuple(min(h[j] + addend[j], ring_dim(nvars, j)) for j in range(1, e + 1))
+
+
+PARTITIONS = [(m,) for m in range(1, 9)] + [(3, 3), (8, 1), (5, 5, 2), (2, 2, 2, 2), (8, 8, 8)]
+
+
+def test_one_bound_matches_the_three_closed_forms():
+    for nvars in range(1, 6):
+        for degree in range(1, 6):
+            for parts in PARTITIONS:  # parts above nvars included
+                base = expected_h_powers_partition(nvars, degree, parts)
+                assert base.entries == reference_powers_partition(nvars, degree, parts)
+                if len(parts) == 1:
+                    assert expected_h_sum_of_powers(nvars, degree, parts[0]).entries == (
+                        reference_sum_of_powers(nvars, degree, parts[0]))
+                for count in (1, 2, 5, 8):
+                    assert expected_h_augment(base, nvars, count).entries == (
+                        reference_augment(base.entries, nvars, count)), (nvars, degree, parts)
+
+
+def test_sum_of_powers_recipe_is_the_one_part_partition():
+    for m, seed, p in [(1, 0, DEFAULT_PRIME), (3, 1, 101), (5, 2, 7), (4, 3, DEFAULT_PRIME)]:
+        single = {"kind": "sum_of_powers", "nvars": 3, "degree": 4, "count": m}
+        one_part = {"kind": "powers_partition", "nvars": 3, "degree": 4, "parts": [m]}
+        assert module_to_text(build_recipe(single, random.Random(seed), p)) == (
+            module_to_text(build_recipe(one_part, random.Random(seed), p)))
 
 
 def test_derive_seed_stable():

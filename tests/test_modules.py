@@ -1,6 +1,7 @@
 """Tests for inverse system modules and generator files."""
 
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -109,7 +110,8 @@ def test_h_vector_profile_consistency():
         profile = h_vector(module)
         assert profile.dims == tuple(profile.h)
         assert profile.h.type == count
-        assert profile.prime == DEFAULT_PRIME
+        # the module, not its profile, carries the prime and seed
+        assert [f.name for f in fields(profile)] == ["h"]
 
 
 def test_dependent_generators_reported():

@@ -406,6 +406,14 @@ def test_recipe_counts_above_the_ring_dimension_refused(kind, field, value):
         store_verify(record)
 
 
+def test_refusal_of_a_long_partition_names_its_first_count_only():
+    record = corpus_record_of_kind("powers_partition")
+    record["recipe"]["parts"] = [1] * 10**5
+    with pytest.raises(VerificationError, match="exceed dim R_") as caught:
+        store_verify(record)
+    assert len(str(caught.value)) < 200
+
+
 @functools.lru_cache(maxsize=None)
 def fresh_records() -> tuple[dict, ...]:
     vectors = ("1,3,6,9,3", "1,3,4,2", "1,4,4,4,1", "1,3,3,3,1", "1,3,6,10,3", "1,5,4,5")
