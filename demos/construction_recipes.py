@@ -26,8 +26,8 @@ def main() -> None:
     # One generator that is a sum of m general e-th powers.  The computed
     # h-vector matches the entrywise min formula exactly.
     for m in (2, 5, 9):
-        builder = lambda rng: InverseModule.from_forms(
-            [sum_of_powers(3, 4, m, rng, DEFAULT_PRIME)])
+        builder = lambda rng: InverseModule(
+            3, 4, DEFAULT_PRIME, [sum_of_powers(3, 4, m, rng, DEFAULT_PRIME)])
         _, profile = maximal_profile(builder, m)
         print(f"sum of {m} fourth powers in 3 variables: h = ({profile.h}), "
               f"formula ({expected_h_sum_of_powers(3, 4, m)})")

@@ -10,6 +10,7 @@ Run: python3 demos/inverse_systems.py
 from random import Random
 
 from levellab import (
+    DEFAULT_PRIME,
     InverseModule,
     common_derivative_dims,
     generic_subquotient,
@@ -24,30 +25,28 @@ from levellab import (
 
 def main() -> None:
     # A monomial with all three variables: the complete intersection shape.
-    f = parse_form("y1*y2*y3", nvars=3, expected_degree=3)
-    module = InverseModule.from_forms([f])
+    # A form parses to its coefficient row over the cubic monomials.
+    f = parse_form("y1*y2*y3", nvars=3, degree=3)
+    module = InverseModule(3, 3, DEFAULT_PRIME, [f])
     profile = h_vector(module)
     print(f"y1*y2*y3 generates h = ({profile.h}), "
           f"Gorenstein: {is_gorenstein(module)}")
 
     # Three pure powers: the derivative spans stay 3-dimensional all the
     # way down, so the h-vector is flat.
-    g = parse_form("y1^4 + y2^4 + y3^4", nvars=3, expected_degree=4)
-    module = InverseModule.from_forms([g])
+    g = parse_form("y1^4 + y2^4 + y3^4", nvars=3, degree=4)
+    module = InverseModule(3, 4, DEFAULT_PRIME, [g])
     print(f"y1^4+y2^4+y3^4 generates h = ({h_vector(module).h})")
 
     # Two generators of the same degree make a type 2 module.
-    pair = InverseModule.from_forms([
-        parse_form("y1^3 + y2^3", nvars=3, expected_degree=3),
-        parse_form("y2*y3^2", nvars=3, expected_degree=3),
-    ])
+    pair = module_from_text("ring r=3 e=3\ny1^3 + y2^3\ny2*y3^2\n")
     profile = h_vector(pair)
     print(f"two cubics generate h = ({profile.h}), type {profile.h.type}")
 
     # A generic combination of the two generators presents a type 1
     # quotient; its h-vector sits above the pair floor computed from the
     # common derivative dimensions of the generators.
-    dims = common_derivative_dims(*pair.generators)
+    dims = common_derivative_dims(pair)
     quotient = generic_subquotient(pair, 1, Random(0))
     print(f"common derivative dimensions: {dims}")
     print(f"generic type 1 quotient: h = ({h_vector(quotient).h}), "

@@ -307,7 +307,9 @@ def _direct_recipes(h: HVector) -> list[dict]:
         except (ValueError, HypothesisError):
             return
         if expected == h:
-            tag = recipe_tag(recipe)
+            parts = recipe.get("parts", ())  # the partition (m) builds a sum of m powers
+            tag = recipe_tag(recipe if len(parts) != 1 else {
+                "kind": "sum_of_powers", "nvars": r, "degree": e, "count": parts[0]})
             if tag not in seen:
                 seen.add(tag)
                 out.append(recipe)

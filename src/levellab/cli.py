@@ -242,6 +242,8 @@ def _cmd_construct(args, out) -> int:
     """Refuse a family by the recipe size rule before any draw, then keep
     the best of its recipe's trials."""
     family, extra, p = args.family, list(args.args), args.prime
+    if args.parts is not None and family != "socle3":
+        raise ValueError(f"--parts applies to socle3 only, not {family}")
 
     def need(count: int) -> list[int]:
         if len(extra) != count:

@@ -24,7 +24,7 @@ from random import Random
 from levellab.errors import DependentGeneratorsError, HypothesisError
 import numpy as np
 
-from levellab.forms import DEFAULT_PRIME, Form, random_form, randrange_many, ring_dim
+from levellab.forms import DEFAULT_PRIME, random_form, randrange_many, ring_dim
 from levellab.macaulay import HVector
 from levellab.modules import HProfile, InverseModule, h_vector, type_of
 from levellab.seeds import derive_seed
@@ -35,9 +35,9 @@ DEFAULT_TRIALS = 5
 
 
 def sum_of_powers(nvars: int, degree: int, count: int, rng: Random,
-                  p: int = DEFAULT_PRIME) -> Form:
-    """Sum of ``count`` e-th powers of independent random linear forms.
-    The coefficients are added as Python ints and reduced once."""
+                  p: int = DEFAULT_PRIME) -> np.ndarray:
+    """The int64 row of a sum of ``count`` e-th powers of independent random
+    linear forms, drawn in order, added as Python ints and reduced once."""
     if count < 1:
         raise ValueError(f"need at least one power, got {count}")
     if degree < 1:
@@ -45,7 +45,10 @@ def sum_of_powers(nvars: int, degree: int, count: int, rng: Random,
     total = [0] * ring_dim(nvars, degree)
     for _ in range(count):
         total = list(map(add, total, (random_form(nvars, 1, rng, p) ** degree).coeffs))
-    return Form(nvars, degree, p, tuple(c % p for c in total))
+    row = np.array([c % p for c in total], dtype=np.int64)
+    if not row.any():  # a degenerate draw, like dependent generators
+        raise DependentGeneratorsError(f"{count} powers of degree {degree} cancel mod {p}")
+    return row
 
 
 def _add_power_sums(h: tuple[int, ...], nvars: int, parts) -> HVector:
@@ -73,7 +76,8 @@ def powers_partition_module(nvars: int, degree: int, parts: tuple[int, ...], rng
         raise ValueError("partition must have at least one part")
     if any(m < 1 for m in parts):
         raise ValueError(f"parts must be positive, got {parts}")
-    return InverseModule.from_forms([sum_of_powers(nvars, degree, m, rng, p) for m in parts])
+    rows = [sum_of_powers(nvars, degree, m, rng, p) for m in parts]
+    return InverseModule(nvars, degree, p, rows)
 
 
 def expected_h_powers_partition(nvars: int, degree: int, parts: tuple[int, ...]) -> HVector:
@@ -108,7 +112,7 @@ def augment_with_powers(module: InverseModule, count: int, rng: Random) -> Inver
             f"(ring dimension minus current type), got {count}"
         )
     extra = sum_of_powers(module.nvars, module.degree, count, rng, module.p)
-    return replace(module, coeffs=np.vstack([module.coeffs, [extra.coeffs]]))
+    return replace(module, coeffs=np.vstack([module.coeffs, extra]))
 
 
 def expected_h_augment(h: HVector, nvars: int, count: int) -> HVector:
@@ -163,15 +167,16 @@ def maximal_profile(builder, master_seed: int,
     entrywise-largest h-vector over independent trials is the generic one;
     ties between incomparable profiles break deterministically by entry
     sum and then lexicographic order.  ``builder`` takes a Random and
-    returns an InverseModule; the winner is returned with its trial's seed.
+    returns an InverseModule, or raises DependentGeneratorsError on a
+    degenerate draw; the winner is returned with its trial's seed.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     best: tuple[InverseModule, HProfile, int] | None = None
     for k in range(trials):
         seed = derive_seed(master_seed, "trial", k)
-        module = builder(Random(seed))
         try:
+            module = builder(Random(seed))
             profile = h_vector(module)
         except DependentGeneratorsError:
             continue

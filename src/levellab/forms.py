@@ -1,15 +1,15 @@
-"""Homogeneous forms over a prime field: dense coefficients, products, text.
+"""Homogeneous forms over a prime field: coefficient rows, text, powers.
 
 Forms live in a divided-power style polynomial ring k[y1..yr] on which the
 dual ring acts by partial differentiation (``levellab.spans`` differentiates
-whole coefficient matrices at once).  A form of degree d stores one
+whole coefficient matrices at once).  A form of degree d is a row of one
 residue modulo a prime p, a plain integer in [0, p-1], for every monomial
 of degree d, zeros included, in descending graded reverse lexicographic
 order (grevlex); that order fixes every coefficient array and every
-printed and serialized representation.  ``Form`` serves text and powers;
-modules keep their generators as int64 arrays.  ``monomial_positions`` is
-the one cached monomial table, read by terms, products and text; the
-derivative tower reads partials through ``levellab.spans`` instead.
+printed and serialized representation.  Text becomes int64 rows and back
+by binomial ranks and one cached tuple of monomial strings per ring.
+``Form`` only computes the powers of linear forms that constructions sum;
+``monomial_positions`` serves only its products.
 
 The default prime 2^31 - 1 keeps products inside 64-bit integers so the
 elimination kernel can vectorize; any prime larger than the degrees in
@@ -19,14 +19,13 @@ play gives the same generic answers.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb
 from operator import add, sub
 from random import Random
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -127,16 +126,15 @@ def check_ring(nvars: int, degree: int) -> int:
 
 @lru_cache(maxsize=None)
 def monomial_positions(nvars: int, degree: int) -> Mapping[Monomial, int]:
-    """Coordinates by monomial, keyed in grevlex order: a ring's one cached
-    table, which makes printed forms and stored certificates reproducible
-    byte for byte."""
+    """Coordinates by monomial, keyed in grevlex order: the exponent table
+    that ``Form`` products and ``Form.terms`` read."""
     ring_dim(nvars, degree)
     return {m: i for i, m in enumerate(grevlex(nvars, degree))}
 
 
 @dataclass(frozen=True, eq=True)
 class Form:
-    """A homogeneous polynomial with coefficients in F_p.
+    """A homogeneous polynomial over F_p, kept only for powers of linear forms.
 
     ``coeffs`` holds one residue in [0, p) per monomial of the degree, in
     descending grevlex order.  The degree is carried explicitly so the zero
@@ -154,20 +152,6 @@ class Form:
             raise ValueError(f"{len(self.coeffs)} coefficients for {size} monomials")
         if not 0 <= min(self.coeffs) <= max(self.coeffs) < self.p:
             raise ValueError(f"coefficients out of range for p={self.p}")
-
-    @classmethod
-    def from_terms(
-        cls, nvars: int, degree: int, items: Iterable[tuple[Monomial, int]], p: int = DEFAULT_PRIME
-    ) -> "Form":
-        """Sum (monomial, coefficient) pairs; every monomial must have
-        ``nvars`` exponents summing to ``degree``."""
-        order = monomial_positions(nvars, degree)
-        coeffs = [0] * len(order)
-        for mono, coeff in items:
-            if mono not in order:
-                raise ValueError(f"{mono} is not a degree-{degree} monomial in {nvars} variables")
-            coeffs[order[mono]] += coeff
-        return cls(nvars, degree, p, tuple(c % p for c in coeffs))
 
     @property
     def terms(self) -> dict[Monomial, int]:
@@ -200,12 +184,6 @@ class Form:
             base = base * base
             e >>= 1
         return result
-
-    def __str__(self) -> str:
-        return format_form(self)
-
-    def __repr__(self) -> str:
-        return f"Form({self.nvars} vars, deg {self.degree}, {format_form(self)})"
 
 
 def random_form(nvars: int, degree: int, rng: Random, p: int = DEFAULT_PRIME) -> Form:
@@ -244,23 +222,22 @@ def randrange_many(rng: Random, n: int, count: int) -> np.ndarray:
 # ------------------------------------------------------------------ text
 
 
-def format_monomial(mono: Monomial) -> str:
-    parts = []
-    for var, exp in enumerate(mono):
-        if exp == 0:
-            continue
-        parts.append(f"y{var + 1}" if exp == 1 else f"y{var + 1}^{exp}")
-    return "*".join(parts)
+@lru_cache(maxsize=None)
+def _monomial_strings(nvars: int, degree: int) -> tuple[str, ...]:
+    """The text of every degree-``degree`` monomial in grevlex order, like
+    ``y1^2*y3``, and ``""`` for the constant: the one table printing keeps."""
+    return tuple("*".join(f"y{var}" if a == 1 else f"y{var}^{a}"
+                          for var, a in enumerate(mono, start=1) if a)
+                 for mono in grevlex(nvars, degree))
 
 
-def format_form(form: Form) -> str:
-    """Canonical text: terms in descending grevlex, coefficients as plain
-    residues, unit coefficients omitted.  ``parse_form`` inverts this."""
+def format_form(nvars: int, degree: int, row) -> str:
+    """Canonical text of a coefficient row: terms in descending grevlex,
+    plain residues, unit coefficients omitted; ``parse_form`` inverts it."""
     parts = []
-    for mono, coeff in zip(monomial_positions(form.nvars, form.degree), form.coeffs):
+    for body, coeff in zip(_monomial_strings(nvars, degree), row, strict=True):
         if not coeff:
             continue
-        body = format_monomial(mono)
         if not body:
             parts.append(str(coeff))
         elif coeff == 1:
@@ -268,6 +245,14 @@ def format_form(form: Form) -> str:
         else:
             parts.append(f"{coeff}*{body}")
     return " + ".join(parts) or "0"
+
+
+def _grevlex_rank(exps: Sequence[int], size: int) -> int:
+    """The grevlex coordinate of the monomial with exponents ``exps`` among
+    the ``size`` of its degree: size - 1 - sum_k C(a_1 + ... + a_k + k - 1, k),
+    k = 1..r-1, the combinatorial number system ``levellab.spans`` reads."""
+    sums = accumulate(exps[:-1])  # a_1 + ... + a_k for k = 1..r-1
+    return size - 1 - sum(comb(s + k - 1, k) for k, s in enumerate(sums, start=1))
 
 
 # One term and the sign before it.  Groups: 1 the sign, 2 the term, 3 its
@@ -287,18 +272,20 @@ def _integer(match: re.Match, group: int) -> int:
         raise ParseError("integer too long to convert", position=match.start(group)) from None
 
 
-def parse_form(
-    text: str, nvars: int, p: int = DEFAULT_PRIME, expected_degree: int | None = None
-) -> Form:
-    """Parse one form from text like ``y1^4 + 3*y2^3*y3``: ``[sign] term
-    (sign term)*`` with ``term := int | [int '*'] factor ('*' factor)*``,
-    ``factor := y<i>[^<e>]``, signs + and -, and whitespace around operators
-    and at both ends.  Repeated variables add their exponents.  Terms with a
-    nonzero coefficient share one degree, ``expected_degree`` if given, and
-    text with none (like ``0``) is the zero form of that degree.  A
-    ParseError gives the offset where the text leaves the grammar, or names
-    a ring too large for ``check_ring``."""
-    terms, degree, pos = [], expected_degree, 0
+def parse_form(text: str, nvars: int, degree: int, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """Parse one degree-``degree`` form from text like ``y1^4 + 3*y2^3*y3``
+    into its int64 coefficient row: ``[sign] term (sign term)*`` with
+    ``term := int | [int '*'] factor ('*' factor)*``, ``factor :=
+    y<i>[^<e>]``, signs + and -, and whitespace around operators and at
+    both ends.  Repeated variables add their exponents.  Every term with a
+    nonzero coefficient mod p has the given degree, and text with none
+    (like ``0``) is the zero row.  A ParseError names a ring too large for
+    ``check_ring``, or gives the offset where the text leaves the grammar."""
+    try:
+        size = check_ring(nvars, degree)
+    except ValueError as exc:
+        raise ParseError(str(exc), position=0) from None
+    coeffs, pos = [0] * size, 0
     while pos < len(text) or not pos:  # empty text still reads one term
         term = _TERM.match(text, pos)
         if pos and not term[1]:
@@ -307,25 +294,18 @@ def parse_form(
             raise ParseError("expected a term", position=term.start(2))
         if term[5]:
             raise ParseError("expected a variable after '*'", position=term.end(5))
-        exps = Counter()  # a bare integer's factor span (-1, -1) reads as empty
+        exps = [0] * nvars  # a bare integer's factor span (-1, -1) reads as empty
         for factor in _FACTOR.finditer(text, *term.span(4)):
             var = _integer(factor, 1)
             if not 1 <= var <= nvars:
                 raise ParseError(f"variable y{var} out of range 1..{nvars}",
                                  position=factor.start())
-            exps[var] += _integer(factor, 2)
-        coeff, term_degree = _integer(term, 3), sum(exps.values())
+            exps[var - 1] += _integer(factor, 2)
+        coeff = _integer(term, 3)
         if coeff % p:  # a term with a zero coefficient carries no degree
-            if degree not in (None, term_degree):
-                raise ParseError(f"term of degree {term_degree} in a form of degree {degree}",
+            if sum(exps) != degree:
+                raise ParseError(f"term of degree {sum(exps)} in a form of degree {degree}",
                                  position=term.start(2))
-            degree = term_degree
-            terms.append((exps, -coeff if term[1] == "-" else coeff))
+            coeffs[_grevlex_rank(exps, size)] += -coeff if term[1] == "-" else coeff
         pos = term.end()
-    degree = degree or 0
-    try:
-        check_ring(nvars, degree)
-    except ValueError as exc:
-        raise ParseError(str(exc), position=0) from None
-    items = [(tuple(exps[v] for v in range(1, nvars + 1)), c) for exps, c in terms]
-    return Form.from_terms(nvars, degree, items, p)
+    return np.array([c % p for c in coeffs], dtype=np.int64)

@@ -1,13 +1,14 @@
 """Inverse system modules: finitely generated spans closed under differentiation.
 
-An :class:`InverseModule` is one read-only int64 array of degree-e
-generators.  Its h-vector is the tuple of per-degree span dimensions of the
-derivative tower, which is the Hilbert function of the level algebra the
-generators present (type = number of independent generators, socle degree = e).
+An :class:`InverseModule` holds degree-e generators as the rows of one
+read-only int64 array, built from rows only.  Its h-vector is the tuple of
+per-degree span dimensions of the derivative tower, which is the Hilbert
+function of the level algebra the generators present (type = number of
+independent generators, socle degree = e).
 
 Generator files are plain text: comment lines start with '#', the header
 line is ``ring r=<r> e=<e>``, and every following non-blank line is one
-generator in the form grammar.
+generator row in the form grammar of ``parse_form`` and ``format_form``.
 """
 
 from __future__ import annotations
@@ -15,14 +16,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Sequence
 
 import numpy as np
 
 from levellab.errors import DependentGeneratorsError, ParseError, SoundnessError
 from levellab.forms import (
     DEFAULT_PRIME,
-    Form,
     check_prime,
     check_ring,
     format_form,
@@ -61,21 +60,6 @@ class InverseModule:
             raise ValueError("zero forms cannot be generators")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_forms(cls, forms: Sequence[Form]) -> "InverseModule":
-        """The module generated by ``forms``, which share one ring and degree."""
-        rings = {(g.nvars, g.degree, g.p) for g in forms}
-        if len(rings) != 1:
-            raise ValueError("a module needs at least one generator, all of one ring and degree")
-        (nvars, degree, p), = rings
-        return cls(nvars, degree, p, np.array([g.coeffs for g in forms], dtype=np.int64))
-
-    @property
-    def generators(self) -> tuple[Form, ...]:
-        """The rows of ``coeffs`` as forms, for printing."""
-        return tuple(Form(self.nvars, self.degree, self.p, tuple(row))
-                     for row in self.coeffs.tolist())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, InverseModule) and self.seed == other.seed
@@ -141,12 +125,14 @@ def is_gorenstein(module: InverseModule) -> bool:
     return True
 
 
-def common_derivative_dims(f: Form, g: Form) -> tuple[int, ...]:
+def common_derivative_dims(module: InverseModule) -> tuple[int, ...]:
     """Per-degree dimensions of the intersections of the derivative spans
-    of f and g, via dim(A) + dim(B) - dim(A+B).  Forms of two rings or
-    degrees, or a zero form, raise ValueError from ``from_forms``."""
-    dims_f, dims_g, dims_fg = (map(len, derivative_spaces(InverseModule.from_forms(forms)))
-                               for forms in ([f], [g], [f, g]))
+    of a module's two generators f and g, via dim(A) + dim(B) - dim(A+B).
+    Anything but a module of two generators raises ValueError."""
+    if not isinstance(module, InverseModule) or len(module.coeffs) != 2:
+        raise ValueError("common derivative dimensions need a module of two generators")
+    dims_f, dims_g, dims_fg = (map(len, derivative_spaces(replace(module, coeffs=rows)))
+                               for rows in (module.coeffs[:1], module.coeffs[1:], module.coeffs))
     return tuple(a + b - c for a, b, c in zip(dims_f, dims_g, dims_fg))
 
 
@@ -194,7 +180,7 @@ _HEADER = re.compile(r"^ring\s+r=(\d+)\s+e=(\d+)\s*$")
 def module_to_text(module: InverseModule) -> str:
     """Serialize to the generator file format; canonical and replayable."""
     lines = [f"ring r={module.nvars} e={module.degree}"]
-    lines.extend(map(format_form, module.generators))
+    lines += (format_form(module.nvars, module.degree, row) for row in module.coeffs.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -203,7 +189,7 @@ def module_from_text(text: str, p: int = DEFAULT_PRIME) -> InverseModule:
     A header whose ring ``check_ring`` refuses is refused before any form
     is read."""
     header: tuple[int, int] | None = None
-    forms: list[Form] = []
+    rows: list[np.ndarray] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -222,11 +208,11 @@ def module_from_text(text: str, p: int = DEFAULT_PRIME) -> InverseModule:
                 raise ParseError(f"bad header: {exc}", line=lineno) from None
             continue
         try:
-            forms.append(parse_form(line, header[0], p, expected_degree=header[1]))
+            rows.append(parse_form(line, *header, p))
         except ParseError as exc:
             raise ParseError(f"bad generator: {exc}", line=lineno) from None
     if header is None:
         raise ParseError("missing 'ring r=<r> e=<e>' header", line=1)
-    if not forms:
+    if not rows:
         raise ParseError("generator file lists no generators", line=1)
-    return InverseModule.from_forms(forms)
+    return InverseModule(*header, p, rows)

@@ -101,8 +101,8 @@ def test_criterion_04_sum_of_powers_oracle():
         for e in range(1, 6):
             cap = binomial(r + e - 1, e)
             for m in range(1, cap + 1):
-                builder = lambda rng: InverseModule.from_forms(
-                    [sum_of_powers(r, e, m, rng, DEFAULT_PRIME)])
+                builder = lambda rng: InverseModule(
+                    r, e, DEFAULT_PRIME, [sum_of_powers(r, e, m, rng, DEFAULT_PRIME)])
                 _, profile = maximal_profile(builder, 1000 * r + 10 * e + m)
                 oracle = tuple(
                     min(m, binomial(r + j - 1, j), binomial(r + e - j - 1, e - j))
@@ -150,7 +150,8 @@ def test_criterion_06_gorenstein_intervals():
         result = classify(target)
         assert result.status is Status.LEVEL, b
         module, profile = maximal_profile(
-            lambda rng: InverseModule.from_forms([sum_of_powers(3, 4, b, rng, DEFAULT_PRIME)]),
+            lambda rng: InverseModule(3, 4, DEFAULT_PRIME,
+                                      [sum_of_powers(3, 4, b, rng, DEFAULT_PRIME)]),
             b)
         assert profile.h == target
         assert is_gorenstein(module)
@@ -182,7 +183,7 @@ def test_criterion_07_quotient_floors():
         floor = level_quotient_floor_ceil(profile.h, c)
         assert all(qh[i] >= floor[i] for i in range(e + 1)), (profile.h, c)
         if t == 2:
-            dims = common_derivative_dims(*module.generators)
+            dims = common_derivative_dims(module)
             pair_floor = type2_quotient_floor(profile.h, dims)
             gor = h_vector(generic_subquotient(module, 1,
                                                Random(rng.randrange(2**32)))).h

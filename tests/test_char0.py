@@ -4,20 +4,35 @@ The oracle redraws a recipe's linear forms from its seed in the same order
 as the construction, keeps them as integers (never reduced mod p), expands
 the generators with sympy and takes the rank of every tower matrix over Q
 with DomainMatrix.  ``char0_certified`` claims those ranks equal the F_p
-ranks whenever the F_p ranks meet the recipe bound.
+ranks whenever the F_p ranks meet the recipe bound.  A sweep over the
+candidate recipes of small h-vectors checks the premise of that claim mod
+p: no realized profile exceeds its recipe bound.
 """
 
-from itertools import combinations_with_replacement
+from functools import cache
+from itertools import combinations_with_replacement, product
 from random import Random
 
+import numpy as np
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from levellab.classify import build_recipe, char0_certified, classify, expected_h_for_recipe
-from levellab.forms import DEFAULT_PRIME
+from levellab.classify import (
+    build_recipe,
+    candidate_recipes,
+    char0_certified,
+    classify,
+    expected_h_for_recipe,
+    necessary_condition_violation,
+    recipe_size,
+    recipe_tag,
+)
+from levellab.errors import DependentGeneratorsError
+from levellab.forms import DEFAULT_PRIME, is_prime, ring_dim
 from levellab.macaulay import HVector
 from levellab.modules import h_vector
+from levellab.spans import derivative_spaces, rref_mod_p
 
 Y = sympy.symbols("y1:9")
 
@@ -37,13 +52,13 @@ def power_sum(nvars, degree, count, rng, p):
     return sympy.expand(total)
 
 
-def grevlex_monomials(nvars, degree):
-    """The degree-``degree`` monomials in y1 > ... > yr, descending grevlex:
-    the one whose last differing exponent is smaller comes first."""
+def grevlex_exponents(nvars, degree):
+    """The exponents of the degree-``degree`` monomials in y1 > ... > yr,
+    descending grevlex: the one whose last differing exponent is smaller
+    comes first."""
     exponents = [tuple(c.count(i) for i in range(nvars))
                  for c in combinations_with_replacement(range(nvars), degree)]
-    return [sympy.Mul(*(y ** k for y, k in zip(Y, m)))
-            for m in sorted(exponents, key=lambda m: m[::-1])]
+    return sorted(exponents, key=lambda m: m[::-1])
 
 
 def lifted(recipe, rng, p):
@@ -59,12 +74,22 @@ def lifted(recipe, rng, p):
     if kind == "compressed":
         # one residue per monomial, row by row; draw_linear redraws a zero row
         nvars, degree = recipe["nvars"], recipe["degree"]
-        monomials = grevlex_monomials(nvars, degree)
+        monomials = [sympy.Mul(*(y ** k for y, k in zip(Y, m)))
+                     for m in grevlex_exponents(nvars, degree)]
         return [sum(c * m for c, m in zip(draw_linear(len(monomials), rng, p), monomials))
                 for _ in range(recipe["count"])], nvars, degree
     if kind == "add_variable":
         gens, nvars, degree = lifted(recipe["base"], rng, p)
         return gens + [Y[nvars] ** degree], nvars + 1, degree
+    if kind == "augment":
+        gens, nvars, degree = lifted(recipe["base"], rng, p)
+        return gens + [power_sum(nvars, degree, recipe["count"], rng, p)], nvars, degree
+    if kind == "truncate":
+        # the integer derivatives of the source that reach degree ``to``
+        gens, nvars, degree = lifted(recipe["source"], rng, p)
+        orders = list(combinations_with_replacement(Y[:nvars], degree - recipe["to"]))
+        return ([sympy.diff(g, *order) if order else g for g in gens for order in orders],
+                nvars, recipe["to"])
     raise ValueError(f"the oracle does not lift {kind!r}")
 
 
@@ -90,9 +115,14 @@ def rational_ranks(gens, nvars, degree):
 def assert_oracle_agrees(recipe, seed, p):
     module = build_recipe(recipe, Random(seed), p)
     gens, nvars, degree = lifted(recipe, Random(seed), p)
-    # the lift reduces to the construction's generators
-    assert [{m: c % p for m, c in terms(g, nvars).items() if c % p} for g in gens] == [
-        f.terms for f in module.generators]
+    # the lift reduces to the construction's generators; a truncation keeps
+    # an RREF basis of the span of its derivatives, so there the spans agree
+    rows = np.array([[terms(g, nvars).get(m, 0) % p for m in grevlex_exponents(nvars, degree)]
+                     for g in gens], dtype=np.int64)
+    if "truncate" in recipe_tag(recipe):
+        assert rref_mod_p(rows, p).tolist() == rref_mod_p(module.coeffs, p).tolist()
+    else:
+        assert rows.tolist() == module.coeffs.tolist()
     ranks_p = h_vector(module).dims
     assert rational_ranks(gens, nvars, degree) == ranks_p
     assert ranks_p == tuple(expected_h_for_recipe(recipe))
@@ -113,6 +143,17 @@ SMALL_RECIPES = [
      "base": {"kind": "sum_of_powers", "nvars": 2, "degree": 3, "count": 2}},
     {"kind": "add_variable",
      "base": {"kind": "powers_partition", "nvars": 2, "degree": 4, "parts": [2, 2]}},
+    {"kind": "augment", "nvars": 2, "count": 1,
+     "base": {"kind": "sum_of_powers", "nvars": 2, "degree": 4, "count": 2}},
+    {"kind": "augment", "nvars": 3, "count": 1,
+     "base": {"kind": "powers_partition", "nvars": 3, "degree": 3, "parts": [3, 1]}},
+    {"kind": "truncate", "to": 2,
+     "source": {"kind": "sum_of_powers", "nvars": 3, "degree": 4, "count": 4}},
+    {"kind": "truncate", "to": 3,
+     "source": {"kind": "compressed", "nvars": 2, "degree": 4, "count": 2}},
+    {"kind": "add_variable",
+     "base": {"kind": "truncate", "to": 2,
+              "source": {"kind": "sum_of_powers", "nvars": 2, "degree": 4, "count": 2}}},
 ]
 
 
@@ -128,3 +169,61 @@ def test_classify_certificates_hold_over_q(text):
     cert = classify(HVector.parse(text)).certificate
     assert cert.characteristic == "char-0-verified"
     assert_oracle_agrees(cert.recipe, cert.seed, cert.prime)
+
+
+# ---------------------------------------------------------- the bound sweep
+
+
+def within_size_rule(recipe, r, e):
+    try:
+        recipe_size(recipe, r, e)
+    except ValueError:
+        return False
+    return True
+
+
+@cache
+def sweep_recipes():
+    """Every candidate recipe within the size rule of every h-vector with
+    r <= 4 and e <= 4 that passes the necessary conditions: 1,228 recipes
+    of 958 vectors, in a fixed order."""
+    recipes = []
+    for r, e in product(range(1, 5), repeat=2):
+        for tail in product(*(range(1, ring_dim(r, j) + 1) for j in range(2, e + 1))):
+            h = HVector((1, r) + tail)
+            if necessary_condition_violation(h) is None:
+                recipes += [rc for rc in candidate_recipes(h) if within_size_rule(rc, r, e)]
+    return tuple(recipes)
+
+
+def largest_degree(recipe):
+    """The largest degree a recipe builds: its truncation source's, if any."""
+    inner = recipe.get("source") or recipe.get("base")
+    return largest_degree(inner) if inner else recipe["degree"]
+
+
+def smallest_prime_above(n):
+    return next(q for q in range(n + 1, 2 * n + 2) if is_prime(q))  # Bertrand
+
+
+# Every 31st recipe covers each kind candidate_recipes emits and keeps both
+# primes near 2 s; the full sweep, which takes minutes, exceeded no bound at
+# seed 0 at either prime.
+SWEEP_STRIDE = 31
+
+
+@pytest.mark.parametrize("prime", [101, "smallest"])
+def test_strided_sweep_stays_within_the_recipe_bounds(prime):
+    recipes = sweep_recipes()[::SWEEP_STRIDE]
+    assert {recipe["kind"] for recipe in recipes} == {
+        "sum_of_powers", "powers_partition", "compressed", "truncate", "add_variable"}
+    for recipe in recipes:
+        p = prime if prime != "smallest" else smallest_prime_above(largest_degree(recipe))
+        try:
+            module = build_recipe(recipe, Random(0), p)
+        except DependentGeneratorsError:  # powers that cancel mod a small prime
+            continue
+        dims = tuple(map(len, derivative_spaces(module)))
+        bound = expected_h_for_recipe(recipe).entries
+        assert len(dims) == len(bound), (recipe, p, dims)
+        assert all(d <= b for d, b in zip(dims, bound)), (recipe, p, dims)

@@ -158,6 +158,12 @@ def test_construct_output_is_frozen(argv, text):
     (["socle3", "3", "--parts", "2,0"],
      "hypothesis: socle degree 3 parts must be nonempty with entries in 1..3, got (2, 0)"),
     (["socle3", "3"], "value: socle3 needs --parts, e.g. --parts 3,3,2"),
+    (["socle2", "2", "1", "--parts", "9,9", "--seed", "1"],
+     "value: --parts applies to socle3 only, not socle2"),
+    (["powers", "3", "4", "2", "--parts", "2"],
+     "value: --parts applies to socle3 only, not powers"),
+    (["compressed", "2", "3", "1", "--parts", "1"],
+     "value: --parts applies to socle3 only, not compressed"),
 ])
 def test_construct_refuses_a_family_outside_its_hypothesis(capsys, argv, fault):
     assert run(["construct", *argv]) == (1, "")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from levellab.errors import HypothesisError, ParseError
 from levellab.forms import (
     _BULK_DRAWS,
+    _grevlex_rank,
     DEFAULT_PRIME,
     MAX_CELLS,
     MAX_MONOMIALS,
@@ -26,12 +27,16 @@ from levellab.forms import (
     randrange_many,
     ring_dim,
 )
-from test_spans import reference_derivative
+from test_spans import form, reference_derivative
 
 
 def y(var, nvars, p=DEFAULT_PRIME):
-    mono = tuple(1 if k == var else 0 for k in range(nvars))
-    return Form.from_terms(nvars, 1, [(mono, 1)], p)
+    return Form(nvars, 1, p, tuple(int(k == var) for k in range(nvars)))
+
+
+def terms(row, nvars, degree):
+    """The nonzero coefficients of a row by monomial."""
+    return {m: c for m, c in zip(monomial_positions(nvars, degree), row.tolist()) if c}
 
 
 def test_default_prime_is_prime():
@@ -103,30 +108,25 @@ def test_form_validation():
     for residue in (7, -1):
         with pytest.raises(ValueError, match="out of range for p=7"):
             Form(2, 1, 7, (1, residue))  # residue outside [0, p)
-    with pytest.raises(ValueError, match="not a degree-2 monomial in 2 variables"):
-        Form.from_terms(2, 2, [((1, 0), 1)])  # degree mismatch
-    with pytest.raises(ValueError, match="not a degree-1 monomial in 2 variables"):
-        Form.from_terms(2, 1, [((1, 0, 0), 1)])  # wrong variable count
 
 
 def test_binomial_cube():
-    f = parse_form("y1 + y2", 2)
-    assert format_form(f**3) == "y1^3 + 3*y1^2*y2 + 3*y1*y2^2 + y2^3"
+    f = form("y1 + y2", 2, 1)
+    assert format_form(2, 3, (f**3).coeffs) == "y1^3 + 3*y1^2*y2 + 3*y1*y2^2 + y2^3"
 
 
 def test_power_of_dense_linear_form_is_dense():
-    rng = random.Random(3)
-    ell = Form.from_terms(3, 1, [((1, 0, 0), 2), ((0, 1, 0), 5), ((0, 0, 1), 7)])
+    ell = Form(3, 1, DEFAULT_PRIME, (2, 5, 7))
     quartic = ell**4
     assert len(quartic.terms) == 15
     assert quartic.degree == 4
-    assert ell**0 == Form.from_terms(3, 0, [((0, 0, 0), 1)])
+    assert ell**0 == Form(3, 0, DEFAULT_PRIME, (1,))
 
 
 def test_derivative_frozen_example():
-    f = parse_form("y1^2*y2 + y2^3", 2)
-    assert format_form(reference_derivative(f, 1)) == "y1^2 + 3*y2^2"
-    assert reference_derivative(f, 0) == parse_form("2*y1*y2", 2)
+    f = form("y1^2*y2 + y2^3", 2, 3)
+    assert format_form(2, 2, reference_derivative(f, 1).coeffs) == "y1^2 + 3*y2^2"
+    assert reference_derivative(f, 0) == form("2*y1*y2", 2, 2)
 
 
 def test_partials_commute():
@@ -171,8 +171,11 @@ def test_embedding_keeps_every_term():
         f = random_form(nvars, degree, rng)
         pad = (0,) * (wide - nvars)
         zeros = (0,) * (ring_dim(wide, degree) - len(f.coeffs))
-        assert Form(wide, degree, f.p, f.coeffs + zeros) == Form.from_terms(
-            wide, degree, [(m + pad, c) for m, c in f.terms.items()])
+        order = monomial_positions(wide, degree)
+        coeffs = [0] * len(order)
+        for m, c in f.terms.items():
+            coeffs[order[m + pad]] = c
+        assert f.coeffs + zeros == tuple(coeffs)
 
 
 def test_random_linear_form_nonzero_and_seeded():
@@ -206,24 +209,61 @@ def test_randrange_many_refuses_moduli_outside_the_range(n):
 # ------------------------------------------------------------------ text
 
 
-def test_format_parse_round_trip_random():
-    rng = random.Random(17)
-    for _ in range(40):
-        nvars = rng.randint(1, 4)
-        degree = rng.randint(0, 5)
-        f = random_form(nvars, degree, rng)
-        assert parse_form(format_form(f), nvars) == f
+# Rings at check_ring's limits: the most monomials, the degree-4 ring in 40
+# variables (4.9 of the 8.4 million cells), a high power of one variable.
+# Each costs a string table once; more of them would not keep the test fast.
+LIMIT_RINGS = [(2, MAX_MONOMIALS - 1), (40, 4), (1, 10**6)]
+
+
+@st.composite
+def rows(draw):
+    """(nvars, degree, p, row): a small ring with a dense row, or a ring
+    up to check_ring's limits with at most eight nonzero residues."""
+    p = draw(st.sampled_from([2, 7, 101, DEFAULT_PRIME]))
+    if draw(st.booleans()):
+        nvars, degree = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+        size = check_ring(nvars, degree)
+        return nvars, degree, p, draw(st.lists(st.integers(0, p - 1), min_size=size,
+                                               max_size=size))
+    nvars, degree = draw(st.sampled_from(LIMIT_RINGS))
+    size = check_ring(nvars, degree)
+    row = [0] * size
+    for at, residue in draw(st.dictionaries(st.integers(0, size - 1), st.integers(0, p - 1),
+                                            max_size=8)).items():
+        row[at] = residue
+    return nvars, degree, p, row
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows())
+def test_format_parse_round_trip_random(case):
+    nvars, degree, p, row = case
+    assert parse_form(format_form(nvars, degree, row), nvars, degree, p).tolist() == row
+
+
+def test_format_refuses_a_row_of_another_ring():
+    with pytest.raises(ValueError):
+        format_form(2, 2, [1, 0, 0, 1])
+
+
+def test_grevlex_rank_matches_the_monomial_table():
+    for r in range(1, 8):
+        for d in range(7):
+            size = ring_dim(r, d)
+            for mono, at in monomial_positions(r, d).items():
+                assert _grevlex_rank(mono, size) == at
 
 
 def test_parse_examples():
-    f = parse_form("y1^4 + 3*y2^3*y3", 3)
-    assert f.terms == {(4, 0, 0): 1, (0, 3, 1): 3}
-    assert parse_form("y2*y1*y2", 2).terms == {(1, 2): 1}
-    assert parse_form("7", 2).terms == {(0, 0): 7}
-    assert parse_form("0", 3, expected_degree=4) == Form(3, 4, DEFAULT_PRIME, (0,) * 15)
-    assert parse_form("y1 - y2", 2).terms == {(1, 0): 1, (0, 1): DEFAULT_PRIME - 1}
-    assert parse_form("  y1   +\t2*y2 ", 2).terms == {(1, 0): 1, (0, 1): 2}
-    assert parse_form("-y1", 1).terms == {(1,): DEFAULT_PRIME - 1}
+    row = parse_form("y1^4 + 3*y2^3*y3", 3, 4)
+    assert row.dtype == np.int64 and row.shape == (15,)
+    assert terms(row, 3, 4) == {(4, 0, 0): 1, (0, 3, 1): 3}
+    assert terms(parse_form("y2*y1*y2", 2, 3), 2, 3) == {(1, 2): 1}
+    assert terms(parse_form("7", 2, 0), 2, 0) == {(0, 0): 7}
+    assert parse_form("0", 3, 4).tolist() == [0] * 15
+    assert terms(parse_form("y1 - y2", 2, 1), 2, 1) == {(1, 0): 1, (0, 1): DEFAULT_PRIME - 1}
+    assert terms(parse_form("  y1   +\t2*y2 ", 2, 1), 2, 1) == {(1, 0): 1, (0, 1): 2}
+    assert terms(parse_form("-y1", 1, 1), 1, 1) == {(1,): DEFAULT_PRIME - 1}
 
 
 def test_parse_rejects_bad_text():
@@ -250,12 +290,12 @@ def test_parse_rejects_bad_text():
     ]
     for text, nvars in cases:
         with pytest.raises(ParseError):
-            parse_form(text, nvars)
+            parse_form(text, nvars, 1)
 
 
 def test_parse_error_reports_position():
     try:
-        parse_form("y1 + z2", 2)
+        parse_form("y1 + z2", 2, 1)
     except ParseError as exc:
         assert exc.position == 5
     else:
@@ -264,14 +304,14 @@ def test_parse_error_reports_position():
 
 def test_parse_degree_guard():
     with pytest.raises(ParseError):
-        parse_form("y1^2", 2, expected_degree=3)
+        parse_form("y1^2", 2, 3)
 
 
 def test_parse_refuses_a_ring_too_large_to_tabulate_at_once():
     start = time.perf_counter()
-    for text, nvars in (("y1", 4000), ("7", 10**7), ("y1^1000000", 2)):
+    for text, nvars, degree in (("y1", 4000, 1), ("7", 10**7, 0), ("y1^1000000", 2, 10**6)):
         with pytest.raises(ParseError, match="over"):
-            parse_form(text, nvars)
+            parse_form(text, nvars, degree)
     assert time.perf_counter() - start < 1
 
 
@@ -317,7 +357,4 @@ def form_texts(draw):
 @given(form_texts())
 def test_parse_grammar_property(case):
     text, (nvars, degree, p, coeffs) = case
-    want = Form(nvars, degree, p, tuple(c % p for c in coeffs.values()))
-    assert parse_form(text, nvars, p, expected_degree=degree) == want
-    if any(want.coeffs):
-        assert parse_form(text, nvars, p) == want
+    assert parse_form(text, nvars, degree, p).tolist() == [c % p for c in coeffs.values()]

@@ -1,7 +1,7 @@
 """Tests for inverse system modules and generator files."""
 
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from levellab.errors import (
     ParseError,
     SoundnessError,
 )
-from levellab.forms import DEFAULT_PRIME, Form, parse_form, random_form
+from levellab.forms import DEFAULT_PRIME, parse_form, random_form
 from levellab.modules import (
     InverseModule,
     common_derivative_dims,
@@ -27,27 +27,26 @@ from levellab.modules import (
 )
 
 
-def make_module(texts, nvars, p=DEFAULT_PRIME):
-    return InverseModule.from_forms([parse_form(t, nvars, p) for t in texts])
+def make_module(texts, nvars, degree, p=DEFAULT_PRIME):
+    return InverseModule(nvars, degree, p, [parse_form(t, nvars, degree, p) for t in texts])
 
 
 def random_module(nvars, degree, count, rng, p=DEFAULT_PRIME):
-    return InverseModule.from_forms([random_form(nvars, degree, rng, p) for _ in range(count)])
+    rows = [random_form(nvars, degree, rng, p).coeffs for _ in range(count)]
+    return InverseModule(nvars, degree, p, rows)
 
 
 def test_module_validation():
+    quadric = parse_form("y1^2", 2, 2)
+    cubic = parse_form("y1^3", 2, 3)
     with pytest.raises(ValueError):
-        InverseModule.from_forms(())
-    quadric = parse_form("y1^2", 2)
-    cubic = parse_form("y1^3", 2)
-    with pytest.raises(ValueError):
-        InverseModule.from_forms((quadric, cubic))
-    with pytest.raises(ValueError):
-        InverseModule.from_forms((parse_form("0", 2, expected_degree=2),))
+        InverseModule(2, 2, DEFAULT_PRIME, [quadric, cubic])
+    with pytest.raises(ValueError, match="zero forms"):
+        InverseModule(2, 2, DEFAULT_PRIME, [parse_form("0", 2, 2)])
     # at p <= e the derivative multipliers vanish; above 2^31 int64 overflows
     for p in (5, 7, 4294967291):
         with pytest.raises(HypothesisError, match=f"prime {p} "):
-            InverseModule.from_forms((parse_form("y1^7", 2, p),))
+            InverseModule(2, 7, p, [parse_form("y1^7", 2, 7, p)])
 
 
 @pytest.mark.parametrize("rows, match", [
@@ -82,20 +81,20 @@ def test_module_array_is_read_only():
 
 
 def test_module_equality_reads_ring_prime_seed_and_array():
-    module = make_module(["y1^2 + y2^2", "y1*y2"], 2)
-    same = make_module(["y1^2 + y2^2", "y1*y2"], 2)
+    module = make_module(["y1^2 + y2^2", "y1*y2"], 2, 2)
+    same = make_module(["y1^2 + y2^2", "y1*y2"], 2, 2)
     assert module == same
-    assert module != make_module(["y1^2 + y2^2", "2*y1*y2"], 2)
-    assert module != make_module(["y1^2 + y2^2", "y1*y2"], 2, p=101)
+    assert module != make_module(["y1^2 + y2^2", "2*y1*y2"], 2, 2)
+    assert module != make_module(["y1^2 + y2^2", "y1*y2"], 2, 2, p=101)
     assert module != same.with_seed(3)
     assert module.with_seed(3) == same.with_seed(3)
     assert module != module_to_text(module)
 
 
 def test_h_vector_frozen_examples():
-    assert h_vector(make_module(["y1*y2*y3"], 3)).h == (1, 3, 3, 1)
-    assert h_vector(make_module(["y1^4 + y2^4 + y3^4"], 3)).h == (1, 3, 3, 3, 1)
-    assert h_vector(make_module(["y1^3"], 1)).h == (1, 1, 1, 1)
+    assert h_vector(make_module(["y1*y2*y3"], 3, 3)).h == (1, 3, 3, 1)
+    assert h_vector(make_module(["y1^4 + y2^4 + y3^4"], 3, 4)).h == (1, 3, 3, 3, 1)
+    assert h_vector(make_module(["y1^3"], 1, 3)).h == (1, 1, 1, 1)
 
 
 def test_h_vector_profile_consistency():
@@ -115,9 +114,8 @@ def test_h_vector_profile_consistency():
 
 
 def test_dependent_generators_reported():
-    f = parse_form("y1^2 + y2^2", 2)
-    five_f = Form(2, 2, DEFAULT_PRIME, tuple(5 * c for c in f.coeffs))
-    module = InverseModule.from_forms((f, five_f))
+    f = parse_form("y1^2 + y2^2", 2, 2)
+    module = InverseModule(2, 2, DEFAULT_PRIME, [f, 5 * f])
     assert type_of(module) == 1
     assert not is_level_presentation(module)
     with pytest.raises(DependentGeneratorsError) as exc:
@@ -128,62 +126,61 @@ def test_dependent_generators_reported():
 
 def test_is_gorenstein():
     rng = random.Random(5)
-    single = make_module(["y1^4 + y2^4 + y3^4"], 3)
+    single = make_module(["y1^4 + y2^4 + y3^4"], 3, 4)
     assert is_gorenstein(single)
     pair = random_module(3, 3, 2, rng)
     assert not is_gorenstein(pair)
     # five general fifth powers in three variables
     from levellab.constructions import sum_of_powers
 
-    form = sum_of_powers(3, 5, 5, rng)
-    profile = h_vector(InverseModule.from_forms((form,)))
-    assert profile.h == (1, 3, 5, 5, 3, 1)
-    assert is_gorenstein(InverseModule.from_forms((form,)))
+    module = InverseModule(3, 5, DEFAULT_PRIME, [sum_of_powers(3, 5, 5, rng)])
+    assert h_vector(module).h == (1, 3, 5, 5, 3, 1)
+    assert is_gorenstein(module)
 
 
 def test_is_gorenstein_reads_the_span_not_the_presentation():
-    f = parse_form("y1^4 + y2^4 + y3^4", 3)
-    g = parse_form("y1^2*y2^2", 3)
-    five_f = Form(3, 4, DEFAULT_PRIME, tuple(5 * c for c in f.coeffs))
-    f_plus_g = Form(3, 4, DEFAULT_PRIME, tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
+    f = parse_form("y1^4 + y2^4 + y3^4", 3, 4)
+    g = parse_form("y1^2*y2^2", 3, 4)
     # a dependent presentation of a principal span is still Gorenstein
-    assert is_gorenstein(InverseModule.from_forms((f, five_f)))
+    assert is_gorenstein(InverseModule(3, 4, DEFAULT_PRIME, [f, 5 * f]))
     # a dependent presentation of a type-2 span is not
-    assert not is_gorenstein(InverseModule.from_forms((f, g, f_plus_g)))
+    assert not is_gorenstein(InverseModule(3, 4, DEFAULT_PRIME, [f, g, f + g]))
 
 
 def test_is_gorenstein_refuses_an_asymmetric_principal_tower(monkeypatch):
     monkeypatch.setattr("levellab.modules.derivative_spaces",
                         lambda module: [[0] * d for d in (1, 3, 2, 1)])
-    module = make_module(["y1^3 + y2^3 + y3^3"], 3)
+    module = make_module(["y1^3 + y2^3 + y3^3"], 3, 3)
     with pytest.raises(SoundnessError, match="asymmetric"):
         is_gorenstein(module)
 
 
 def test_common_derivative_dims_disjoint_powers():
-    f = parse_form("y1^4", 3)
-    g = parse_form("y2^4", 3)
-    assert common_derivative_dims(f, g) == (1, 0, 0, 0, 0)
+    assert common_derivative_dims(make_module(["y1^4", "y2^4"], 3, 4)) == (1, 0, 0, 0, 0)
 
 
 def test_common_derivative_dims_same_form():
-    from levellab.spans import derivative_spaces
+    f = "y1^2*y2 + y2^3"
+    dims = h_vector(make_module([f], 3, 3)).dims
+    assert common_derivative_dims(make_module([f, f], 3, 3)) == dims
 
-    f = parse_form("y1^2*y2 + y2^3", 3)
-    dims = tuple(map(len, derivative_spaces(InverseModule.from_forms([f]))))
-    assert common_derivative_dims(f, f) == dims
+
+@pytest.mark.parametrize("other", [make_module(["y1^4"], 3, 4),
+                                   make_module(["y1^4", "y2^4", "y3^4"], 3, 4),
+                                   (parse_form("y1^4", 3, 4), parse_form("y2^4", 3, 4)),
+                                   "ring r=3 e=4\ny1^4\ny2^4\n"])
+def test_common_derivative_dims_needs_a_module_of_two_generators(other):
+    with pytest.raises(ValueError, match="two generators"):
+        common_derivative_dims(other)
 
 
 def test_common_derivative_dims_bounds():
     rng = random.Random(7)
-    from levellab.spans import derivative_spaces
-
     for _ in range(10):
-        f = random_form(3, 4, rng)
-        g = random_form(3, 4, rng)
-        dims_f = list(map(len, derivative_spaces(InverseModule.from_forms([f]))))
-        dims_g = list(map(len, derivative_spaces(InverseModule.from_forms([g]))))
-        common = common_derivative_dims(f, g)
+        pair = random_module(3, 4, 2, rng)
+        dims_f, dims_g = (h_vector(replace(pair, coeffs=pair.coeffs[k:k + 1])).dims
+                          for k in (0, 1))
+        common = common_derivative_dims(pair)
         for c, a, b in zip(common, dims_f, dims_g):
             assert 0 <= c <= min(a, b)
         assert common[0] == 1
@@ -235,7 +232,7 @@ def test_truncate_level_prefix():
     for cut in range(1, 5):
         shorter = truncate_level(module, cut)
         assert h_vector(shorter).dims == full[: cut + 1]
-        assert len(shorter.generators) == full[cut]
+        assert len(shorter.coeffs) == full[cut]
     same = truncate_level(module, 4)
     assert h_vector(same).dims == full
     with pytest.raises(ValueError):
@@ -252,12 +249,12 @@ def test_module_text_round_trip():
     module = random_module(3, 3, 2, rng)
     text = module_to_text(module)
     parsed = module_from_text(text)
-    assert parsed.generators == module.generators
+    assert parsed == module
     assert module_to_text(parsed) == text
 
 
 def test_module_text_format():
-    module = make_module(["y1^2", "y1*y2 + 7*y2^2"], 2)
+    module = make_module(["y1^2", "y1*y2 + 7*y2^2"], 2, 2)
     assert module_to_text(module) == "ring r=2 e=2\ny1^2\ny1*y2 + 7*y2^2\n"
 
 
@@ -272,7 +269,7 @@ y1*y2
 """
     module = module_from_text(text)
     assert module.nvars == 2
-    assert len(module.generators) == 2
+    assert len(module.coeffs) == 2
 
 
 def test_module_from_text_errors():

@@ -10,6 +10,7 @@ reads in many batches and leaves early once they reach full column rank.
 
 import inspect
 import random
+import sys
 import tracemalloc
 from itertools import compress
 from random import Random
@@ -19,12 +20,26 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from levellab import spans
-from levellab.constructions import compressed_generic_module, sum_of_powers
+from levellab import forms, spans
+from levellab.constructions import compressed_generic_module, powers_partition_module
 from levellab.errors import HypothesisError, SoundnessError
-from levellab.forms import DEFAULT_PRIME, Form, grevlex, parse_form, random_form, ring_dim
+from levellab.forms import (
+    DEFAULT_PRIME,
+    Form,
+    grevlex,
+    monomial_positions,
+    parse_form,
+    random_form,
+    ring_dim,
+)
 from levellab.macaulay import binomial
-from levellab.modules import InverseModule, h_vector, type_of
+from levellab.modules import (
+    InverseModule,
+    h_vector,
+    module_from_text,
+    module_to_text,
+    type_of,
+)
 from levellab.spans import (
     _BATCH,
     derivative_spaces,
@@ -36,17 +51,26 @@ from levellab.spans import (
 def reference_derivative(f, var):
     """d f / d y_{var+1} of a form of degree >= 1, term by term over its
     monomials: the oracle for the tower's index-array derivatives."""
-    items = []
+    lower = monomial_positions(f.nvars, f.degree - 1)
+    coeffs = [0] * len(lower)
     for mono, coeff in f.terms.items():
         if mono[var]:
-            lowered = list(mono)
-            lowered[var] -= 1
-            items.append((tuple(lowered), coeff * mono[var]))
-    return Form.from_terms(f.nvars, f.degree - 1, items, f.p)
+            coeffs[lower[mono[:var] + (mono[var] - 1,) + mono[var + 1:]]] += coeff * mono[var]
+    return Form(f.nvars, f.degree - 1, f.p, tuple(c % f.p for c in coeffs))
+
+
+def form(text, nvars, degree, p=DEFAULT_PRIME):
+    """The ``Form`` that ``text`` names, for the reference arithmetic."""
+    return Form(nvars, degree, p, tuple(parse_form(text, nvars, degree, p).tolist()))
+
+
+def module_of(forms):
+    """The module generated by ``forms``, of the first one's ring."""
+    return InverseModule(forms[0].nvars, forms[0].degree, forms[0].p, [f.coeffs for f in forms])
 
 
 def tower(forms):
-    return derivative_spaces(InverseModule.from_forms(forms))
+    return derivative_spaces(module_of(forms))
 
 
 def scaled(f, c):
@@ -138,7 +162,7 @@ def test_rref_is_canonical_for_the_row_space():
 
 def span_dimension(forms):
     """Dimension of the span of forms of one ring and degree."""
-    return type_of(InverseModule.from_forms(forms))
+    return type_of(module_of(forms))
 
 
 def test_span_dimension_basics():
@@ -148,17 +172,15 @@ def test_span_dimension_basics():
     assert span_dimension(quadrics + [quadrics[0]]) == 3
     doubled = quadrics + [scaled(quadrics[1], 7)]
     assert span_dimension(doubled) == 3
-    # a module has a nonzero generator: no form, or a zero form, is refused
-    for forms in ([], [Form(3, 2, DEFAULT_PRIME, (0,) * 6)]):
+    # a module has a nonzero generator: no row, or a zero row, is refused
+    for rows in (np.zeros((0, 6), dtype=np.int64), [[0] * 6]):
         with pytest.raises(ValueError):
-            InverseModule.from_forms(forms)
+            InverseModule(3, 2, DEFAULT_PRIME, rows)
 
 
 def test_span_dimension_rejects_mixed_degrees():
-    f = parse_form("y1^2", 2)
-    g = parse_form("y1^3", 2)
     with pytest.raises(ValueError):
-        span_dimension([f, g])
+        span_dimension([form("y1^2", 2, 2), form("y1^3", 2, 3)])
 
 
 def test_span_dimension_invariant_under_scaling_and_order():
@@ -172,14 +194,12 @@ def test_span_dimension_invariant_under_scaling_and_order():
 
 
 def test_tower_of_three_fourth_powers():
-    f = parse_form("y1^4 + y2^4 + y3^4", 3)
-    dims = tuple(map(len, tower([f])))
+    dims = tuple(map(len, tower([form("y1^4 + y2^4 + y3^4", 3, 4)])))
     assert dims == (1, 3, 3, 3, 1)
 
 
 def test_tower_of_monomial_product():
-    f = parse_form("y1*y2*y3", 3)
-    dims = tuple(map(len, tower([f])))
+    dims = tuple(map(len, tower([form("y1*y2*y3", 3, 3)])))
     assert dims == (1, 3, 3, 1)
 
 
@@ -209,9 +229,9 @@ def test_tower_dims_respect_ring_and_derivative_caps():
 
 
 def test_tower_empty_generators():
-    # a module needs a generator, so no tower starts from an empty list
-    with pytest.raises(ValueError, match="at least one generator"):
-        tower([])
+    # a module needs a generator, so no tower starts from an empty array
+    with pytest.raises(ValueError, match="need generator rows"):
+        derivative_spaces(InverseModule(3, 2, DEFAULT_PRIME, np.zeros((0, 6), dtype=np.int64)))
 
 
 def test_basis_forms_regenerate_the_same_span():
@@ -266,6 +286,27 @@ def test_a_tower_pins_no_monomial_table():
     tables = sum(array.nbytes for d in (2, 3) for array in spans._raising_table(21, d))
     assert tables <= grown[spans.__file__] < tables + 8192
 
+    # printing and parsing a module of another fresh ring adds no
+    # monomial_positions entry: of what forms.py allocates, only that
+    # ring's tuple of monomial strings stays alive
+    module = compressed_generic_module(22, 3, 2, Random(7))
+    entries = monomial_positions.cache_info().currsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        text = module_to_text(module)
+        assert module_from_text(text) == module.with_seed(None)
+        del text
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert monomial_positions.cache_info().currsize == entries
+    grown = {stat.traceback[0].filename: stat.size_diff
+             for stat in after.compare_to(before, "filename") if stat.size_diff > 0}
+    strings = forms._monomial_strings(22, 3)
+    table = sys.getsizeof(strings) + sum(map(sys.getsizeof, strings))
+    assert table <= grown[forms.__file__] < table + 8192
+
 
 def reference_raising_table(nvars, degree):
     """The raising table by a walk over every degree-d monomial and each
@@ -296,11 +337,11 @@ def test_rational_dims_see_characteristic():
     # y1^q + y2^q with tiny prime q: over F_q all first partials vanish,
     # which is why a module's prime must exceed its degree
     q = 5
-    f = Form.from_terms(2, q, [((q, 0), 1), ((0, q), 1)], p=q)
-    stacked = spans._stacked_derivatives(np.array([f.coeffs]), 2, q, q)
+    f = parse_form(f"y1^{q} + y2^{q}", 2, q, q)
+    stacked = spans._stacked_derivatives(f[None], 2, q, q)
     assert stacked.shape == (2, q) and not stacked.any()
     with pytest.raises(HypothesisError, match=f"prime {q} "):
-        InverseModule.from_forms([f])
+        InverseModule(2, q, q, [f])
 
 
 # ------------------------------------------------------------ blocked kernel
@@ -425,8 +466,8 @@ STOP_CASES = [
     (4, 3, lambda rng, p: compressed_generic_module(4, 3, 20, rng, p), 3),
     (6, 3, lambda rng, p: compressed_generic_module(6, 3, 6, rng, p), 2),
     (5, 4, lambda rng, p: compressed_generic_module(5, 4, 2, rng, p), 2),
-    (4, 3, lambda rng, p: InverseModule.from_forms([sum_of_powers(4, 3, 2, rng, p)]), None),
-    (5, 4, lambda rng, p: InverseModule.from_forms([sum_of_powers(5, 4, 3, rng, p)]), None),
+    (4, 3, lambda rng, p: powers_partition_module(4, 3, (2,), rng, p), None),
+    (5, 4, lambda rng, p: powers_partition_module(5, 4, (3,), rng, p), None),
 ]
 
 
