@@ -58,14 +58,14 @@ class Budget:
             raise ValueError(f"a budget needs at least one trial, got {self.trials}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """Replayable witness for a level verdict.
 
     Construction certificates carry everything needed to reproduce the
     witness byte for byte: the recipe, the winning seed, the prime, the
-    computed per-degree ranks and the generator text.  Criterion
-    certificates name an exact decision rule instead.
+    computed per-degree ranks and the module, whose ``generators`` text is
+    printed on each read.  Criterion certificates name an exact rule instead.
     """
 
     kind: str  # "construction" | "criterion"
@@ -73,13 +73,17 @@ class Certificate:
     seed: int | None = None
     prime: int | None = None
     ranks: tuple[int, ...] | None = None
-    generators: str | None = None
+    module: InverseModule | None = None
     characteristic: str | None = None  # "char-p" | "char-0-verified"
     criterion: str | None = None
     detail: str | None = None
 
+    @property
+    def generators(self) -> str | None:
+        return None if self.module is None else module_to_text(self.module)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Classification:
     h: HVector
     status: Status
@@ -366,6 +370,12 @@ def recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
     return nvars, degree
 
 
+def _largest_degree(recipe: dict) -> int:
+    """The largest degree of a node of the recipe, a truncate source's."""
+    inner = recipe.get("source") or recipe.get("base")
+    return max(recipe.get("degree", 0), _largest_degree(inner) if inner else 0)
+
+
 def realize_recipe(recipe: dict, master_seed: int, trials: int,
                    p: int = DEFAULT_PRIME) -> tuple[InverseModule, HProfile]:
     """Run a recipe on seeds derived from the master seed and the recipe
@@ -418,10 +428,11 @@ def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
         diagnostics.append("no construction recipe matches this h-vector")
     refused = []
     for recipe in recipes:
-        # the store refuses to replay a recipe this large, so skip building it
+        # skip what the store would refuse to replay, or p cannot build
         try:
             recipe_size(recipe, hv.codimension, hv.socle_degree)
-        except ValueError as exc:
+            check_prime(prime, _largest_degree(recipe))
+        except (ValueError, HypothesisError) as exc:
             refused.append(f"{recipe_tag(recipe)}: {exc}")
             diagnostics.append(f"refused {refused[-1]}")
             continue
@@ -444,8 +455,7 @@ def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
         # candidates expect exactly hv, so the profile meets the recipe bound
         # and char0_certified(recipe, profile.dims) holds
         cert = Certificate(kind="construction", recipe=recipe, seed=module.seed,
-                           prime=prime, ranks=profile.dims,
-                           generators=module_to_text(module),
+                           prime=prime, ranks=profile.dims, module=module,
                            characteristic="char-0-verified")
         return Classification(hv, Status.LEVEL, certificate=cert,
                               trials_used=trials_used,

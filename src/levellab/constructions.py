@@ -18,7 +18,6 @@ are partition recipes (``levellab construct socle2`` and ``socle3``).
 from __future__ import annotations
 
 from dataclasses import replace
-from operator import add
 from random import Random
 
 from levellab.errors import DependentGeneratorsError, HypothesisError
@@ -37,15 +36,13 @@ DEFAULT_TRIALS = 5
 def sum_of_powers(nvars: int, degree: int, count: int, rng: Random,
                   p: int = DEFAULT_PRIME) -> np.ndarray:
     """The int64 row of a sum of ``count`` e-th powers of independent random
-    linear forms, drawn in order, added as Python ints and reduced once."""
+    linear forms, drawn in order, added in int64 and reduced once."""
     if count < 1:
         raise ValueError(f"need at least one power, got {count}")
     if degree < 1:
         raise ValueError(f"powers need degree >= 1, got {degree}")
-    total = [0] * ring_dim(nvars, degree)
-    for _ in range(count):
-        total = list(map(add, total, (random_form(nvars, 1, rng, p) ** degree).coeffs))
-    row = np.array([c % p for c in total], dtype=np.int64)
+    row = sum(np.array((random_form(nvars, 1, rng, p) ** degree).coeffs, dtype=np.int64)
+              for _ in range(count)) % p
     if not row.any():  # a degenerate draw, like dependent generators
         raise DependentGeneratorsError(f"{count} powers of degree {degree} cancel mod {p}")
     return row

@@ -8,8 +8,9 @@ of degree d, zeros included, in descending graded reverse lexicographic
 order (grevlex); that order fixes every coefficient array and every
 printed and serialized representation.  Text becomes int64 rows and back
 by binomial ranks and one cached tuple of monomial strings per ring.
-``Form`` only computes the powers of linear forms that constructions sum;
-``monomial_positions`` serves only its products.
+``Form`` only computes the powers of linear forms that constructions sum,
+one linear factor at a time through ``raising_table``, the table the
+derivative tower reads; no exponent tuple is ever listed.
 
 The default prime 2^31 - 1 keeps products inside 64-bit integers so the
 elimination kernel can vectorize; any prime larger than the degrees in
@@ -21,11 +22,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 from math import comb
-from operator import add, sub
 from random import Random
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +45,6 @@ MAX_CELLS = 1 << 23
 # Fewer draws than this are cheaper one ``randrange`` call at a time than
 # through numpy's fixed cost per call (measured crossover about a dozen).
 _BULK_DRAWS = 16
-
-Monomial = tuple[int, ...]
 
 
 def is_prime(n: int) -> bool:
@@ -97,16 +95,6 @@ def ring_dim(nvars: int, degree: int) -> int:
     return comb(nvars + degree - 1, degree)
 
 
-def grevlex(nvars: int, degree: int) -> Iterator[Monomial]:
-    """The exponent tuples of total degree ``degree``, one at a time, in
-    descending grevlex order: ascending order of the reversed tuples, whose
-    partial sums s_0 <= ... <= s_{r-2} <= degree come in ascending order
-    from combinations_with_replacement; the exponents are their gaps."""
-    for sums in combinations_with_replacement(range(degree + 1), nvars - 1):
-        cuts = (degree, *sums[::-1], 0)
-        yield tuple(map(sub, cuts, cuts[1:]))
-
-
 def check_ring(nvars: int, degree: int) -> int:
     """``ring_dim(nvars, degree)`` for a ring whose monomial table is small
     enough to build: at most ``MAX_MONOMIALS`` monomials and ``MAX_CELLS``
@@ -124,12 +112,34 @@ def check_ring(nvars: int, degree: int) -> int:
     return size
 
 
-@lru_cache(maxsize=None)
-def monomial_positions(nvars: int, degree: int) -> Mapping[Monomial, int]:
-    """Coordinates by monomial, keyed in grevlex order: the exponent table
-    that ``Form`` products and ``Form.terms`` read."""
-    ring_dim(nvars, degree)
-    return {m: i for i, m in enumerate(grevlex(nvars, degree))}
+@lru_cache(maxsize=64)  # bounded: a power of degree e reads e tables in turn
+def raising_table(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """nvars x dim R_{d-1} int32 arrays ``index`` and ``mult``: for y_v and
+    the degree d-1 monomial m, the coordinate of y_v m among the degree-d
+    monomials and its exponent of y_v.  Grevlex lists a degree-d monomial
+    at dim R_d - 1 - sum_k C(c_k, k) for c_k = a_1 + ... + a_k + k - 1,
+    k = 1..nvars-1, by the combinatorial number system; so the c_k of the
+    degree d-1 monomials are read off their coordinates greedily, and y_v,
+    which raises c_k by one exactly for k > v, moves m by a running sum."""
+    size = ring_dim(nvars, degree - 1)
+    cap = ring_dim(nvars, degree)  # keeps columns exact below it, and sorted
+    # C(n, k) capped, column by column: C(n, k) = C(0, k-1) + ... + C(n-1, k-1)
+    choose = np.ones((degree + nvars, nvars), dtype=np.int64)
+    choose[0, 1:] = 0
+    for k in range(1, nvars):
+        np.minimum(np.cumsum(choose[:-1, k - 1]), cap, out=choose[1:, k])
+    rest = np.arange(size - 1, -1, -1)
+    cuts = np.empty((nvars - 1, size), dtype=np.int64)
+    for k in range(nvars - 1, 0, -1):
+        cuts[k - 1] = np.searchsorted(choose[:, k], rest, side="right") - 1
+        rest -= choose[cuts[k - 1], k]
+    # y_v m sits at cap - 1 - sum_k C(c_k + 1, k) + sum_{k<=v} C(c_k, k - 1),
+    # as C(c + 1, k) - C(c, k) = C(c, k - 1)
+    k = np.arange(1, nvars)[:, None]
+    steps = np.vstack([np.zeros((1, size), np.int64), np.cumsum(choose[cuts, k - 1], axis=0)])
+    index = cap - 1 - choose[cuts + 1, k].sum(axis=0) + steps
+    exps = np.diff(cuts - k + 1, axis=0, prepend=0, append=degree - 1)
+    return index.astype(np.int32), (exps + 1).astype(np.int32)
 
 
 @dataclass(frozen=True, eq=True)
@@ -150,39 +160,38 @@ class Form:
         size = ring_dim(self.nvars, self.degree)
         if len(self.coeffs) != size:
             raise ValueError(f"{len(self.coeffs)} coefficients for {size} monomials")
-        if not 0 <= min(self.coeffs) <= max(self.coeffs) < self.p:
-            raise ValueError(f"coefficients out of range for p={self.p}")
-
-    @property
-    def terms(self) -> dict[Monomial, int]:
-        """The nonzero coefficients by monomial, derived from ``coeffs``."""
-        monos = monomial_positions(self.nvars, self.degree)
-        return {m: c for m, c in zip(monos, self.coeffs) if c}
+        # below 2^31, products of residues stay exact in int64
+        if not 0 <= min(self.coeffs) <= max(self.coeffs) < self.p < PRIME_LIMIT:
+            raise ValueError(f"coefficients out of range for p={self.p} < 2^31")
 
     def __mul__(self, other: "Form") -> "Form":
+        """The product, one factor of degree 0 or 1: a constant scales the
+        other, and c_v y_v g lands at ``raising_table`` index[v], one to one,
+        so each cell sums at most nvars residues."""
         if self.nvars != other.nvars or self.p != other.p:
             raise ValueError("forms live in different rings")
-        degree = self.degree + other.degree
-        order = monomial_positions(self.nvars, degree)
-        out = [0] * len(order)
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                out[order[tuple(map(add, m1, m2))]] += c1 * c2
-        p = self.p
-        return Form(self.nvars, degree, p, tuple(c % p for c in out))
+        low, high = (self, other) if self.degree <= other.degree else (other, self)
+        if low.degree > 1:
+            raise ValueError("a product needs a factor of degree 0 or 1")
+        p, g = self.p, np.array(high.coeffs, dtype=np.int64)
+        if low.degree == 0:
+            out = g * low.coeffs[0] % p
+        else:
+            index, _ = raising_table(self.nvars, high.degree + 1)
+            out = np.zeros(ring_dim(self.nvars, high.degree + 1), dtype=np.int64)
+            np.add.at(out, index, np.array(low.coeffs, dtype=np.int64)[:, None] * g % p)
+            out %= p
+        return Form(self.nvars, low.degree + high.degree, p, tuple(out.tolist()))
 
     def __pow__(self, exponent: int) -> "Form":
+        """self * ... * self from 1; in one variable, c y1^d to the e is c^e y1^(de)."""
         if exponent < 0:
             raise ValueError("negative powers are not defined for forms")
+        if self.nvars == 1:
+            return Form(1, self.degree * exponent, self.p, (pow(*self.coeffs, exponent, self.p),))
         result = Form(self.nvars, 0, self.p, (1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
 
@@ -225,10 +234,23 @@ def randrange_many(rng: Random, n: int, count: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _monomial_strings(nvars: int, degree: int) -> tuple[str, ...]:
     """The text of every degree-``degree`` monomial in grevlex order, like
-    ``y1^2*y3``, and ``""`` for the constant: the one table printing keeps."""
-    return tuple("*".join(f"y{var}" if a == 1 else f"y{var}^{a}"
-                          for var, a in enumerate(mono, start=1) if a)
-                 for mono in grevlex(nvars, degree))
+    ``y1^2*y3``, and ``""`` for the constant: the one table printing keeps.
+    It grows one variable at a time: the degree-d strings of y1..yk are
+    those of y1..y(k-1), then for a = 1..d those of degree d - a times
+    yk^a.  Only the last variable needs no lower degree."""
+    ring_dim(nvars, degree)
+    every = range(degree + 1)
+    strings = {d: (_power(1, d),) for d in (every if nvars > 1 else [degree])}
+    for var in range(2, nvars + 1):
+        powers = [_power(var, a) for a in every]
+        strings = {d: strings[d] + tuple(f"{body}*{powers[a]}" if body else powers[a]
+                                         for a in range(1, d + 1) for body in strings[d - a])
+                   for d in (every if var < nvars else [degree])}
+    return strings[degree]
+
+
+def _power(var: int, a: int) -> str:
+    return "" if not a else f"y{var}" if a == 1 else f"y{var}^{a}"
 
 
 def format_form(nvars: int, degree: int, row) -> str:

@@ -33,7 +33,7 @@ from levellab.macaulay import HVector
 from levellab.spans import coefficient_matrix, derivative_spaces, rank_mod_p
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class InverseModule:
     """Generators of an inverse system, nonzero forms of degree e over F_p
     for a prime e < p < 2^31: the rows of ``coeffs``, a read-only

@@ -50,19 +50,17 @@ every level is the identity.  Each basis is a plain RREF int64 matrix, and
 their lengths are the h-vector of the module.  Sizes come from
 ``forms.ring_dim``, and the tower keeps no monomial table: it gathers the
 partial d/dy_v of a degree-d basis as basis[:, index[v]] mult[v], through
-a cached raising table of two nvars x dim R_{d-1} int32 arrays.
+``forms.raising_table``, which the products of forms read too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 
 import numpy as np
 
 from levellab.errors import HypothesisError, SoundnessError
-from levellab.forms import PRIME_LIMIT, ring_dim
+from levellab.forms import PRIME_LIMIT, raising_table, ring_dim
 
 
 # Rows per batch and columns per panel, by measurement: on the matrices of
@@ -260,39 +258,12 @@ def coefficient_matrix(module) -> np.ndarray:
     return module.coeffs
 
 
-@lru_cache(maxsize=None)
-def _raising_table(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """nvars x dim R_{d-1} int32 arrays ``index`` and ``mult``: for y_v and
-    the degree d-1 monomial m, the coordinate of y_v m among the degree-d
-    monomials and its exponent of y_v.  Grevlex lists a degree-d monomial
-    at dim R_d - 1 - sum_k C(c_k, k) for c_k = a_1 + ... + a_k + k - 1,
-    k = 1..nvars-1, by the combinatorial number system; so the c_k of the
-    degree d-1 monomials are read off their coordinates greedily, and y_v,
-    which raises c_k by one exactly for k > v, moves m by a running sum."""
-    size = ring_dim(nvars, degree - 1)
-    cap = ring_dim(nvars, degree)  # keeps columns exact below it, and sorted
-    choose = np.array([[min(comb(n, k), cap) for k in range(nvars)]
-                       for n in range(degree + nvars)], dtype=np.int64)
-    rest = np.arange(size - 1, -1, -1)
-    cuts = np.empty((nvars - 1, size), dtype=np.int64)
-    for k in range(nvars - 1, 0, -1):
-        cuts[k - 1] = np.searchsorted(choose[:, k], rest, side="right") - 1
-        rest -= choose[cuts[k - 1], k]
-    # y_v m sits at cap - 1 - sum_k C(c_k + 1, k) + sum_{k<=v} C(c_k, k - 1),
-    # as C(c + 1, k) - C(c, k) = C(c, k - 1)
-    k = np.arange(1, nvars)[:, None]
-    steps = np.vstack([np.zeros((1, size), np.int64), np.cumsum(choose[cuts, k - 1], axis=0)])
-    index = cap - 1 - choose[cuts + 1, k].sum(axis=0) + steps
-    exps = np.diff(cuts - k + 1, axis=0, prepend=0, append=degree - 1)
-    return index.astype(np.int32), (exps + 1).astype(np.int32)
-
-
 def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int) -> np.ndarray:
     """All first partials of the rows of ``matrix``, coefficients of degree
     ``degree`` forms, one block per variable, each one gather through the
     raising table.  Residues below 2^31 fit int32, which halves the largest
     array of a tower; ``rref_mod_p`` reduces an int64 copy of it."""
-    index, mult = _raising_table(nvars, degree)
+    index, mult = raising_table(nvars, degree)
     dim = len(matrix)
     stacked = np.empty((nvars * dim, index.shape[1]), dtype=np.int32)
     for var in range(nvars):

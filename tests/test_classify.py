@@ -1,5 +1,6 @@
 """Tests for the classification pipeline and its certificates."""
 
+import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from levellab.classify import (
     Budget,
+    Certificate,
     Status,
     build_recipe,
     candidate_recipes,
@@ -24,7 +26,8 @@ from levellab.classify import (
 from levellab.constructions import maximal_profile
 from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
 from levellab.macaulay import HVector
-from levellab.modules import HProfile, module_to_text
+from levellab.modules import HProfile, InverseModule, module_to_text
+from levellab.store import record_from_classification
 
 
 def test_frozen_triple():
@@ -157,6 +160,17 @@ def test_classify_is_deterministic():
     assert c.status is Status.LEVEL
 
 
+def test_a_certificate_holds_its_module_and_prints_it_on_each_read():
+    result = classify(HVector.parse("1,3,6,9,3"), master_seed=7)
+    cert = result.certificate
+    assert "generators" not in {field.name for field in dataclasses.fields(Certificate)}
+    assert isinstance(cert.module, InverseModule) and cert.module.seed == cert.seed
+    first, second = cert.generators, cert.generators
+    assert first == second == module_to_text(cert.module) and first is not second
+    assert record_from_classification(result)["generators"] == first
+    assert Certificate(kind="criterion").generators is None
+
+
 def test_classify_monotone_in_budget():
     h = HVector.parse("1,3,6,10,4")
     small = classify(h, Budget(trials=1))
@@ -257,6 +271,26 @@ def test_classify_skips_refused_candidates_and_tries_the_rest(monkeypatch):
     assert built == [rc for rc in recipes if '"degree":6' not in recipe_tag(rc)]
     assert all("degree 6 in" in line and "over 131072 monomials" in line
                for line in refused)
+
+
+def test_classify_skips_candidates_that_need_a_larger_prime(monkeypatch):
+    # at p = 5 the partition candidate of (1,3,4,4) degenerates in its one
+    # trial, and the truncates of quintics and above cannot be built mod 5:
+    # they are refused, and an add-variable candidate is level
+    hv = HVector((1, 3, 4, 4))
+    result = classify(hv, Budget(trials=1), prime=5)
+    assert result.status is Status.LEVEL
+    assert result.certificate.recipe["kind"] == "add_variable"
+    refused = [d for d in result.diagnostics if d.startswith("refused ")]
+    assert [line.split("prime 5 must exceed the socle degree ")[1][0] for line in refused] == [
+        "5", "6", "7", "8"]
+    assert all('{"kind":"truncate"' in line for line in refused)
+    # when every candidate needs a larger prime, the first refusal is raised
+    truncates = [rc for rc in candidate_recipes(hv) if rc["kind"] == "truncate"]
+    monkeypatch.setattr(importlib.import_module("levellab.classify"), "candidate_recipes",
+                        lambda h: truncates)
+    with pytest.raises(HypothesisError, match="prime 5 must exceed the socle degree 5"):
+        classify(hv, Budget(trials=1), prime=5)
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.jsonl"

@@ -305,6 +305,14 @@ def test_classify_refuses_a_ring_the_store_refuses(monkeypatch, capsys):
     assert "degree 2 in 300 variables" in err and "over 8388608 cells" in err
 
 
+def test_classify_skips_a_candidate_the_prime_cannot_build(capsys):
+    # the truncate candidates of (1,3,4,4) need a prime above 5; another
+    # candidate still certifies the vector
+    code, text = run(["classify", "1,3,4,4", "--trials", "1", "--prime", "5"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert "status: level\n" in text and "prime: 5\n" in text
+
+
 @pytest.mark.parametrize("argv, fault", [
     (["powers", "100", "3", "1"], "degree 3 in 100 variables has over 131072 monomials"),
     (["compressed", "70", "4", "1"], "degree 4 in 70 variables has over 131072 monomials"),

@@ -3,6 +3,8 @@
 import random
 import time
 from itertools import combinations_with_replacement
+from math import comb
+from operator import add
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from levellab.errors import HypothesisError, ParseError
 from levellab.forms import (
     _BULK_DRAWS,
     _grevlex_rank,
+    _monomial_strings,
     DEFAULT_PRIME,
     MAX_CELLS,
     MAX_MONOMIALS,
@@ -21,12 +24,12 @@ from levellab.forms import (
     check_ring,
     format_form,
     is_prime,
-    monomial_positions,
     parse_form,
     random_form,
     randrange_many,
     ring_dim,
 )
+from monomials import form_terms, grevlex, monomial_positions
 from test_spans import form, reference_derivative
 
 
@@ -100,7 +103,7 @@ def test_monomial_counts():
 
 
 def test_form_validation():
-    assert Form(2, 2, 7, (1, 0, 6)).terms == {(2, 0): 1, (0, 2): 6}
+    assert form_terms(Form(2, 2, 7, (1, 0, 6))) == {(2, 0): 1, (0, 2): 6}
     with pytest.raises(ValueError, match="2 coefficients for 3 monomials"):
         Form(2, 2, DEFAULT_PRIME, (1, 0))  # wrong length
     with pytest.raises(ValueError, match="3 coefficients for 2 monomials"):
@@ -118,9 +121,79 @@ def test_binomial_cube():
 def test_power_of_dense_linear_form_is_dense():
     ell = Form(3, 1, DEFAULT_PRIME, (2, 5, 7))
     quartic = ell**4
-    assert len(quartic.terms) == 15
+    assert len(form_terms(quartic)) == 15
     assert quartic.degree == 4
     assert ell**0 == Form(3, 0, DEFAULT_PRIME, (1,))
+
+
+def dict_product(f, g):
+    """f g by every pair of terms, as ``Form.__mul__`` once computed every
+    product: the oracle for the products through the raising table."""
+    degree = f.degree + g.degree
+    order = monomial_positions(f.nvars, degree)
+    out = [0] * len(order)
+    for m1, c1 in form_terms(f).items():
+        for m2, c2 in form_terms(g).items():
+            out[order[tuple(map(add, m1, m2))]] += c1 * c2
+    return Form(f.nvars, degree, f.p, tuple(c % f.p for c in out))
+
+
+def dict_power(f, e):
+    """f^e by repeated squaring through ``dict_product``."""
+    result, base = Form(f.nvars, 0, f.p, (1,)), f
+    while e:
+        if e & 1:
+            result = dict_product(result, base)
+        e >>= 1
+        if e:
+            base = dict_product(base, base)
+    return result
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 101, DEFAULT_PRIME))
+def test_powers_match_the_dict_product(p):
+    # dense and sparse linear forms, r = 1..8, e = 0..8
+    rng = random.Random(p)
+    for nvars in range(1, 9):
+        for e in range(9):
+            for keep in (1.0, 0.5):
+                coeffs = [rng.randrange(p) if rng.random() < keep else 0 for _ in range(nvars)]
+                ell = Form(nvars, 1, p, tuple(coeffs))
+                assert ell**e == dict_power(ell, e)
+
+
+def test_products_by_a_constant_or_a_linear_form_match_the_dict_product():
+    rng = random.Random(17)
+    for p in (2, 7, DEFAULT_PRIME):
+        for nvars, degree in ((1, 3), (2, 0), (3, 2), (4, 4), (6, 3)):
+            g = random_form(nvars, degree, rng, p)
+            for low in (random_form(nvars, 0, rng, p), random_form(nvars, 1, rng, p),
+                        y(nvars - 1, nvars, p)):
+                assert low * g == g * low == dict_product(low, g)
+
+
+def test_products_need_a_factor_of_degree_0_or_1_in_one_ring():
+    quadric = form("y1^2 + 3*y2^2", 2, 2)
+    with pytest.raises(ValueError, match="a factor of degree 0 or 1"):
+        quadric * quadric
+    with pytest.raises(ValueError, match="a factor of degree 0 or 1"):
+        quadric**2
+    for other in (y(0, 3), y(0, 2, 7)):
+        with pytest.raises(ValueError, match="different rings"):
+            y(0, 2) * other
+    with pytest.raises(ValueError, match=f"out of range for p={2**61 - 1} < 2"):
+        Form(2, 1, 2**61 - 1, (1, 0))  # its products would overflow int64
+
+
+def test_high_powers_follow_the_binomial_theorem():
+    # (a y1 + b y2)^e has C(e, k) a^(e-k) b^k at y1^(e-k) y2^k, listed by k
+    p, e = 101, 700
+    power = Form(2, 1, p, (3, 5)) ** e
+    assert power.coeffs == tuple(comb(e, k) * 3**(e - k) * 5**k % p for k in range(e + 1))
+    # one variable: c y1^d to the e is the one residue c^e
+    assert Form(1, 1, DEFAULT_PRIME, (3,)) ** 100000 == Form(
+        1, 100000, DEFAULT_PRIME, (pow(3, 100000, DEFAULT_PRIME),))
+    assert Form(1, 2, 7, (3,)) ** 3 == dict_power(Form(1, 2, 7, (3,)), 3)
 
 
 def test_derivative_frozen_example():
@@ -173,7 +246,7 @@ def test_embedding_keeps_every_term():
         zeros = (0,) * (ring_dim(wide, degree) - len(f.coeffs))
         order = monomial_positions(wide, degree)
         coeffs = [0] * len(order)
-        for m, c in f.terms.items():
+        for m, c in form_terms(f).items():
             coeffs[order[m + pad]] = c
         assert f.coeffs + zeros == tuple(coeffs)
 
@@ -239,6 +312,21 @@ def rows(draw):
 def test_format_parse_round_trip_random(case):
     nvars, degree, p, row = case
     assert parse_form(format_form(nvars, degree, row), nvars, degree, p).tolist() == row
+
+
+def test_monomial_strings_follow_the_grevlex_walk():
+    # built one variable at a time, the table matches the exponent walk it
+    # replaced, on small rings and on check_ring's limits, the largest
+    # linear ring among them
+    def walk(nvars, degree):
+        return tuple("*".join(f"y{var}" if a == 1 else f"y{var}^{a}"
+                              for var, a in enumerate(mono, start=1) if a)
+                     for mono in grevlex(nvars, degree))
+
+    rings = [(r, d) for r in range(1, 8) for d in range(8)]
+    for nvars, degree in rings + LIMIT_RINGS + [(2896, 1)]:
+        assert _monomial_strings(nvars, degree) == walk(nvars, degree)
+    assert check_ring(2896, 1) * 2896 <= MAX_CELLS < 2897 * 2897
 
 
 def test_format_refuses_a_row_of_another_ring():

@@ -32,3 +32,24 @@ def test_only_forms_constructions_and_the_package_name_form():
                 naming.add(path.name)
     assert naming <= {"forms.py", "constructions.py", "__init__.py"}
     assert "forms.py" in naming
+
+
+def test_only_forms_defines_the_raising_table():
+    # the tower's partials and the products of forms read one table, so
+    # neither can drift onto a copy of its own
+    defining = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                names = {node.name}
+            elif isinstance(node, ast.Assign):  # a module could bind a copy
+                names = {getattr(target, "id", "") for target in node.targets}
+            else:
+                continue
+            if any("raising_table" in name for name in names):
+                defining.add(path.name)
+    assert defining == {"forms.py"}
+    spans = ast.parse((PACKAGE / "spans.py").read_text(encoding="utf-8"))
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "levellab.forms"
+               and "raising_table" in {alias.name for alias in node.names}
+               for node in ast.walk(spans))
