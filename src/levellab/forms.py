@@ -86,6 +86,24 @@ def check_prime(p: int, degree: int) -> int:
     return p
 
 
+def check_integers(values) -> np.ndarray:
+    """``np.asarray(values)``, required to hold integers within int64.
+
+    Floats, strings and wider integers raise ValueError before anything is
+    reduced: a cast to int64 would truncate, parse or wrap them into other
+    residues.  Integer arrays of any width pass unconverted."""
+    array = np.asarray(values)
+    if array.dtype == object:
+        # Python integers too wide for any fixed-width dtype land here
+        fits = all(isinstance(v, (int, np.integer)) and -2**63 <= v < 2**63 for v in array.flat)
+    else:
+        fits = array.dtype.kind in "biu" and not (
+            array.dtype == np.uint64 and array.size and array.max() >= 2**63)
+    if not fits:
+        raise ValueError(f"expected integers within int64, got {array.dtype} entries")
+    return array
+
+
 def ring_dim(nvars: int, degree: int) -> int:
     """dim R_degree = C(nvars + degree - 1, degree), listing no monomial."""
     if nvars <= 0:

@@ -22,6 +22,7 @@ import numpy as np
 from levellab.errors import DependentGeneratorsError, ParseError, SoundnessError
 from levellab.forms import (
     DEFAULT_PRIME,
+    check_integers,
     check_prime,
     check_ring,
     format_form,
@@ -50,7 +51,7 @@ class InverseModule:
     def __post_init__(self):
         check_prime(self.p, self.degree)
         # a copy of its own, so no array or view the caller keeps writes to it
-        coeffs = np.array(self.coeffs, dtype=np.int64)
+        coeffs = np.array(check_integers(self.coeffs), dtype=np.int64)
         size = ring_dim(self.nvars, self.degree)
         if coeffs.ndim != 2 or coeffs.shape[1] != size or not len(coeffs):
             raise ValueError(f"need generator rows of {size} coefficients, got shape {coeffs.shape}")

@@ -56,10 +56,29 @@ def test_module_validation():
     ([[1, 2, 3], [0, 0, 0]], "zero forms"),
     ([[1, 2, -1]], "out of range"),
     ([[1, 2, 7]], "out of range"),
+    # refused before any cast: int64 would truncate, parse or wrap these
+    ([[1.5, 2.7, 1]], "integers"),
+    (np.array([[1.0, 2.0, 3.0]]), "integers"),
+    ([["1", "2", "3"]], "integers"),
+    ([[2**70, 1, 1]], "integers"),
+    ([[2**63, 1, 1]], "integers"),
+    (np.array([[2**63, 1, 1]], dtype=np.uint64), "integers"),
 ])
 def test_module_array_is_checked_at_construction(rows, match):
     with pytest.raises(ValueError, match=match):
         InverseModule(2, 2, 7, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[1, 2, 3]], dtype=np.int32),
+    np.array([[1, 2, 3]], dtype=np.uint8),
+    np.array([[1, 2, 3]], dtype=np.uint64),
+    np.array([[1, 2, 3]], dtype=object),
+])
+def test_module_takes_integer_rows_of_any_width(rows):
+    module = InverseModule(2, 2, 7, rows)
+    assert module.coeffs.dtype == np.int64
+    assert module == InverseModule(2, 2, 7, [[1, 2, 3]])
 
 
 def test_module_array_is_read_only():

@@ -234,6 +234,22 @@ def test_tower_empty_generators():
         derivative_spaces(InverseModule(3, 2, DEFAULT_PRIME, np.zeros((0, 6), dtype=np.int64)))
 
 
+def test_levels_below_a_full_level_share_one_read_only_identity():
+    # one variable: every level has one monomial, so below the top every
+    # level is the same 1 x 1 identity, built once per tower
+    levels = derivative_spaces(InverseModule(1, 50, DEFAULT_PRIME, [[3]]))
+    assert [level.tolist() for level in levels] == [[[1]]] * 51
+    assert len({id(level) for level in levels[:-1]}) == 1
+    assert not levels[0].flags.writeable
+    # three variables: identities of each size below the full level 2
+    levels = tower([form("y1^3 + y2^3 + y3^3 + y1*y2*y3", 3, 3),
+                    form("y1^2*y2 + y2^2*y3 + y3^2*y1", 3, 3)])
+    assert len(levels[2]) == 6
+    for level, size in zip(levels[:2], (1, 3)):
+        assert level.tobytes() == np.eye(size, dtype=np.int64).tobytes()
+        assert not level.flags.writeable
+
+
 def test_basis_forms_regenerate_the_same_span():
     rng = random.Random(47)
     gens = [random_form(3, 3, rng) for _ in range(2)]
@@ -719,3 +735,91 @@ def test_rank_probe_beyond_2_31_refused():
         with pytest.raises(HypothesisError):
             rank_mod_p(mat, p)
     assert rank_mod_p(mat % DEFAULT_PRIME, DEFAULT_PRIME) == 3
+
+
+# ------------------------------------------------ reductions and block clears
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_floor_division_remainder_matches_percent(p):
+    gen = np.random.default_rng(139)
+    # besides random values, the extremes the kernel reduces: products of
+    # _matmul_mod below 2^54, its high half below 63 (2^31 - 1) 2^15, and
+    # a clear's difference, a residue minus a product, above -2^54
+    edges = [-2**62, 2**62, 2**54 - 1, -(2**54 - 1), 63 * (2**31 - 1) * 0x7FFF,
+             0, 1, -1, p - 1, p, p + 1, -p + 1, -p, -p - 1]
+    x = np.concatenate([np.array(edges, dtype=np.int64),
+                        gen.integers(-2**62, 2**62, size=5000, dtype=np.int64, endpoint=True)])
+    want = x % p
+    assert spans._mod(x, p) is x
+    assert x.tobytes() == want.tobytes()
+
+
+def late_left_pivots(gen, p):
+    """A first batch zero on the first 40 of 150 columns, of rank 20, then
+    two batches of full rows, whose pivots fall left of the first block's
+    first pivot.  The short first block takes the second batch in, and the
+    rank, 84, stays short of the columns, so every block is
+    back-substituted."""
+    first = low_rank(gen, _BATCH, 110, 20, p)
+    later = random_residues(gen, 2 * _BATCH, 150, p)
+    return np.vstack([np.hstack([np.zeros((_BATCH, 40), dtype=np.int64), first]), later])
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_pivots_left_of_the_first_block_match_reference(p):
+    mat = late_left_pivots(np.random.default_rng(149), p)
+    first, want = reference_rref(mat[:_BATCH], p), reference_rref(mat, p)
+    assert len(first) == 20 and int(np.flatnonzero(first[0])[0]) >= 40
+    assert len(want) == 84 and want[0, 0] == 1
+    assert_same_rref(mat, p)
+
+
+def test_clears_write_from_the_first_pivot_on(monkeypatch):
+    # a block's rows are zero left of its first pivot, so every product
+    # that clears by a block gets the columns from that pivot on: its
+    # first column is a pivot of the block, and its cached halves are as
+    # wide as the columns it writes
+    p = DEFAULT_PRIME
+    subtract = spans._subtract_product
+    widths = []
+
+    def checked(a, cols, halves, p):
+        assert int(cols.min()) == 0
+        assert halves[0].shape[1] == halves[1].shape[1] == a.shape[1]
+        widths.append(a.shape[1])
+        subtract(a, cols, halves, p)
+
+    monkeypatch.setattr(spans, "_subtract_product", checked)
+    gen = np.random.default_rng(151)
+    for mat in (late_left_pivots(gen, p), many_blocks(gen, p)):
+        assert_same_rref(mat, p)
+    # the first block of late_left_pivots starts at column 40 or later
+    assert widths and min(widths) <= 110
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.5, 2]],
+    np.array([[1.5, 2.0]]),
+    np.array([[1.0, 2.0]]),
+    np.array([["1", "2"]]),
+    [[2**70, 1]],
+    np.array([[2**63, 1]], dtype=np.uint64),
+])
+def test_non_integer_matrices_refused(matrix):
+    # a cast to int64 would truncate, parse or wrap these into other residues
+    with pytest.raises(ValueError, match="integers"):
+        rref_mod_p(matrix, 7)
+
+
+def test_integer_matrices_of_any_width_reduce_alike():
+    want = rref_mod_p(np.array([[3, 5], [6, 1]], dtype=np.int64), 7)
+    for dtype in (np.int8, np.int32, np.uint16, np.uint64, object):
+        got = rref_mod_p(np.array([[3, 5], [6, 1]], dtype=dtype), 7)
+        assert got.tobytes() == want.tobytes()
+    extremes = [[2**63 - 1, -2**63], [1, 1]]
+    want = reference_rref(np.array(extremes, dtype=np.int64), 7)
+    for matrix in (extremes, np.array(extremes, dtype=object)):
+        assert rref_mod_p(matrix, 7).tobytes() == want.tobytes()
+    top = [[2**63 - 2, 1]]
+    assert rref_mod_p(np.array(top, dtype=np.uint64), 7).tolist() == [[1, 6]]
