@@ -31,18 +31,25 @@ from levellab.seeds import derive_seed
 
 # Random trials per construction, unless a caller's budget says otherwise.
 DEFAULT_TRIALS = 5
+# A stack of k linear forms takes about k * nvars * dim R_e int64 cells to
+# raise to the e-th power; a larger sum is powered in slices under this.
+_POWER_CELLS = 1 << 20
 
 
 def sum_of_powers(nvars: int, degree: int, count: int, rng: Random,
                   p: int = DEFAULT_PRIME) -> np.ndarray:
     """The int64 row of a sum of ``count`` e-th powers of independent random
-    linear forms, drawn in order, added in int64 and reduced once."""
+    linear forms, drawn as one stack and powered by one ``**`` (a sum too
+    large for ``_POWER_CELLS`` by slices of the stack), added in int64 and
+    reduced once."""
     if count < 1:
         raise ValueError(f"need at least one power, got {count}")
     if degree < 1:
         raise ValueError(f"powers need degree >= 1, got {degree}")
-    row = sum(np.array((random_form(nvars, 1, rng, p) ** degree).coeffs, dtype=np.int64)
-              for _ in range(count)) % p
+    # a stacked draw replays its draws one at a time, so slices draw alike
+    step = max(1, _POWER_CELLS // (nvars * ring_dim(nvars, degree)))
+    row = sum((random_form(nvars, 1, min(step, count - k), rng, p) ** degree).coeffs.sum(axis=0)
+              for k in range(0, count, step)) % p
     if not row.any():  # a degenerate draw, like dependent generators
         raise DependentGeneratorsError(f"{count} powers of degree {degree} cancel mod {p}")
     return row

@@ -8,9 +8,11 @@ of degree d, zeros included, in descending graded reverse lexicographic
 order (grevlex); that order fixes every coefficient array and every
 printed and serialized representation.  Text becomes int64 rows and back
 by binomial ranks and one cached tuple of monomial strings per ring.
-``Form`` only computes the powers of linear forms that constructions sum,
-one linear factor at a time through ``raising_table``, the table the
-derivative tower reads; no exponent tuple is ever listed.
+``Form`` only computes the powers of linear forms that constructions sum:
+it holds one int64 array, a row or a stack of rows, and ``random_form``
+draws a sum's linear forms as one stack, which ``**`` raises one linear
+factor at a time through ``raising_table``, the table the derivative
+tower reads, for every row at once; no exponent tuple is ever listed.
 
 The default prime 2^31 - 1 keeps products inside 64-bit integers so the
 elimination kernel can vectorize; any prime larger than the degrees in
@@ -160,66 +162,101 @@ def raising_table(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return index.astype(np.int32), (exps + 1).astype(np.int32)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class Form:
-    """A homogeneous polynomial over F_p, kept only for powers of linear forms.
+    """Homogeneous polynomials over F_p of one degree, kept only for powers
+    of linear forms.
 
-    ``coeffs`` holds one residue in [0, p) per monomial of the degree, in
-    descending grevlex order.  The degree is carried explicitly so the zero
-    form of any degree is representable.
+    ``coeffs`` is a read-only int64 array whose last axis holds one residue
+    in [0, p) per monomial of the degree, in descending grevlex order; an
+    optional leading axis stacks several forms of one ring and degree, and
+    every product acts on all of them at once.  The degree is carried
+    explicitly so the zero form of any degree is representable.  Forms are
+    equal when their rings, primes and arrays are.
     """
 
     nvars: int
     degree: int
     p: int
-    coeffs: tuple[int, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
         size = ring_dim(self.nvars, self.degree)
-        if len(self.coeffs) != size:
-            raise ValueError(f"{len(self.coeffs)} coefficients for {size} monomials")
-        # below 2^31, products of residues stay exact in int64
-        if not 0 <= min(self.coeffs) <= max(self.coeffs) < self.p < PRIME_LIMIT:
+        # a copy of its own, so no array or view the caller keeps writes to it
+        coeffs = np.array(check_integers(self.coeffs), dtype=np.int64)
+        if coeffs.ndim not in (1, 2):
+            raise ValueError(f"a form or a stack of forms, not a {coeffs.ndim}-d array")
+        if coeffs.shape[-1] != size:
+            raise ValueError(f"{coeffs.shape[-1]} coefficients for {size} monomials")
+        # below 2^31, products of residues stay exact in int64; as uint64 a
+        # negative entry is above 2^63, so one maximum checks both ends
+        if not self.p < PRIME_LIMIT or (coeffs.size and coeffs.view(np.uint64).max() >= self.p):
             raise ValueError(f"coefficients out of range for p={self.p} < 2^31")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Form)
+                and (self.nvars, self.degree, self.p) == (other.nvars, other.degree, other.p)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "Form") -> "Form":
-        """The product, one factor of degree 0 or 1: a constant scales the
-        other, and c_v y_v g lands at ``raising_table`` index[v], one to one,
-        so each cell sums at most nvars residues."""
+        """The product, one factor of degree 0 or 1, form by form through
+        two stacks of one shape: a constant scales the other, and c_v y_v g
+        lands at ``raising_table`` index[v], one to one, so each cell sums
+        at most nvars residues."""
         if self.nvars != other.nvars or self.p != other.p:
             raise ValueError("forms live in different rings")
+        if self.coeffs.shape[:-1] != other.coeffs.shape[:-1]:
+            raise ValueError("factors hold different numbers of forms")
         low, high = (self, other) if self.degree <= other.degree else (other, self)
         if low.degree > 1:
             raise ValueError("a product needs a factor of degree 0 or 1")
-        p, g = self.p, np.array(high.coeffs, dtype=np.int64)
+        p, g = self.p, high.coeffs
         if low.degree == 0:
-            out = g * low.coeffs[0] % p
+            out = g * low.coeffs % p
         else:
+            # one np.add.at over forms x nvars x dim R_{d-1} flat positions:
+            # numpy's fast path, about twice an (..., index) subscript's speed
             index, _ = raising_table(self.nvars, high.degree + 1)
-            out = np.zeros(ring_dim(self.nvars, high.degree + 1), dtype=np.int64)
-            np.add.at(out, index, np.array(low.coeffs, dtype=np.int64)[:, None] * g % p)
-            out %= p
-        return Form(self.nvars, low.degree + high.degree, p, tuple(out.tolist()))
+            size, forms = ring_dim(self.nvars, high.degree + 1), g.size // g.shape[-1]
+            out = np.zeros(forms * size, np.int64)
+            np.add.at(out, (index + size * np.arange(forms)[:, None, None]).ravel(),
+                      (low.coeffs[..., :, None] * g[..., None, :] % p).ravel())
+            out = out.reshape(g.shape[:-1] + (size,)) % p
+        return Form(self.nvars, low.degree + high.degree, p, out)
 
     def __pow__(self, exponent: int) -> "Form":
-        """self * ... * self from 1; in one variable, c y1^d to the e is c^e y1^(de)."""
+        """self * ... * self, every form of a stack at once, and 1 for e = 0;
+        in one variable, c y1^d to the e is c^e y1^(de)."""
         if exponent < 0:
             raise ValueError("negative powers are not defined for forms")
         if self.nvars == 1:
-            return Form(1, self.degree * exponent, self.p, (pow(*self.coeffs, exponent, self.p),))
-        result = Form(self.nvars, 0, self.p, (1,))
-        for _ in range(exponent):
+            powers = [pow(c, exponent, self.p) for c in self.coeffs.ravel().tolist()]
+            return Form(1, self.degree * exponent, self.p,
+                        np.reshape(powers, self.coeffs.shape))
+        if not exponent:
+            return Form(self.nvars, 0, self.p, np.ones(self.coeffs.shape[:-1] + (1,), np.int64))
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
 
-def random_form(nvars: int, degree: int, rng: Random, p: int = DEFAULT_PRIME) -> Form:
-    """A dense random form: every monomial gets a uniform residue."""
+def random_form(nvars: int, degree: int, count: int, rng: Random,
+                p: int = DEFAULT_PRIME) -> Form:
+    """A stack of ``count`` dense random forms, each monomial a uniform
+    residue: the forms of ``count`` draws one at a time, where a form that
+    comes out zero is drawn again.  Such a redraw takes the values that
+    follow the zero form, so the rows are drawn in one ``randrange_many``,
+    the zero ones dropped and the shortfall drawn again."""
     size = ring_dim(nvars, degree)
-    while True:
-        coeffs = tuple(randrange_many(rng, p, size).tolist())
-        if any(coeffs):
-            return Form(nvars, degree, p, coeffs)
+    kept = randrange_many(rng, p, count * size).reshape(count, size)
+    while not kept.any(axis=1).all():
+        kept = kept[kept.any(axis=1)]
+        drawn = randrange_many(rng, p, (count - len(kept)) * size)
+        kept = np.vstack([kept, drawn.reshape(-1, size)])
+    return Form(nvars, degree, p, kept)
 
 
 def randrange_many(rng: Random, n: int, count: int) -> np.ndarray:

@@ -27,5 +27,6 @@ def monomial_positions(nvars, degree):
 
 
 def form_terms(f):
-    """The nonzero coefficients of a ``Form`` by monomial."""
-    return {m: c for m, c in zip(monomial_positions(f.nvars, f.degree), f.coeffs) if c}
+    """The nonzero coefficients of one ``Form`` by monomial, as Python ints,
+    so the oracles that multiply them never wrap around int64."""
+    return {m: c for m, c in zip(monomial_positions(f.nvars, f.degree), f.coeffs.tolist()) if c}

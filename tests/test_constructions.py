@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from levellab import constructions
 from levellab.classify import build_recipe
 from levellab.constructions import (
     add_new_variable_power,
@@ -19,7 +20,7 @@ from levellab.constructions import (
     sum_of_powers,
 )
 from levellab.errors import HypothesisError
-from levellab.forms import DEFAULT_PRIME, ring_dim
+from levellab.forms import DEFAULT_PRIME, random_form, ring_dim
 from levellab.macaulay import binomial
 from levellab.modules import InverseModule, h_vector, module_to_text
 from levellab.seeds import derive_seed
@@ -47,6 +48,19 @@ def test_sum_of_powers_matches_expected():
                     derive_seed(101, nvars, degree, count),
                 )
                 assert h == expected, (nvars, degree, count)
+
+
+@pytest.mark.parametrize("per_slice", (1, 3, 10))
+def test_a_sum_powered_in_slices_is_the_sum_of_its_powers(monkeypatch, per_slice):
+    # a sum too large for one stack is drawn and powered slice by slice;
+    # its row and the draws it takes are those of its forms one at a time
+    monkeypatch.setattr(constructions, "_POWER_CELLS", per_slice * 4 * ring_dim(4, 3))
+    for p in (5, 101, DEFAULT_PRIME):
+        rng, single = random.Random(p), random.Random(p)
+        row = sum_of_powers(4, 3, 10, rng, p)
+        powers = [(random_form(4, 1, 1, single, p) ** 3).coeffs[0] for _ in range(10)]
+        assert row.tolist() == (sum(powers) % p).tolist()
+        assert rng.random() == single.random()
 
 
 def test_partition_module_frozen():

@@ -30,7 +30,7 @@ from levellab.forms import (
     ring_dim,
 )
 from monomials import form_terms, grevlex, monomial_positions
-from test_spans import form, reference_derivative
+from test_spans import form, random_forms, reference_derivative
 
 
 def y(var, nvars, p=DEFAULT_PRIME):
@@ -113,6 +113,25 @@ def test_form_validation():
             Form(2, 1, 7, (1, residue))  # residue outside [0, p)
 
 
+def test_a_stack_holds_forms_of_one_ring_and_degree():
+    stack = Form(2, 2, 7, [[1, 0, 6], [0, 3, 0]])
+    assert stack.coeffs.shape == (2, 3) and not stack.coeffs.flags.writeable
+    assert stack == Form(2, 2, 7, np.array([[1, 0, 6], [0, 3, 0]], dtype=np.int32))
+    assert stack != Form(2, 2, 7, [[1, 0, 6]]) and stack != Form(2, 2, 7, (1, 0, 6))
+    with pytest.raises(ValueError, match="2 coefficients for 3 monomials"):
+        Form(2, 2, 7, [[1, 0], [0, 3]])  # wrong last-axis length
+    with pytest.raises(ValueError, match="not a 3-d array"):
+        Form(2, 2, 7, [[[1, 0, 6]]])
+    for residue in (7, -1):
+        with pytest.raises(ValueError, match="out of range for p=7"):
+            Form(2, 2, 7, [[1, 0, 6], [0, residue, 0]])
+    # a product multiplies form by form: one form is not a stack of one
+    for other in (Form(2, 1, 7, [[1, 0], [0, 1], [1, 1]]), Form(2, 0, 7, [[3]]),
+                  Form(2, 1, 7, (1, 1))):
+        with pytest.raises(ValueError, match="different numbers of forms"):
+            other * stack
+
+
 def test_binomial_cube():
     f = form("y1 + y2", 2, 1)
     assert format_form(2, 3, (f**3).coeffs) == "y1^3 + 3*y1^2*y2 + 3*y1*y2^2 + y2^3"
@@ -152,24 +171,36 @@ def dict_power(f, e):
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 101, DEFAULT_PRIME))
 def test_powers_match_the_dict_product(p):
-    # dense and sparse linear forms, r = 1..8, e = 0..8
+    # dense and sparse linear forms, r = 1..8, e = 0..8, one at a time and
+    # stacked: a stack's power is the stack of the powers
     rng = random.Random(p)
     for nvars in range(1, 9):
         for e in range(9):
-            for keep in (1.0, 0.5):
-                coeffs = [rng.randrange(p) if rng.random() < keep else 0 for _ in range(nvars)]
-                ell = Form(nvars, 1, p, tuple(coeffs))
-                assert ell**e == dict_power(ell, e)
+            ells = [Form(nvars, 1, p, tuple(rng.randrange(p) if rng.random() < keep else 0
+                                            for _ in range(nvars)))
+                    for keep in (1.0, 0.5)]
+            powers = [dict_power(ell, e) for ell in ells]
+            assert [ell**e for ell in ells] == powers
+            stack = Form(nvars, 1, p, [ell.coeffs for ell in ells])
+            assert stack**e == Form(nvars, e, p, [power.coeffs for power in powers])
 
 
 def test_products_by_a_constant_or_a_linear_form_match_the_dict_product():
     rng = random.Random(17)
     for p in (2, 7, DEFAULT_PRIME):
         for nvars, degree in ((1, 3), (2, 0), (3, 2), (4, 4), (6, 3)):
-            g = random_form(nvars, degree, rng, p)
-            for low in (random_form(nvars, 0, rng, p), random_form(nvars, 1, rng, p),
+            (g,) = random_forms(nvars, degree, 1, rng, p)
+            for low in (*random_forms(nvars, 0, 1, rng, p), *random_forms(nvars, 1, 1, rng, p),
                         y(nvars - 1, nvars, p)):
                 assert low * g == g * low == dict_product(low, g)
+            # three of each, form by form
+            gs = random_form(nvars, degree, 3, rng, p)
+            for lows in (random_form(nvars, 0, 3, rng, p), random_form(nvars, 1, 3, rng, p)):
+                expected = [dict_product(Form(nvars, lows.degree, p, low),
+                                         Form(nvars, degree, p, g))
+                            for low, g in zip(lows.coeffs, gs.coeffs)]
+                assert lows * gs == gs * lows == Form(
+                    nvars, lows.degree + degree, p, [product.coeffs for product in expected])
 
 
 def test_products_need_a_factor_of_degree_0_or_1_in_one_ring():
@@ -189,11 +220,13 @@ def test_high_powers_follow_the_binomial_theorem():
     # (a y1 + b y2)^e has C(e, k) a^(e-k) b^k at y1^(e-k) y2^k, listed by k
     p, e = 101, 700
     power = Form(2, 1, p, (3, 5)) ** e
-    assert power.coeffs == tuple(comb(e, k) * 3**(e - k) * 5**k % p for k in range(e + 1))
-    # one variable: c y1^d to the e is the one residue c^e
+    assert power.coeffs.tolist() == [comb(e, k) * 3**(e - k) * 5**k % p for k in range(e + 1)]
+    # one variable: c y1^d to the e is the one residue c^e, form by form
     assert Form(1, 1, DEFAULT_PRIME, (3,)) ** 100000 == Form(
         1, 100000, DEFAULT_PRIME, (pow(3, 100000, DEFAULT_PRIME),))
     assert Form(1, 2, 7, (3,)) ** 3 == dict_power(Form(1, 2, 7, (3,)), 3)
+    assert Form(1, 1, DEFAULT_PRIME, [[3], [0], [5]]) ** 100000 == Form(
+        1, 100000, DEFAULT_PRIME, [[pow(c, 100000, DEFAULT_PRIME)] for c in (3, 0, 5)])
 
 
 def test_derivative_frozen_example():
@@ -205,7 +238,7 @@ def test_derivative_frozen_example():
 def test_partials_commute():
     rng = random.Random(5)
     for _ in range(20):
-        f = random_form(3, 4, rng)
+        (f,) = random_forms(3, 4, 1, rng)
         for i in range(3):
             for j in range(3):
                 assert (reference_derivative(reference_derivative(f, i), j)
@@ -216,24 +249,24 @@ def test_euler_identity():
     # sum of y_i * df/dy_i recovers deg(f) * f
     rng = random.Random(9)
     for nvars, degree in [(2, 3), (3, 4), (4, 5)]:
-        f = random_form(nvars, degree, rng)
+        (f,) = random_forms(nvars, degree, 1, rng)
         total = [0] * len(f.coeffs)
         for var in range(nvars):
             term = y(var, nvars) * reference_derivative(f, var)
-            total = [a + b for a, b in zip(total, term.coeffs)]
-        assert [c % f.p for c in total] == [degree * c % f.p for c in f.coeffs]
+            total = [a + b for a, b in zip(total, term.coeffs.tolist())]
+        assert [c % f.p for c in total] == [degree * c % f.p for c in f.coeffs.tolist()]
 
 
 def test_power_rule_for_linear_forms():
     rng = random.Random(13)
     for _ in range(10):
-        ell = random_form(3, 1, rng)
+        (ell,) = random_forms(3, 1, 1, rng)
         e = rng.randint(2, 5)
         power = ell**e
-        lower = (ell ** (e - 1)).coeffs
-        for var, coefficient in enumerate(ell.coeffs):
-            assert reference_derivative(power, var).coeffs == tuple(
-                e * coefficient * c % ell.p for c in lower)
+        lower = (ell ** (e - 1)).coeffs.tolist()
+        for var, coefficient in enumerate(ell.coeffs.tolist()):
+            assert reference_derivative(power, var).coeffs.tolist() == [
+                e * coefficient * c % ell.p for c in lower]
 
 
 def test_embedding_keeps_every_term():
@@ -241,23 +274,56 @@ def test_embedding_keeps_every_term():
     # so a form in more variables only gains trailing zero coefficients
     rng = random.Random(21)
     for nvars, degree, wide in [(1, 3, 2), (2, 2, 4), (3, 4, 5), (2, 0, 3)]:
-        f = random_form(nvars, degree, rng)
+        (f,) = random_forms(nvars, degree, 1, rng)
         pad = (0,) * (wide - nvars)
-        zeros = (0,) * (ring_dim(wide, degree) - len(f.coeffs))
+        zeros = [0] * (ring_dim(wide, degree) - len(f.coeffs))
         order = monomial_positions(wide, degree)
         coeffs = [0] * len(order)
         for m, c in form_terms(f).items():
             coeffs[order[m + pad]] = c
-        assert f.coeffs + zeros == tuple(coeffs)
+        assert f.coeffs.tolist() + zeros == coeffs
 
 
 def test_random_linear_form_nonzero_and_seeded():
-    a = random_form(4, 1, random.Random(42))
-    b = random_form(4, 1, random.Random(42))
+    a = random_form(4, 1, 1, random.Random(42))
+    b = random_form(4, 1, 1, random.Random(42))
     assert a == b
-    assert any(a.coeffs)
+    assert a.coeffs.shape == (1, 4) and a.coeffs.any()
     with pytest.raises(ValueError, match="at least one variable"):
-        random_form(0, 1, random.Random(42))
+        random_form(0, 1, 1, random.Random(42))
+
+
+def draw_one_at_a_time(nvars, degree, count, rng, p):
+    """``count`` forms drawn one after another, each drawn again while it
+    is zero: the stream ``random_form`` replays.  Returns the rows and the
+    number of zero draws."""
+    size = ring_dim(nvars, degree)
+    rows, zeros = [], 0
+    while len(rows) < count:
+        row = [rng.randrange(p) for _ in range(size)]
+        if any(row):
+            rows.append(row)
+        else:
+            zeros += 1
+    return rows, zeros
+
+
+@pytest.mark.parametrize("p", (2, 3, 101, DEFAULT_PRIME))
+def test_a_stacked_draw_replays_the_draws_one_at_a_time(p):
+    # one or two monomials make zero rows frequent at p = 2 and 3; a zero
+    # row's redraw takes the values after it, which a stacked draw had
+    # already read for the rows that follow
+    zeros = 0
+    for nvars, degree in ((1, 1), (1, 4), (2, 1), (3, 1), (3, 2), (4, 3)):  # 20 monomials
+        for count in (1, 2, 5, 40):
+            seed = str((p, nvars, degree, count))
+            stacked, single = random.Random(seed), random.Random(seed)
+            rows, skipped = draw_one_at_a_time(nvars, degree, count, single, p)
+            forms = random_form(nvars, degree, count, stacked, p)
+            assert forms.coeffs.tolist() == rows
+            assert stacked.random() == single.random()
+            zeros += skipped
+    assert zeros or p > 3
 
 
 @pytest.mark.parametrize("count", (1, 7, _BULK_DRAWS, 5000))
@@ -276,7 +342,7 @@ def test_randrange_many_refuses_moduli_outside_the_range(n):
     with pytest.raises(HypothesisError, match=str(n)):
         randrange_many(random.Random(0), n, 3)
     with pytest.raises(HypothesisError, match=str(n)):
-        random_form(2, 2, random.Random(0), n)
+        random_form(2, 2, 1, random.Random(0), n)
 
 
 # ------------------------------------------------------------------ text

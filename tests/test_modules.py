@@ -32,8 +32,7 @@ def make_module(texts, nvars, degree, p=DEFAULT_PRIME):
 
 
 def random_module(nvars, degree, count, rng, p=DEFAULT_PRIME):
-    rows = [random_form(nvars, degree, rng, p).coeffs for _ in range(count)]
-    return InverseModule(nvars, degree, p, rows)
+    return InverseModule(nvars, degree, p, random_form(nvars, degree, count, rng, p).coeffs)
 
 
 def test_module_validation():

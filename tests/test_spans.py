@@ -8,11 +8,13 @@ elimination, on square and wide shapes as well as on tall ones that it
 reads in many batches and leaves early once they reach full column rank.
 """
 
-import inspect
+import json
+import os
 import random
+import subprocess
 import sys
-import tracemalloc
 from itertools import compress
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -35,8 +37,6 @@ from levellab.macaulay import binomial
 from levellab.modules import (
     InverseModule,
     h_vector,
-    module_from_text,
-    module_to_text,
     type_of,
 )
 from levellab.spans import (
@@ -61,7 +61,13 @@ def reference_derivative(f, var):
 
 def form(text, nvars, degree, p=DEFAULT_PRIME):
     """The ``Form`` that ``text`` names, for the reference arithmetic."""
-    return Form(nvars, degree, p, tuple(parse_form(text, nvars, degree, p).tolist()))
+    return Form(nvars, degree, p, parse_form(text, nvars, degree, p))
+
+
+def random_forms(nvars, degree, count, rng, p=DEFAULT_PRIME):
+    """``count`` random forms drawn as one stack, each its own ``Form``."""
+    stack = random_form(nvars, degree, count, rng, p)
+    return [Form(nvars, degree, p, row) for row in stack.coeffs]
 
 
 def module_of(forms):
@@ -74,7 +80,7 @@ def tower(forms):
 
 
 def scaled(f, c):
-    return Form(f.nvars, f.degree, f.p, tuple(c * v % f.p for v in f.coeffs))
+    return Form(f.nvars, f.degree, f.p, tuple(c * v % f.p for v in f.coeffs.tolist()))
 
 
 def small_matrix(rng, rows, cols, lo=0, hi=20):
@@ -167,7 +173,7 @@ def span_dimension(forms):
 
 def test_span_dimension_basics():
     rng = random.Random(31)
-    quadrics = [random_form(3, 2, rng) for _ in range(3)]
+    quadrics = random_forms(3, 2, 3, rng)
     assert span_dimension(quadrics) == 3
     assert span_dimension(quadrics + [quadrics[0]]) == 3
     doubled = quadrics + [scaled(quadrics[1], 7)]
@@ -185,7 +191,7 @@ def test_span_dimension_rejects_mixed_degrees():
 
 def test_span_dimension_invariant_under_scaling_and_order():
     rng = random.Random(37)
-    forms = [random_form(3, 3, rng) for _ in range(4)]
+    forms = random_forms(3, 3, 4, rng)
     dim = span_dimension(forms)
     shuffled = forms[::-1]
     multiples = [scaled(f, rng.randrange(1, DEFAULT_PRIME)) for f in forms]
@@ -205,7 +211,7 @@ def test_tower_of_monomial_product():
 
 def test_tower_of_generic_quartics():
     rng = random.Random(41)
-    gens = [random_form(3, 4, rng) for _ in range(4)]
+    gens = random_forms(3, 4, 4, rng)
     dims = tuple(map(len, tower(gens)))
     assert dims == (1, 3, 6, 10, 4)
 
@@ -216,7 +222,7 @@ def test_tower_dims_respect_ring_and_derivative_caps():
         nvars = rng.randint(2, 4)
         degree = rng.randint(1, 4)
         count = rng.randint(1, 3)
-        gens = [random_form(nvars, degree, rng) for _ in range(count)]
+        gens = random_forms(nvars, degree, count, rng)
         spans = tower(gens)
         assert len(spans) == degree + 1
         for j, basis in enumerate(spans):
@@ -252,7 +258,7 @@ def test_levels_below_a_full_level_share_one_read_only_identity():
 
 def test_basis_forms_regenerate_the_same_span():
     rng = random.Random(47)
-    gens = [random_form(3, 3, rng) for _ in range(2)]
+    gens = random_forms(3, 3, 2, rng)
     spans = tower(gens)
     quadric_basis = [Form(3, 2, DEFAULT_PRIME, tuple(row)) for row in spans[2].tolist()]
     assert span_dimension(quadric_basis) == len(spans[2])
@@ -266,7 +272,7 @@ def test_stacked_derivatives_match_the_reference_derivative(p):
     for _ in range(30):
         nvars = rng.randint(1, 4)
         degree = rng.randint(1, 5)
-        gens = [random_form(nvars, degree, rng, p) for _ in range(rng.randint(1, 4))]
+        gens = random_forms(nvars, degree, rng.randint(1, 4), rng, p)
         for d, basis in enumerate(tower(gens)[1:], start=1):
             stacked = spans._stacked_derivatives(basis, nvars, d, p)
             dim = len(basis)
@@ -274,8 +280,49 @@ def test_stacked_derivatives_match_the_reference_derivative(p):
             forms = [Form(nvars, d, p, tuple(row)) for row in basis.tolist()]
             for var in range(nvars):
                 block = stacked[var * dim:(var + 1) * dim]
-                assert block.tolist() == [list(reference_derivative(f, var).coeffs)
+                assert block.tolist() == [reference_derivative(f, var).coeffs.tolist()
                                           for f in forms]
+
+
+# The growth test's body, run in a fresh interpreter: the bytes CPython's
+# free lists keep for spans.py depend on which tests ran before it.  It
+# prints the bytes each file gained and what the caches should hold.
+GROWTH = """
+import json, sys, tracemalloc
+from random import Random
+from levellab import forms, spans
+from levellab.constructions import compressed_generic_module
+from levellab.modules import h_vector, module_from_text, module_to_text
+
+def grown(run):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        run()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    return {stat.traceback[0].filename: stat.size_diff
+            for stat in after.compare_to(before, "filename") if stat.size_diff > 0}
+
+def tower():
+    module = compressed_generic_module(21, 3, 2, Random(5))
+    assert h_vector(module).h == (1, 21, 42, 2)
+
+def text():
+    assert module_from_text(module_to_text(module)) == module.with_seed(None)
+
+h_vector(compressed_generic_module(20, 3, 2, Random(3)))
+tower_grown = grown(tower)
+module = compressed_generic_module(22, 3, 2, Random(7))
+text_grown = grown(text)
+strings = forms._monomial_strings(22, 3)
+json.dump({"tower_spans": tower_grown.get(spans.__file__, 0),
+           "tower_forms": tower_grown.get(forms.__file__, 0),
+           "tables": sum(array.nbytes for d in (2, 3) for array in forms.raising_table(21, d)),
+           "text_forms": text_grown.get(forms.__file__, 0),
+           "strings": sys.getsizeof(strings) + sum(map(sys.getsizeof, strings))}, sys.stdout)
+"""
 
 
 def test_a_tower_pins_no_monomial_table():
@@ -287,40 +334,18 @@ def test_a_tower_pins_no_monomial_table():
     # that CPython's free lists hold on to.  Exponent tuples of 20 or more
     # entries skip CPython's tuple free lists, which would keep freed ones
     # traced.  The slack covers array and cache headers.
-    h_vector(compressed_generic_module(20, 3, 2, Random(3)))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot()
-        module = compressed_generic_module(21, 3, 2, Random(5))
-        assert h_vector(module).h == (1, 21, 42, 2)
-        del module
-        after = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    grown = {stat.traceback[0].filename: stat.size_diff
-             for stat in after.compare_to(before, "filename") if stat.size_diff > 0}
-    assert grown.get(spans.__file__, 0) < 1024
-    tables = sum(array.nbytes for d in (2, 3) for array in raising_table(21, d))
-    assert tables <= grown[inspect.getfile(Form)] < tables + 8192
-
+    src = str(Path(forms.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", GROWTH], env=env, capture_output=True,
+                         text=True, check=True)
+    grown = json.loads(run.stdout)
+    assert grown["tower_spans"] < 1024
+    assert grown["tables"] <= grown["tower_forms"] < grown["tables"] + 8192
     # printing and parsing a module of another fresh ring lists no exponent
     # tuple: of what forms.py allocates, only that ring's tuple of monomial
     # strings stays alive
-    module = compressed_generic_module(22, 3, 2, Random(7))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot()
-        text = module_to_text(module)
-        assert module_from_text(text) == module.with_seed(None)
-        del text
-        after = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    grown = {stat.traceback[0].filename: stat.size_diff
-             for stat in after.compare_to(before, "filename") if stat.size_diff > 0}
-    strings = forms._monomial_strings(22, 3)
-    table = sys.getsizeof(strings) + sum(map(sys.getsizeof, strings))
-    assert table <= grown[forms.__file__] < table + 8192
+    assert grown["strings"] <= grown["text_forms"] < grown["strings"] + 8192
 
 
 def reference_raising_table(nvars, degree):
