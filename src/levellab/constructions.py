@@ -23,7 +23,7 @@ from random import Random
 from levellab.errors import DependentGeneratorsError, HypothesisError
 import numpy as np
 
-from levellab.forms import DEFAULT_PRIME, random_form, randrange_many, ring_dim
+from levellab.forms import DEFAULT_PRIME, random_form, random_rows, ring_dim
 from levellab.macaulay import HVector
 from levellab.modules import HProfile, InverseModule, h_vector, type_of
 from levellab.seeds import derive_seed
@@ -143,16 +143,12 @@ def add_new_variable_power(module: InverseModule) -> InverseModule:
 
 def compressed_generic_module(nvars: int, degree: int, count: int, rng: Random,
                               p: int = DEFAULT_PRIME) -> InverseModule:
-    """``count`` dense random generators, drawn into the module's array row by
-    row (a zero row drawn again); generically the module is compressed."""
+    """``count`` dense random generators, drawn by ``random_rows`` as if row
+    by row (a zero row drawn again); generically the module is compressed."""
     cap = ring_dim(nvars, degree)
     if not 1 <= count <= cap:
         raise ValueError(f"type must be in 1..{cap}, got {count}")
-    rows = np.zeros((count, cap), dtype=np.int64)
-    for row in rows:
-        while not row.any():
-            row[:] = randrange_many(rng, p, cap)
-    return InverseModule(nvars, degree, p, rows)
+    return InverseModule(nvars, degree, p, random_rows(count, cap, rng, p))
 
 
 def expected_h_compressed(nvars: int, degree: int, count: int) -> HVector:

@@ -13,6 +13,9 @@ it holds one int64 array, a row or a stack of rows, and ``random_form``
 draws a sum's linear forms as one stack, which ``**`` raises one linear
 factor at a time through ``raising_table``, the table the derivative
 tower reads, for every row at once; no exponent tuple is ever listed.
+Its public constructor checks the array it is given; the products,
+powers and draws the class computes itself are only marked read-only,
+since they are residues of the right shape by construction.
 
 The default prime 2^31 - 1 keeps products inside 64-bit integers so the
 elimination kernel can vectorize; any prime larger than the degrees in
@@ -172,7 +175,9 @@ class Form:
     optional leading axis stacks several forms of one ring and degree, and
     every product acts on all of them at once.  The degree is carried
     explicitly so the zero form of any degree is representable.  Forms are
-    equal when their rings, primes and arrays are.
+    equal when their rings, primes and arrays are.  ``Form(...)`` copies
+    and checks its array; a form the class computes is built by
+    ``_computed``, which checks nothing.
     """
 
     nvars: int
@@ -194,6 +199,16 @@ class Form:
             raise ValueError(f"coefficients out of range for p={self.p} < 2^31")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _computed(cls, nvars: int, degree: int, p: int, coeffs: np.ndarray) -> "Form":
+        """A form of a fresh int64 array of residues that no caller holds,
+        with its last axis dim R_degree: marked read-only, not copied or
+        checked again."""
+        form = object.__new__(cls)
+        coeffs.flags.writeable = False
+        form.__dict__.update(nvars=nvars, degree=degree, p=p, coeffs=coeffs)
+        return form
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Form)
@@ -224,7 +239,7 @@ class Form:
             np.add.at(out, (index + size * np.arange(forms)[:, None, None]).ravel(),
                       (low.coeffs[..., :, None] * g[..., None, :] % p).ravel())
             out = out.reshape(g.shape[:-1] + (size,)) % p
-        return Form(self.nvars, low.degree + high.degree, p, out)
+        return Form._computed(self.nvars, low.degree + high.degree, p, out)
 
     def __pow__(self, exponent: int) -> "Form":
         """self * ... * self, every form of a stack at once, and 1 for e = 0;
@@ -233,10 +248,11 @@ class Form:
             raise ValueError("negative powers are not defined for forms")
         if self.nvars == 1:
             powers = [pow(c, exponent, self.p) for c in self.coeffs.ravel().tolist()]
-            return Form(1, self.degree * exponent, self.p,
-                        np.reshape(powers, self.coeffs.shape))
+            return Form._computed(1, self.degree * exponent, self.p,
+                                  np.array(powers, np.int64).reshape(self.coeffs.shape))
         if not exponent:
-            return Form(self.nvars, 0, self.p, np.ones(self.coeffs.shape[:-1] + (1,), np.int64))
+            return Form._computed(self.nvars, 0, self.p,
+                                  np.ones(self.coeffs.shape[:-1] + (1,), np.int64))
         result = self
         for _ in range(exponent - 1):
             result = result * self
@@ -246,17 +262,22 @@ class Form:
 def random_form(nvars: int, degree: int, count: int, rng: Random,
                 p: int = DEFAULT_PRIME) -> Form:
     """A stack of ``count`` dense random forms, each monomial a uniform
-    residue: the forms of ``count`` draws one at a time, where a form that
+    residue, drawn by ``random_rows``."""
+    return Form._computed(nvars, degree, p, random_rows(count, ring_dim(nvars, degree), rng, p))
+
+
+def random_rows(count: int, size: int, rng: Random, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """A fresh ``count`` x ``size`` int64 array of uniform residues with no
+    zero row: the rows of ``count`` draws one at a time, where a row that
     comes out zero is drawn again.  Such a redraw takes the values that
-    follow the zero form, so the rows are drawn in one ``randrange_many``,
+    follow the zero row, so the rows are drawn in one ``randrange_many``,
     the zero ones dropped and the shortfall drawn again."""
-    size = ring_dim(nvars, degree)
     kept = randrange_many(rng, p, count * size).reshape(count, size)
     while not kept.any(axis=1).all():
         kept = kept[kept.any(axis=1)]
         drawn = randrange_many(rng, p, (count - len(kept)) * size)
         kept = np.vstack([kept, drawn.reshape(-1, size)])
-    return Form(nvars, degree, p, kept)
+    return kept
 
 
 def randrange_many(rng: Random, n: int, count: int) -> np.ndarray:

@@ -14,6 +14,7 @@ generator row in the form grammar of ``parse_form`` and ``format_form``.
 from __future__ import annotations
 
 import re
+from copy import copy
 from dataclasses import dataclass, replace
 from random import Random
 
@@ -68,7 +69,11 @@ class InverseModule:
                 and np.array_equal(self.coeffs, other.coeffs))
 
     def with_seed(self, seed: int | None) -> "InverseModule":
-        return replace(self, seed=seed)
+        """This module with another seed, sharing its read-only array,
+        which was checked when this module was built."""
+        module = copy(self)
+        object.__setattr__(module, "seed", seed)
+        return module
 
 
 @dataclass(frozen=True)

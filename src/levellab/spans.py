@@ -5,8 +5,16 @@ product stays below 2^62, so vectorized row reduction is exact.  A matrix
 of integers of any width within int64 is read; floats, strings and wider
 integers are refused with ValueError before any reduction.
 
-``rref_mod_p`` reads its matrix in batches of ``_BATCH`` rows and keeps
-the rows found so far as blocks, each the new rows of one batch or a few:
+A matrix of at most 2 _BATCH rows and columns is reduced by one pass of
+per-pivot Gauss-Jordan steps in place over all its rows (``_steps``) on
+an int64 copy of its residues, and its nonzero top rows are copied out,
+or the identity returned at full rank.  Such a matrix is reduced at a
+cost per call, not per cell, so batches, blocks and back-substitution
+would cost more than they save: about nine in ten of the matrices of a
+scan or a replay take this pass.
+
+A larger matrix is read in batches of ``_BATCH`` rows, and the rows
+found so far are kept as blocks, each the new rows of one batch or a few:
 a block's rows are in reduced echelon form among themselves and zero on
 the pivot columns of every earlier block.  A new batch loses its part in
 their span block by block, in the order they were found, each step
@@ -32,9 +40,10 @@ the current position is reduced by panels (``_pivot_steps``): its next
 _BATCH columns that are nonzero in the rows not yet pivoted are reduced
 beside an identity, [panel | I] -> [panel' | T], and one product applies
 T to every column right of the panel.  That covers the top levels of the
-towers and their wide R_2 and R_3 levels.  Other batches, every scan
-matrix and most replayed ones, take the per-pivot steps in place: on them
-the panel's extra product costs more than the row updates it saves.
+towers and their wide R_2 and R_3 levels.  Other batches take the
+per-pivot steps in place, as every scan matrix and most replayed ones do:
+on them the panel's extra product costs more than the row updates it
+saves.
 
 The matrix product is exact: ``_matmul_mod`` keeps its left operand x as
 residues below 2^31, splits the right one into 16-bit halves y1 < 2^15
@@ -50,8 +59,8 @@ products' high halves and the cleared or transformed rows, are reduced
 mod p as x - (x // p) p in place (``_mod``): numpy divides int64 by a
 scalar with a multiply and a shift, where its remainder ``%`` divides
 each entry, several times slower.  The in-place pivot steps keep ``%``:
-but for batches of one or two rows their arrays are at most _BATCH by
-2 _BATCH, where its one call costs less (floor division slowed the scan
+but for batches of one or two rows their arrays are at most 2 _BATCH
+square, where its one call costs less (floor division slowed the scan
 matrices by about a fifth).  The reduced row echelon form of a span is
 unique, so the result depends neither on the batches, the blocks or the
 panels, nor on which rows are picked as pivots.
@@ -63,7 +72,10 @@ every level is the identity.  Each basis is a plain RREF int64 matrix, and
 their lengths are the h-vector of the module.  Sizes come from
 ``forms.ring_dim``, and the tower keeps no monomial table: it gathers the
 partial d/dy_v of a degree-d basis as basis[:, index[v]] mult[v], through
-``forms.raising_table``, which the products of forms read too.
+``forms.raising_table``, which the products of forms read too, for as
+many variables per gather as fit ``_CHUNK_CELLS``: all of them on the
+small rings of scans and replays, one at a time on the large levels of
+the r = 16..30 towers, so a tower's largest temporary does not grow.
 """
 
 from __future__ import annotations
@@ -86,7 +98,7 @@ _BATCH = 32
 # product to a few arrays of 128 KiB.  On the tower matrices 2^14 beat 2^13
 # and 2^15 (0.63-0.70 s a pass against 0.70 s and 0.69-0.83 s): smaller
 # chunks cost more calls, larger ones ran slower BLAS products on a busy
-# 2-vCPU host.
+# 2-vCPU host.  The same bound caps the int64 gathers of a level's partials.
 _CHUNK_CELLS = 1 << 14
 
 
@@ -103,6 +115,12 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError("expected a 2d matrix")
     nrows, ncols = matrix.shape
+    if nrows <= 2 * _BATCH and ncols <= 2 * _BATCH:
+        # small enough that batches, blocks and back-substitution cost more
+        # than the pivot steps on every row at once
+        a = _mod(matrix.astype(np.int64), p)
+        k = len(_steps(a, p, 0, ncols))
+        return np.eye(ncols, dtype=np.int64) if k == ncols else a[:k].copy()
     blocks: list[_Block] = []
     rank = 0
     for lo in range(0, nrows, _BATCH):
@@ -288,15 +306,21 @@ def coefficient_matrix(module) -> np.ndarray:
 
 def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int) -> np.ndarray:
     """All first partials of the rows of ``matrix``, coefficients of degree
-    ``degree`` forms, one block per variable, each one gather through the
-    raising table.  Residues below 2^31 fit int32, which halves the largest
-    array of a tower; ``rref_mod_p`` reduces an int64 copy of it."""
+    ``degree`` forms, one block per variable, gathered through the raising
+    table for as many variables at once as fit ``_CHUNK_CELLS`` (at least
+    one), which bounds the int64 temporaries.  Residues below 2^31 fit
+    int32, which halves the largest array of a tower; ``rref_mod_p``
+    reduces an int64 copy of it."""
     index, mult = raising_table(nvars, degree)
-    dim = len(matrix)
-    stacked = np.empty((nvars * dim, index.shape[1]), dtype=np.int32)
-    for var in range(nvars):
-        stacked[var * dim:(var + 1) * dim] = _mod(matrix[:, index[var]] * mult[var], p)
-    return stacked
+    dim, size = len(matrix), index.shape[1]
+    stacked = np.empty((nvars, dim, size), dtype=np.int32)
+    step = max(1, _CHUNK_CELLS // (dim * size))
+    for lo in range(0, nvars, step):
+        # dim x vars x size: row i's partial by each variable of the chunk
+        partials = matrix[:, index[lo:lo + step]]
+        partials *= mult[lo:lo + step]
+        stacked[lo:lo + step] = _mod(partials, p).swapaxes(0, 1)
+    return stacked.reshape(nvars * dim, size)
 
 
 def derivative_spaces(module) -> list[np.ndarray]:

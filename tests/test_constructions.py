@@ -295,3 +295,39 @@ def test_compressed_draws_are_frozen(shape, after, text):
     rng = random.Random(seed)
     assert module_to_text(compressed_generic_module(nvars, degree, count, rng, p)) == text
     assert rng.getrandbits(32) == after
+
+
+def draw_rows_one_at_a_time(count, size, rng, p):
+    """``count`` rows of ``size`` residues drawn one after another, a zero
+    row drawn again: the row-by-row stream ``random_rows`` replays.  Returns
+    the rows and the number of zero draws."""
+    rows, zeros = [], 0
+    while len(rows) < count:
+        row = [rng.randrange(p) for _ in range(size)]
+        if any(row):
+            rows.append(row)
+        else:
+            zeros += 1
+    return rows, zeros
+
+
+@pytest.mark.parametrize("p", (2, 3, 101, DEFAULT_PRIME))
+def test_a_compressed_module_replays_its_rows_drawn_one_at_a_time(p):
+    # rings of one to three monomials make zero rows frequent at p = 2 and 3
+    zeros = 0
+    shapes = [(1, 1, 1), (2, 1, 2), (3, 1, 3)]
+    if p > 2:
+        shapes += [(1, 2, 1), (2, 2, 3)]
+    if p > 3:
+        shapes += [(4, 3, 20), (3, 4, 7)]
+    for nvars, degree, count in shapes:
+        for repeat in range(20):
+            seed = str((p, nvars, degree, count, repeat))
+            stacked, single = random.Random(seed), random.Random(seed)
+            rows, skipped = draw_rows_one_at_a_time(count, ring_dim(nvars, degree), single, p)
+            module = compressed_generic_module(nvars, degree, count, stacked, p)
+            assert module.coeffs.tolist() == rows
+            assert stacked.random() == single.random()
+            zeros += skipped
+    assert zeros or p > 3
+

@@ -326,6 +326,25 @@ def test_a_stacked_draw_replays_the_draws_one_at_a_time(p):
     assert zeros or p > 3
 
 
+@pytest.mark.parametrize("p", (5, 101, DEFAULT_PRIME))
+def test_computed_forms_are_read_only_and_equal_their_checked_copies(p):
+    rng = random.Random(p)
+    linear = random_form(4, 1, 3, rng, p)
+    line = random_form(1, 2, 3, rng, p)  # one variable takes its own power path
+    computed = [linear, linear * linear ** 2, linear ** 3, linear ** 0, line ** 2,
+                random_form(3, 2, 20, rng, p),
+                Form(4, 0, p, np.full((3, 1), 3)) * linear]
+    for f in computed:
+        assert f.coeffs.dtype == np.int64 and not f.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f.coeffs[(0,) * f.coeffs.ndim] = 1
+        assert f == Form(f.nvars, f.degree, f.p, f.coeffs)
+        assert ((0 <= f.coeffs) & (f.coeffs < p)).all()
+        assert f.coeffs.shape[-1] == ring_dim(f.nvars, f.degree)
+    # a product never shares its factors' arrays
+    assert not any(np.shares_memory(linear.coeffs, f.coeffs) for f in computed[1:])
+
+
 @pytest.mark.parametrize("count", (1, 7, _BULK_DRAWS, 5000))
 @pytest.mark.parametrize("n", (2, 101, 65537, 2**30 + 1, 2**31 - 1))
 def test_randrange_many_replays_randrange(n, count):

@@ -109,6 +109,17 @@ def test_module_equality_reads_ring_prime_seed_and_array():
     assert module != module_to_text(module)
 
 
+def test_with_seed_shares_the_checked_read_only_array():
+    module = make_module(["y1^2 + y2^2", "y1*y2"], 2, 2).with_seed(5)
+    reseeded = module.with_seed(9)
+    assert reseeded.seed == 9 and module.seed == 5
+    assert reseeded == replace(module, seed=9) and reseeded != module
+    assert reseeded.coeffs is module.coeffs
+    with pytest.raises(ValueError, match="read-only"):
+        reseeded.coeffs[0, 0] = 2
+    assert reseeded.with_seed(None) == make_module(["y1^2 + y2^2", "y1*y2"], 2, 2)
+
+
 def test_h_vector_frozen_examples():
     assert h_vector(make_module(["y1*y2*y3"], 3, 3)).h == (1, 3, 3, 1)
     assert h_vector(make_module(["y1^4 + y2^4 + y3^4"], 3, 4)).h == (1, 3, 3, 3, 1)

@@ -848,3 +848,89 @@ def test_integer_matrices_of_any_width_reduce_alike():
         assert rref_mod_p(matrix, 7).tobytes() == want.tobytes()
     top = [[2**63 - 2, 1]]
     assert rref_mod_p(np.array(top, dtype=np.uint64), 7).tolist() == [[1, 6]]
+
+
+# --------------------------------------------------- one pass on small matrices
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_small_matrices_take_one_pass_and_match_reference(monkeypatch, p):
+    # up to 2 _BATCH rows and columns the pivot steps run once over the
+    # whole matrix; one more row or column takes the batched kernel
+    gen = np.random.default_rng(157)
+    small, large = 2 * _BATCH, 2 * _BATCH + 1
+    for rows, cols in ((small - 1, small), (small, small), (small, small - 1),
+                       (large, small), (small, large), (large, large)):
+        for mat in (random_residues(gen, rows, cols, p),
+                    low_rank(gen, rows, cols, min(rows, cols) // 3, p)):
+            mat[:, cols // 2] = 0
+            want = reference_rref(mat, p)
+            got, batches = batches_reduced(monkeypatch, mat, p)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert (not batches) == (rows <= small and cols <= small)
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_one_pass_at_full_rank_and_without_columns(monkeypatch, p):
+    gen = np.random.default_rng(163)
+    # tall and square full rank reduce to the identity
+    for rows, cols in ((2 * _BATCH, 20), (40, 40), (3, 3), (1, 1)):
+        got, batches = batches_reduced(monkeypatch, random_residues(gen, rows, cols, p), p)
+        assert not batches
+        assert got.tobytes() == np.eye(cols, dtype=np.int64).tobytes()
+    for rows in (0, 1, 2 * _BATCH):
+        for cols in (0, 5):
+            mat = np.zeros((rows, cols), dtype=np.int64)
+            got, batches = batches_reduced(monkeypatch, mat, p)
+            assert not batches
+            assert got.shape == (0, cols) == reference_rref(mat, p).shape
+    # a zero column and repeated rows keep it short of full rank
+    mat = random_residues(gen, 2 * _BATCH, 30, p)
+    mat[:, 7] = 0
+    mat[1::2] = mat[::2]
+    got, batches = batches_reduced(monkeypatch, mat, p)
+    assert not batches and len(got) == 29
+    assert got.tobytes() == reference_rref(mat, p).tobytes()
+
+
+def test_one_pass_leaves_its_input_as_it_was():
+    module = compressed_generic_module(4, 2, 3, Random(167))
+    before = module.coeffs.copy()
+    assert len(rref_mod_p(module.coeffs, module.p)) == 3
+    assert np.array_equal(module.coeffs, before)
+    mat = np.array([[2, 4], [1, 3]], dtype=np.int32)
+    assert rref_mod_p(mat, 7).tolist() == [[1, 0], [0, 1]]
+    assert mat.tolist() == [[2, 4], [1, 3]]
+
+
+# ------------------------------------------------------------ chunked partials
+
+
+def partials_one_variable_at_a_time(matrix, nvars, degree, p):
+    index, mult = raising_table(nvars, degree)
+    return np.vstack([matrix[:, index[var]] * mult[var] % p for var in range(nvars)])
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+@pytest.mark.parametrize("nvars, degree, count, gathers", [
+    (5, 3, 2, [5]),          # 5 x 2 x 15 cells in all: one gather
+    (4, 4, 3, [4]),
+    (30, 3, 30, [1] * 30),   # 30 x 465 = 13,950 cells a variable: one each
+    (22, 3, 40, [1] * 22),
+])
+def test_chunked_partials_match_gathers_one_variable_at_a_time(monkeypatch, p, nvars, degree,
+                                                                count, gathers):
+    matrix = rref_mod_p(compressed_generic_module(nvars, degree, count, Random(nvars), p).coeffs, p)
+    seen = []
+    reduce = spans._mod
+
+    def counted(x, p):
+        seen.append(x.shape[1])  # the gather is rows x variables x monomials
+        return reduce(x, p)
+
+    monkeypatch.setattr(spans, "_mod", counted)
+    got = spans._stacked_derivatives(matrix, nvars, degree, p)
+    assert got.dtype == np.int32 and got.shape == (nvars * len(matrix), ring_dim(nvars, degree - 1))
+    assert got.tolist() == partials_one_variable_at_a_time(matrix, nvars, degree, p).tolist()
+    assert seen == gathers
