@@ -45,19 +45,6 @@ class Status(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Search budget: random trials per recipe.  The candidate recipes are
-    finitely many, so this bounds the work and verdicts never depend on
-    machine load."""
-
-    trials: int = DEFAULT_TRIALS
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"a budget needs at least one trial, got {self.trials}")
-
-
 @dataclass(frozen=True, slots=True)
 class Certificate:
     """Replayable witness for a level verdict.
@@ -278,10 +265,7 @@ def build_recipe(recipe: dict, rng: Random, p: int = DEFAULT_PRIME) -> InverseMo
     if kind == "add_variable":
         return add_new_variable_power(build_recipe(recipe["base"], rng, p))
     if kind == "augment":
-        base = build_recipe(recipe["base"], rng, p)
-        if recipe["nvars"] != base.nvars:  # the bound counts recipe["nvars"]
-            raise ValueError(f"augment names {recipe['nvars']} variables, not {base.nvars}")
-        return augment_with_powers(base, recipe["count"], rng)
+        return augment_with_powers(build_recipe(recipe["base"], rng, p), recipe["count"], rng)
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
@@ -341,18 +325,29 @@ def _direct_recipes(h: HVector) -> list[dict]:
     return out
 
 
-def recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
-    """The (nvars, degree) of a recipe's module, by the size rule that
-    ``classify``, ``store_verify`` and ``levellab construct`` share.  Before
-    anything is built it refuses a node in more than r variables, of degree
-    above 2e + 2 (the largest truncate source ``candidate_recipes`` emits),
-    in a ring ``check_ring`` refuses, or with a count or part above
-    dim R_degree."""
+# add_variable of a truncate of a power sum: the deepest recipe that
+# candidate_recipes emits
+MAX_RECIPE_DEPTH = 3
+
+
+def recipe_size(recipe: dict, r: int, e: int, p: int, *, depth: int = 1) -> tuple[int, int]:
+    """The (nvars, degree) of a recipe's module, by the one walk that admits
+    a recipe for ``classify``, ``store_verify`` and ``levellab construct``.
+    Before anything is built it refuses a recipe of more than
+    ``MAX_RECIPE_DEPTH`` nested nodes (``depth`` counts this node's), an
+    augment that names other variables than its base, and a node in more
+    than r variables, of degree above 2e + 2 (the largest truncate source
+    ``candidate_recipes`` emits), in a ring ``check_ring`` refuses, with a
+    count or part above dim R_degree, or of degree not below p."""
+    if depth > MAX_RECIPE_DEPTH:
+        raise ValueError(f"recipe nests more than {MAX_RECIPE_DEPTH} nodes")
     kind = recipe["kind"]
     if kind == "truncate":
-        return recipe_size(recipe["source"], r, e)[0], recipe["to"]
+        return recipe_size(recipe["source"], r, e, p, depth=depth + 1)[0], recipe["to"]
     if kind in ("add_variable", "augment"):
-        nvars, degree = recipe_size(recipe["base"], r, e)
+        nvars, degree = recipe_size(recipe["base"], r, e, p, depth=depth + 1)
+        if kind == "augment" and recipe["nvars"] != nvars:  # the bound counts recipe["nvars"]
+            raise ValueError(f"augment names {recipe['nvars']} variables, not {nvars}")
         nvars += kind == "add_variable"
     else:
         nvars, degree = recipe["nvars"], recipe["degree"]
@@ -367,13 +362,8 @@ def recipe_size(recipe: dict, r: int, e: int) -> tuple[int, int]:
     if over is not None:  # name the first only: a partition may have many parts
         raise ValueError(f"{kind} counts exceed dim R_{degree} = {cap}: first {over}, "
                          f"of {len(parts)} parts")
+    check_prime(p, degree)
     return nvars, degree
-
-
-def _largest_degree(recipe: dict) -> int:
-    """The largest degree of a node of the recipe, a truncate source's."""
-    inner = recipe.get("source") or recipe.get("base")
-    return max(recipe.get("degree", 0), _largest_degree(inner) if inner else 0)
 
 
 def realize_recipe(recipe: dict, master_seed: int, trials: int,
@@ -391,19 +381,22 @@ def realize_recipe(recipe: dict, master_seed: int, trials: int,
 # -------------------------------------------------------------- the pipeline
 
 
-def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
+def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
              prime: int = DEFAULT_PRIME) -> Classification:
     """Decide level / non-level / unknown for a candidate h-vector.
 
     Non-level verdicts re-check necessary conditions; level verdicts carry
     either an exact criterion or a construction certificate whose replay
-    reproduces the ranks.  The verdict is monotone in the budget: a level
-    verdict reached at a smaller budget is never revoked at a larger one,
-    since a larger budget only adds trials.  Its certificate may change,
-    because an earlier recipe can win with the added trials.  The result
-    depends only on the input, the seed, the prime and the budget.
+    reproduces the ranks.  ``trials`` random trials run per recipe; the
+    candidate recipes are finitely many, so this bounds the work.  The
+    verdict is monotone in the trials: a level verdict reached with fewer
+    is never revoked with more, since more only adds trials.  Its
+    certificate may change, because an earlier recipe can win with the
+    added trials.  The result depends only on the input, the seed, the
+    prime and the trial count, never on machine load.
     """
-    budget = budget or Budget()
+    if trials < 1:
+        raise ValueError(f"classify needs at least one trial, got {trials}")
     start = time.monotonic()
     hv = h if isinstance(h, HVector) else HVector(h)
     check_prime(prime, hv.socle_degree)
@@ -430,15 +423,14 @@ def classify(h, budget: Budget | None = None, *, master_seed: int = 0,
     for recipe in recipes:
         # skip what the store would refuse to replay, or p cannot build
         try:
-            recipe_size(recipe, hv.codimension, hv.socle_degree)
-            check_prime(prime, _largest_degree(recipe))
+            recipe_size(recipe, hv.codimension, hv.socle_degree, prime)
         except (ValueError, HypothesisError) as exc:
             refused.append(f"{recipe_tag(recipe)}: {exc}")
             diagnostics.append(f"refused {refused[-1]}")
             continue
-        trials_used += budget.trials
+        trials_used += trials
         try:
-            module, profile = realize_recipe(recipe, master_seed, budget.trials, prime)
+            module, profile = realize_recipe(recipe, master_seed, trials, prime)
         except DependentGeneratorsError:
             diagnostics.append(f"every trial of {recipe_tag(recipe)} degenerated")
             continue

@@ -13,7 +13,7 @@ from levellab.bounds import (
     min_prev_entry,
     prev_entry_range,
 )
-from levellab.classify import Budget, Status, build_recipe, classify, recipe_size
+from levellab.classify import Status, build_recipe, classify, recipe_size
 from levellab.constructions import DEFAULT_TRIALS, augment_with_powers, maximal_profile
 from levellab.errors import HypothesisError, LevelLabError
 from levellab.forms import DEFAULT_PRIME, check_prime
@@ -147,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_module(module: InverseModule, out) -> None:
-    profile = h_vector(module)
+def _print_module(module: InverseModule, out, profile=None) -> None:
+    profile = profile or h_vector(module)
     print(f"# h: {profile.h}", file=out)
     if module.seed is not None:
         print(f"# seed: {module.seed}", file=out)
@@ -239,8 +239,8 @@ def _cmd_si(args, out) -> int:
 
 
 def _cmd_construct(args, out) -> int:
-    """Refuse a family by the recipe size rule before any draw, then keep
-    the best of its recipe's trials."""
+    """Refuse a family's recipe by ``recipe_size`` before any draw, then
+    keep the best of its recipe's trials."""
     family, extra, p = args.family, list(args.args), args.prime
     if args.parts is not None and family != "socle3":
         raise ValueError(f"--parts applies to socle3 only, not {family}")
@@ -269,14 +269,14 @@ def _cmd_construct(args, out) -> int:
         recipe = {"kind": "powers_partition", "nvars": r, "degree": e,
                   "parts": list(args.parts)}
 
-    recipe_size(recipe, r, e)
+    recipe_size(recipe, r, e, p)
     # after the size rule, which bounds the parts this refusal prints
     if family == "socle3" and not all(1 <= m <= r for m in args.parts):
         raise HypothesisError(f"socle degree 3 parts must be nonempty with entries "
                               f"in 1..{r}, got {args.parts}")
-    module, _ = maximal_profile(lambda rng: build_recipe(recipe, rng, p),
-                                derive_seed(args.seed, "construct", family), args.trials)
-    _print_module(module, out)
+    module, profile = maximal_profile(lambda rng: build_recipe(recipe, rng, p),
+                                      derive_seed(args.seed, "construct", family), args.trials)
+    _print_module(module, out, profile)
     return EXIT_OK
 
 
@@ -301,8 +301,7 @@ def _cmd_truncate(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    result = classify(args.h, Budget(trials=args.trials),
-                      master_seed=args.seed, prime=args.prime)
+    result = classify(args.h, args.trials, master_seed=args.seed, prime=args.prime)
     _print_classification(result, out)
     _maybe_store(args, result)
     return EXIT_OK
@@ -312,7 +311,7 @@ def _cmd_scan(args, out, scan) -> int:
     if args.stop < args.start:
         raise ValueError(f"empty scan range {args.start}..{args.stop}")
     report = scan(args.h, args.at, range(args.start, args.stop + 1),
-                  Budget(trials=args.trials), master_seed=args.seed,
+                  args.trials, master_seed=args.seed,
                   prime=args.prime)
     degrees = ",".join(map(str, report.degrees))
     print(f"base: {report.base}  degrees: {degrees}", file=out)

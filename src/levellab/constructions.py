@@ -29,7 +29,7 @@ from levellab.modules import HProfile, InverseModule, h_vector, type_of
 from levellab.seeds import derive_seed
 
 
-# Random trials per construction, unless a caller's budget says otherwise.
+# Random trials per construction, unless a caller passes another count.
 DEFAULT_TRIALS = 5
 # A stack of k linear forms takes about k * nvars * dim R_e int64 cells to
 # raise to the e-th power; a larger sum is powered in slices under this.

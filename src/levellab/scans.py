@@ -12,7 +12,8 @@ the scans are hunting for; a gap of unknowns is merely inconclusive.
 
 from dataclasses import dataclass
 
-from levellab.classify import Budget, Classification, Status, classify
+from levellab.classify import Classification, Status, classify
+from levellab.constructions import DEFAULT_TRIALS
 from levellab.errors import HypothesisError
 from levellab.forms import DEFAULT_PRIME, check_prime
 from levellab.macaulay import HVector
@@ -58,7 +59,7 @@ def find_gaps(values, classifications) -> tuple[Gap, ...]:
     return tuple(gaps)
 
 
-def _scan(base: HVector, degrees: tuple[int, ...], values, budget, master_seed,
+def _scan(base: HVector, degrees: tuple[int, ...], values, trials, master_seed,
           prime) -> ScanReport:
     check_prime(prime, base.socle_degree)
     values = tuple(values)
@@ -68,21 +69,21 @@ def _scan(base: HVector, degrees: tuple[int, ...], values, budget, master_seed,
     for v in values:
         candidate = HVector([v if d in degrees else x for d, x in enumerate(base)])
         seed = derive_seed(master_seed, "scan", degrees, v)
-        results.append(classify(candidate, budget, master_seed=seed, prime=prime))
+        results.append(classify(candidate, trials, master_seed=seed, prime=prime))
     results = tuple(results)
     return ScanReport(base, degrees, values, results, find_gaps(values, results))
 
 
-def scan_ic(base: HVector, i: int, values, budget: Budget | None = None, *,
+def scan_ic(base: HVector, i: int, values, trials: int = DEFAULT_TRIALS, *,
             master_seed: int = 0, prime: int = DEFAULT_PRIME) -> ScanReport:
     """Classify the base vector with entry i replaced by each value."""
     e = base.socle_degree
     if not 1 <= i <= e:
         raise ValueError(f"scan degree must lie in 1..{e}, got {i}")
-    return _scan(base, (i,), values, budget, master_seed, prime)
+    return _scan(base, (i,), values, trials, master_seed, prime)
 
 
-def scan_gic(base: HVector, i: int, values, budget: Budget | None = None, *,
+def scan_gic(base: HVector, i: int, values, trials: int = DEFAULT_TRIALS, *,
              master_seed: int = 0, prime: int = DEFAULT_PRIME) -> ScanReport:
     """Classify the base vector with the symmetric pair (i, e-i) jointly
     replaced by each value.  The base must be symmetric of type 1."""
@@ -94,4 +95,4 @@ def scan_gic(base: HVector, i: int, values, budget: Budget | None = None, *,
     if not 1 <= i <= e - 1:
         raise ValueError(f"scan degree must lie in 1..{e - 1}, got {i}")
     degrees = (i,) if i == e - i else (i, e - i)
-    return _scan(base, degrees, values, budget, master_seed, prime)
+    return _scan(base, degrees, values, trials, master_seed, prime)

@@ -167,7 +167,7 @@ def store_verify(record: dict) -> None:
     if recipe is not None:
         seed = record.get("seed")
         _require_integer("seed", seed)
-        _replay(recipe_size, recipe, r, h.socle_degree)
+        _replay(recipe_size, recipe, r, h.socle_degree, prime)
         module = _replay(build_recipe, recipe, Random(seed), prime)
         replayed = module_to_text(module)
         if replayed != generators:
@@ -230,6 +230,8 @@ def _read_records(path: str, check) -> Iterator:
                 raise VerificationError(f"line {lineno}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise VerificationError(f"line {lineno}: not valid JSON: {exc}") from exc
+            except RecursionError as exc:  # json.loads takes a frame per bracket
+                raise VerificationError(f"line {lineno}: nested too deeply") from exc
             yield record
 
 

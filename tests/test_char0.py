@@ -176,7 +176,7 @@ def test_classify_certificates_hold_over_q(text):
 
 def within_size_rule(recipe, r, e):
     try:
-        recipe_size(recipe, r, e)
+        recipe_size(recipe, r, e, DEFAULT_PRIME)
     except ValueError:
         return False
     return True

@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from levellab.classify import (
-    Budget,
+    MAX_RECIPE_DEPTH,
     Certificate,
     Status,
     build_recipe,
@@ -21,10 +21,12 @@ from levellab.classify import (
     expected_h_for_recipe,
     necessary_condition_violation,
     realize_recipe,
+    recipe_size,
     recipe_tag,
 )
 from levellab.constructions import maximal_profile
 from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
+from levellab.forms import DEFAULT_PRIME
 from levellab.macaulay import HVector
 from levellab.modules import HProfile, InverseModule, module_to_text
 from levellab.store import record_from_classification
@@ -173,8 +175,8 @@ def test_a_certificate_holds_its_module_and_prints_it_on_each_read():
 
 def test_classify_monotone_in_budget():
     h = HVector.parse("1,3,6,10,4")
-    small = classify(h, Budget(trials=1))
-    large = classify(h, Budget(trials=8))
+    small = classify(h, 1)
+    large = classify(h, 8)
     assert small.status is Status.LEVEL
     assert large.status is Status.LEVEL
 
@@ -183,7 +185,7 @@ def test_budget_without_trials_refused():
     # no trial ran, so "every trial degenerated" would be a false diagnosis
     for trials in (0, -3):
         with pytest.raises(ValueError, match=f"at least one trial, got {trials}"):
-            Budget(trials=trials)
+            classify(HVector.parse("1,3,4,2"), trials)
         with pytest.raises(ValueError, match=f"at least one trial, got {trials}"):
             maximal_profile(lambda rng: None, 0, trials)
 
@@ -228,8 +230,8 @@ def test_recipe_tag_is_canonical():
 def test_classify_repeats_verdict_certificate_and_diagnostics():
     # the budget counts trials only, so machine load cannot change a verdict
     for text in ("1,7,25", "1,5,4,5", "1,3,4,2"):
-        a = classify(HVector.parse(text), Budget(trials=2), master_seed=3)
-        b = classify(HVector.parse(text), Budget(trials=2), master_seed=3)
+        a = classify(HVector.parse(text), 2, master_seed=3)
+        b = classify(HVector.parse(text), 2, master_seed=3)
         assert (a.status, a.certificate, a.diagnostics, a.trials_used) == (
             b.status, b.certificate, b.diagnostics, b.trials_used)
 
@@ -264,7 +266,7 @@ def test_classify_skips_refused_candidates_and_tries_the_rest(monkeypatch):
                         "realize_recipe", degenerate)
     hv = HVector((1, 20, 30))
     recipes = candidate_recipes(hv)
-    result = classify(hv, Budget(trials=1))
+    result = classify(hv, 1)
     refused = [d for d in result.diagnostics if d.startswith("refused ")]
     assert result.status is Status.UNKNOWN
     assert len(recipes) == 10 and len(built) == 8 and len(refused) == 2
@@ -278,7 +280,7 @@ def test_classify_skips_candidates_that_need_a_larger_prime(monkeypatch):
     # trial, and the truncates of quintics and above cannot be built mod 5:
     # they are refused, and an add-variable candidate is level
     hv = HVector((1, 3, 4, 4))
-    result = classify(hv, Budget(trials=1), prime=5)
+    result = classify(hv, 1, prime=5)
     assert result.status is Status.LEVEL
     assert result.certificate.recipe["kind"] == "add_variable"
     refused = [d for d in result.diagnostics if d.startswith("refused ")]
@@ -290,7 +292,7 @@ def test_classify_skips_candidates_that_need_a_larger_prime(monkeypatch):
     monkeypatch.setattr(importlib.import_module("levellab.classify"), "candidate_recipes",
                         lambda h: truncates)
     with pytest.raises(HypothesisError, match="prime 5 must exceed the socle degree 5"):
-        classify(hv, Budget(trials=1), prime=5)
+        classify(hv, 1, prime=5)
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.jsonl"
@@ -303,10 +305,28 @@ def test_level_verdicts_and_certificates_hold_at_one_more_trial():
     lines = CORPUS.read_text(encoding="utf-8").splitlines()[:204:5]
     level = 0
     for h in (HVector(json.loads(line)["h"]) for line in lines):
-        results = [classify(h, Budget(trials=k), master_seed=11) for k in (1, 2, 3)]
+        results = [classify(h, k, master_seed=11) for k in (1, 2, 3)]
         for smaller, larger in zip(results, results[1:]):
             if smaller.status is Status.LEVEL:
                 level += 1
                 assert larger.status is Status.LEVEL, h
                 assert larger.certificate == smaller.certificate, h
     assert level == 82
+
+
+def recipe_depth(recipe):
+    inner = recipe.get("source") or recipe.get("base")
+    return 1 + (recipe_depth(inner) if inner else 0)
+
+
+def test_recipe_size_admits_every_candidate_of_the_criterion_10_vectors():
+    # the 204 criterion-10 candidates that open the frozen corpus; the
+    # deepest candidate, add_variable of a truncate of a power sum, sets the
+    # nesting limit
+    lines = CORPUS.read_text(encoding="utf-8").splitlines()[:204]
+    depths = set()
+    for h in (HVector(json.loads(line)["h"]) for line in lines):
+        for recipe in candidate_recipes(h):
+            recipe_size(recipe, h.codimension, h.socle_degree, DEFAULT_PRIME)
+            depths.add(recipe_depth(recipe))
+    assert max(depths) == MAX_RECIPE_DEPTH == 3

@@ -328,6 +328,32 @@ def test_construct_refuses_a_ring_the_store_refuses(monkeypatch, capsys, argv, f
     assert err.startswith("error: value: ") and fault in err
 
 
+def test_construct_refuses_a_degree_at_least_the_prime_before_any_draw(monkeypatch, capsys):
+    monkeypatch.setattr(importlib.import_module("levellab.cli"), "maximal_profile", None)
+    assert run(["construct", "powers", "3", "5", "5", "--prime", "5"]) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: hypothesis: prime 5 must exceed the socle degree 5")
+
+
+@pytest.mark.parametrize("argv, text", FROZEN_CONSTRUCT, ids=[a[0] for a, _ in FROZEN_CONSTRUCT])
+def test_construct_prints_the_winning_trials_profile(monkeypatch, argv, text):
+    # maximal_profile returns the winner's profile, so no tower runs again
+    def refuse(module):
+        raise AssertionError("the winner's tower was computed twice")
+
+    monkeypatch.setattr("levellab.cli.h_vector", refuse)
+    assert run(["construct", *argv]) == (0, text)
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_a_line_nested_too_deeply_is_a_verify_error(tmp_path, capsys, command):
+    # json.loads takes a frame per bracket, beyond CPython's recursion limit
+    store = tmp_path / "store.jsonl"
+    store.write_text('{"a":' * 5000 + "1" + "}" * 5000 + "\n", encoding="utf-8")
+    assert run([command, str(store)]) == (1, "")
+    assert capsys.readouterr().err.startswith("error: verify: line 1: ")
+
+
 @pytest.mark.parametrize("line, fault", [
     ("{}", "unknown status None"),
     ("[1,2]", "a record must be an object, got list"),

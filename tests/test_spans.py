@@ -312,8 +312,10 @@ def tower():
 def text():
     assert module_from_text(module_to_text(module)) == module.with_seed(None)
 
-h_vector(compressed_generic_module(20, 3, 2, Random(3)))
+warm = compressed_generic_module(20, 3, 2, Random(3))
+h_vector(warm)
 tower_grown = grown(tower)
+module_from_text(module_to_text(warm))
 module = compressed_generic_module(22, 3, 2, Random(7))
 text_grown = grown(text)
 strings = forms._monomial_strings(22, 3)
@@ -326,14 +328,15 @@ json.dump({"tower_spans": tower_grown.get(spans.__file__, 0),
 
 
 def test_a_tower_pins_no_monomial_table():
-    # warm what towers share across rings (the prime check, code objects),
-    # then run one in a ring no other test uses.  Once its module is
-    # dropped, the only new arrays are the raising tables of degrees 3 and
-    # 2, cached in forms.py: level 1 is all of R_1, so the tower stops
-    # there.  spans.py keeps no array, only the few small lists and tuples
-    # that CPython's free lists hold on to.  Exponent tuples of 20 or more
-    # entries skip CPython's tuple free lists, which would keep freed ones
-    # traced.  The slack covers array and cache headers.
+    # warm what towers and text share across rings (the prime check, code
+    # objects, free lists), then run each in a ring no other test uses.
+    # Once the tower's module is dropped, the only new arrays are the
+    # raising tables of degrees 3 and 2, cached in forms.py: level 1 is all
+    # of R_1, so the tower stops there.  spans.py keeps no array, only the
+    # few small lists and tuples that CPython's free lists hold on to.
+    # Exponent tuples of 20 or more entries skip CPython's tuple free
+    # lists, which would keep freed ones traced.  The slack covers array
+    # and cache headers.
     src = str(Path(forms.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}

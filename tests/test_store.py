@@ -414,6 +414,44 @@ def test_refusal_of_a_long_partition_names_its_first_count_only():
     assert len(str(caught.value)) < 200
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """store_verify with a build_recipe that fails: a test that still sees
+    its VerificationError shows the recipe was refused before any draw."""
+    def refuse(*args):
+        raise AssertionError("a refused recipe was built")
+
+    monkeypatch.setattr("levellab.store.build_recipe", refuse)
+
+
+def test_truncate_of_a_source_degree_at_least_the_prime_refused(no_draws):
+    record = corpus_record_of_kind("truncate")
+    record["prime"] = 5  # above the socle degree 2, but not the source's
+    record["recipe"]["source"]["degree"] = 5
+    with pytest.raises(VerificationError,
+                       match="recipe_size: prime 5 must exceed the socle degree 5"):
+        store_verify(record)
+
+
+def test_augment_naming_other_variables_than_its_base_refused(no_draws):
+    record = corpus_record_of_kind("augment")
+    record["recipe"]["nvars"] = 2
+    with pytest.raises(VerificationError, match="augment names 2 variables, not 3"):
+        store_verify(record)
+
+
+@pytest.mark.parametrize("nodes", [4, 985])
+def test_recipe_of_more_than_three_nested_nodes_refused(no_draws, nodes):
+    # truncating to the same degree again changes no module, so only the
+    # nesting limit refuses these; at about 985 nodes a recursive walk
+    # would exhaust CPython's recursion limit
+    record = corpus_record_of_kind("truncate")
+    for _ in range(nodes - 2):
+        record["recipe"] = {"kind": "truncate", "to": 2, "source": record["recipe"]}
+    with pytest.raises(VerificationError, match="recipe nests more than 3 nodes"):
+        store_verify(record)
+
+
 @functools.lru_cache(maxsize=None)
 def fresh_records() -> tuple[dict, ...]:
     vectors = ("1,3,6,9,3", "1,3,4,2", "1,4,4,4,1", "1,3,3,3,1", "1,3,6,10,3", "1,5,4,5")
