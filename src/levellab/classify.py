@@ -49,10 +49,11 @@ class Status(Enum):
 class Certificate:
     """Replayable witness for a level verdict.
 
-    Construction certificates carry everything needed to reproduce the
-    witness byte for byte: the recipe, the winning seed, the prime, the
-    computed per-degree ranks and the module, whose ``generators`` text is
-    printed on each read.  Criterion certificates name an exact rule instead.
+    Construction certificates keep only their replay key: the recipe, the
+    winning seed, the prime and the computed per-degree ranks.  ``module``
+    rebuilds the witness from it byte for byte on each read, as
+    ``store_verify`` does, and ``generators`` prints that module.
+    Criterion certificates name an exact rule instead.
     """
 
     kind: str  # "construction" | "criterion"
@@ -60,14 +61,20 @@ class Certificate:
     seed: int | None = None
     prime: int | None = None
     ranks: tuple[int, ...] | None = None
-    module: InverseModule | None = None
     characteristic: str | None = None  # "char-p" | "char-0-verified"
     criterion: str | None = None
     detail: str | None = None
 
     @property
+    def module(self) -> InverseModule | None:
+        if self.recipe is None:
+            return None
+        return build_recipe(self.recipe, Random(self.seed), self.prime).with_seed(self.seed)
+
+    @property
     def generators(self) -> str | None:
-        return None if self.module is None else module_to_text(self.module)
+        module = self.module
+        return None if module is None else module_to_text(module)
 
 
 @dataclass(frozen=True, slots=True)
@@ -447,7 +454,7 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
         # candidates expect exactly hv, so the profile meets the recipe bound
         # and char0_certified(recipe, profile.dims) holds
         cert = Certificate(kind="construction", recipe=recipe, seed=module.seed,
-                           prime=prime, ranks=profile.dims, module=module,
+                           prime=prime, ranks=profile.dims,
                            characteristic="char-0-verified")
         return Classification(hv, Status.LEVEL, certificate=cert,
                               trials_used=trials_used,

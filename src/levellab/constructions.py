@@ -13,11 +13,15 @@ a level module adds the two towers degreewise, capped by the ring.  One
 formula applies the second fact over a partition (m_1, ..., m_t); a sum of
 m powers is the partition (m), and the socle degree 2 and 3 realizations
 are partition recipes (``levellab construct socle2`` and ``socle3``).
+A power-sum module draws the linear forms of all its parts as one stack,
+in the order of the parts, and raises them by one ``**``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
+from itertools import accumulate
 from random import Random
 
 from levellab.errors import DependentGeneratorsError, HypothesisError
@@ -39,20 +43,41 @@ _POWER_CELLS = 1 << 20
 def sum_of_powers(nvars: int, degree: int, count: int, rng: Random,
                   p: int = DEFAULT_PRIME) -> np.ndarray:
     """The int64 row of a sum of ``count`` e-th powers of independent random
-    linear forms, drawn as one stack and powered by one ``**`` (a sum too
-    large for ``_POWER_CELLS`` by slices of the stack), added in int64 and
-    reduced once."""
+    linear forms: the one-part case of ``_power_sums``."""
     if count < 1:
         raise ValueError(f"need at least one power, got {count}")
+    return _power_sums(nvars, degree, (count,), rng, p)[0]
+
+
+def _power_sums(nvars: int, degree: int, parts: tuple[int, ...], rng: Random,
+                p: int = DEFAULT_PRIME) -> np.ndarray:
+    """One int64 row per part, the i-th a sum of parts[i] e-th powers of
+    independent random linear forms.  The linear forms of all parts are
+    drawn as one stack and raised by one ``**`` (a module too large for
+    ``_POWER_CELLS`` by slices of the stack, which may split a part); each
+    power is added into its part's row, and the rows are reduced once.  A
+    stacked draw replays its draws one at a time, so the rows are those of
+    drawing the parts in order, each sum by itself."""
     if degree < 1:
         raise ValueError(f"powers need degree >= 1, got {degree}")
-    # a stacked draw replays its draws one at a time, so slices draw alike
-    step = max(1, _POWER_CELLS // (nvars * ring_dim(nvars, degree)))
-    row = sum((random_form(nvars, 1, min(step, count - k), rng, p) ** degree).coeffs.sum(axis=0)
-              for k in range(0, count, step)) % p
-    if not row.any():  # a degenerate draw, like dependent generators
+    starts = list(accumulate(parts, initial=0))  # part i holds forms starts[i]..starts[i+1]-1
+    rows = np.zeros((len(parts), ring_dim(nvars, degree)), np.int64)
+    step = max(1, _POWER_CELLS // (nvars * rows.shape[1]))
+    for k in range(0, starts[-1], step):
+        stop = min(k + step, starts[-1])
+        powers = (random_form(nvars, 1, stop - k, rng, p) ** degree).coeffs
+        # parts first..last-1 meet this slice; each one's run sums by one
+        # reduceat, and a part of at most dim R_e <= 2^17 residues stays
+        # below 2^48
+        first, last = bisect_right(starts, k) - 1, bisect_left(starts, stop)
+        cuts = [max(start - k, 0) for start in starts[first:last]]
+        rows[first:last] += np.add.reduceat(powers, cuts, axis=0)
+    rows %= p
+    nonzero = rows.any(axis=1)
+    if not nonzero.all():  # a degenerate draw, like dependent generators
+        count = parts[int(nonzero.argmin())]
         raise DependentGeneratorsError(f"{count} powers of degree {degree} cancel mod {p}")
-    return row
+    return rows
 
 
 def _add_power_sums(h: tuple[int, ...], nvars: int, parts) -> HVector:
@@ -80,8 +105,7 @@ def powers_partition_module(nvars: int, degree: int, parts: tuple[int, ...], rng
         raise ValueError("partition must have at least one part")
     if any(m < 1 for m in parts):
         raise ValueError(f"parts must be positive, got {parts}")
-    rows = [sum_of_powers(nvars, degree, m, rng, p) for m in parts]
-    return InverseModule(nvars, degree, p, rows)
+    return InverseModule(nvars, degree, p, _power_sums(nvars, degree, parts, rng, p))
 
 
 def expected_h_powers_partition(nvars: int, degree: int, parts: tuple[int, ...]) -> HVector:

@@ -10,7 +10,7 @@ printed and serialized representation.  Text becomes int64 rows and back
 by binomial ranks and one cached tuple of monomial strings per ring.
 ``Form`` only computes the powers of linear forms that constructions sum:
 it holds one int64 array, a row or a stack of rows, and ``random_form``
-draws a sum's linear forms as one stack, which ``**`` raises one linear
+draws a module's linear forms as one stack, which ``**`` raises one linear
 factor at a time through ``raising_table``, the table the derivative
 tower reads, for every row at once; no exponent tuple is ever listed.
 Its public constructor checks the array it is given; the products,

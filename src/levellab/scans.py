@@ -42,11 +42,12 @@ class ScanReport:
 
 
 def find_gaps(values, classifications) -> tuple[Gap, ...]:
-    """Maximal non-level runs strictly between level values, in value order."""
+    """Maximal non-level runs strictly between level values, in value order,
+    whatever order the values come in."""
     gaps: list[Gap] = []
     run: list[tuple[int, Status]] = []
     seen_level = False
-    for value, result in zip(values, classifications):
+    for value, result in sorted(zip(values, classifications), key=lambda pair: pair[0]):
         if result.status is Status.LEVEL:
             if run and seen_level:
                 kind = ("nonlevel" if any(s is Status.NONLEVEL for _, s in run)

@@ -1,6 +1,8 @@
 """Tests for the randomized module constructions and their expected profiles."""
 
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -19,11 +21,12 @@ from levellab.constructions import (
     powers_partition_module,
     sum_of_powers,
 )
-from levellab.errors import HypothesisError
-from levellab.forms import DEFAULT_PRIME, random_form, ring_dim
+from levellab.errors import DependentGeneratorsError, HypothesisError
+from levellab.forms import DEFAULT_PRIME, Form, random_form, ring_dim
 from levellab.macaulay import binomial
 from levellab.modules import InverseModule, h_vector, module_to_text
 from levellab.seeds import derive_seed
+from monomials import power_sums_part_by_part
 
 
 def best_h(builder, master_seed, trials=5):
@@ -331,3 +334,68 @@ def test_a_compressed_module_replays_its_rows_drawn_one_at_a_time(p):
             zeros += skipped
     assert zeros or p > 3
 
+
+
+@pytest.mark.parametrize("per_slice", (None, 2, 5))
+@pytest.mark.parametrize("p", (2, 3, 101, DEFAULT_PRIME))
+def test_a_module_drawn_as_one_stack_replays_its_parts_drawn_one_by_one(monkeypatch, p,
+                                                                        per_slice):
+    # narrow linear forms make zero rows frequent at p = 2 and 3; the (12, 4)
+    # ring powers 64 forms per slice, so the second part of (40, 40) is split,
+    # and slices of 2 or 5 forms split parts and span several
+    zeros = 0
+    shapes = [(1, 1, (1, 3)), (2, 1, (2, 1, 2)), (3, 1, (1, 1, 3))]
+    if p > 2:
+        shapes += [(1, 2, (2, 1)), (2, 2, (3, 1, 2))]
+    if p > 3:
+        shapes += [(4, 3, (4, 4, 2)), (3, 4, (3, 3, 3, 1)), (12, 4, (40, 40))]
+    for nvars, degree, parts in shapes:
+        if per_slice:
+            monkeypatch.setattr(constructions, "_POWER_CELLS",
+                                per_slice * nvars * ring_dim(nvars, degree))
+        for repeat in range(20 if nvars < 12 else 2):
+            seed = str((p, nvars, degree, parts, repeat))
+            stacked, single = random.Random(seed), random.Random(seed)
+            try:
+                rows = power_sums_part_by_part(nvars, degree, parts, single, p,
+                                               constructions._POWER_CELLS)
+            except DependentGeneratorsError as exc:
+                with pytest.raises(DependentGeneratorsError, match=re.escape(str(exc))):
+                    powers_partition_module(nvars, degree, parts, stacked, p)
+                continue
+            module = powers_partition_module(nvars, degree, parts, stacked, p)
+            assert module.coeffs.tolist() == rows
+            assert stacked.getstate() == single.getstate()
+            zeros += draw_rows_one_at_a_time(sum(parts), nvars, random.Random(seed), p)[1]
+    assert zeros or p > 3
+
+
+@pytest.mark.parametrize("nvars, degree, parts, p", [(1, 1, (1, 2), 2), (1, 2, (2, 3), 3)])
+def test_a_part_that_cancels_mod_p_is_a_degenerate_draw(nvars, degree, parts, p):
+    # in one variable every linear form is c*y1, and c^e = 1 here, so the
+    # second part sums to parts[1] = 0 mod p while the first does not
+    with pytest.raises(DependentGeneratorsError,
+                       match=f"{parts[1]} powers of degree {degree} cancel mod {p}"):
+        powers_partition_module(nvars, degree, parts, random.Random(0), p)
+
+
+def test_a_small_module_is_powered_by_one_pow(monkeypatch):
+    calls = []
+    power = Form.__pow__
+    monkeypatch.setattr(Form, "__pow__", lambda form, e: calls.append(e) or power(form, e))
+    powers_partition_module(4, 3, (4, 3, 2), random.Random(5))
+    augment_with_powers(powers_partition_module(3, 4, (3, 3), random.Random(6)), 2,
+                        random.Random(7))
+    assert calls == [3, 4, 4]
+
+
+def test_a_module_wider_than_one_slice_is_powered_in_little_memory():
+    # all 1,365 quartic powers of the (12, 4) ring at once would peak near
+    # 179 MB; slices of 64 forms stay near 7 MB
+    tracemalloc.start()
+    try:
+        powers_partition_module(12, 4, (700, 665), random.Random(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20

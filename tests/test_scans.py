@@ -1,14 +1,21 @@
 """Tests for interval scans and gap detection."""
 
+import gc
 import json
+import random
 from pathlib import Path
+from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 
+import numpy as np
 import pytest
 
-from levellab.classify import Classification, Status
+from levellab.classify import Classification, Status, realize_recipe
+from levellab.constructions import DEFAULT_TRIALS
 from levellab.errors import HypothesisError
 from levellab.macaulay import HVector, binomial
+from levellab.modules import module_to_text
 from levellab.scans import Gap, find_gaps, scan_gic, scan_ic
+from levellab.seeds import derive_seed
 from levellab.store import record_from_classification
 
 
@@ -35,6 +42,21 @@ def test_find_gaps_synthetic():
     assert gaps([L, U, L, N, L]) == (Gap((2,), "unknown"), Gap((4,), "nonlevel"))
     assert gaps([L, L, L]) == ()
     assert gaps([]) == ()
+
+
+def test_find_gaps_walks_the_values_in_value_order():
+    # 4 is the top value of (1, 2, v), not a non-level value between 1 and 2
+    report = scan_ic(HVector((1, 2, 1)), 2, [1, 4, 2])
+    assert report.values == (1, 4, 2)
+    assert [c.status for c in report.classifications] == [L, N, L]
+    assert report.gaps == ()
+    statuses = [U, L, N, U, L, L, U, L, N, N, L, U]  # of the values 1..12
+    expected = find_gaps(range(1, 13), [stub(s) for s in statuses])
+    assert expected == (Gap((3, 4), "nonlevel"), Gap((7,), "unknown"), Gap((9, 10), "nonlevel"))
+    rng = random.Random(5)
+    for _ in range(20):
+        order = rng.sample(range(12), 12)
+        assert find_gaps([k + 1 for k in order], [stub(statuses[k]) for k in order]) == expected
 
 
 def test_scan_ic_all_level():
@@ -151,3 +173,36 @@ def test_scans_reproduce_the_frozen_certificates():
             compared += 1
     assert next(frozen, None) is None
     assert compared == 80
+
+
+def reachable(root):
+    """Every object reachable from ``root`` by ``gc.get_referents``, except
+    through classes, modules and functions, which reach every global."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType, MethodType,
+                                               BuiltinFunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_a_scan_report_keeps_no_module_and_replays_each_certificate():
+    # a certificate keeps its replay key, so a report holds no array; each
+    # module it prints is the winner realize_recipe rebuilds for its value
+    base, degrees = HVector((1, 3, 1)), (2,)
+    report = scan_ic(base, 2, range(1, 7), master_seed=9)
+    assert not any(isinstance(obj, np.ndarray) for obj in reachable(report))
+    built = 0
+    for value, result in zip(report.values, report.classifications):
+        cert = result.certificate
+        if cert is None or cert.kind != "construction":
+            continue
+        assert any(isinstance(obj, np.ndarray) for obj in reachable(cert.module))
+        seed = derive_seed(9, "scan", degrees, value)
+        module, _ = realize_recipe(cert.recipe, seed, DEFAULT_TRIALS, cert.prime)
+        assert cert.generators == module_to_text(module)
+        built += 1
+    assert built >= 3
