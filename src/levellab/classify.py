@@ -297,11 +297,7 @@ def _direct_recipes(h: HVector) -> list[dict]:
     seen: set[str] = set()
 
     def add(recipe: dict) -> None:
-        try:
-            expected = expected_h_for_recipe(recipe)
-        except (ValueError, HypothesisError):
-            return
-        if expected == h:
+        if expected_h_for_recipe(recipe) == h:
             parts = recipe.get("parts", ())  # the partition (m) builds a sum of m powers
             tag = recipe_tag(recipe if len(parts) != 1 else {
                 "kind": "sum_of_powers", "nvars": r, "degree": e, "count": parts[0]})

@@ -9,8 +9,8 @@ order (grevlex); that order fixes every coefficient array and every
 printed and serialized representation.  Text becomes int64 rows and back
 by binomial ranks and one cached tuple of monomial strings per ring.
 ``Form`` only computes the powers of linear forms that constructions sum:
-it holds one int64 array, a row or a stack of rows, and ``random_form``
-draws a module's linear forms as one stack, which ``**`` raises one linear
+it holds one 2-d int64 array, a stack of rows, and ``random_form`` draws
+a module's linear forms as one stack, which ``**`` raises one linear
 factor at a time through ``raising_table``, the table the derivative
 tower reads, for every row at once; no exponent tuple is ever listed.
 Its public constructor checks the array it is given; the products,
@@ -167,16 +167,13 @@ def raising_table(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Form:
-    """Homogeneous polynomials over F_p of one degree, kept only for powers
-    of linear forms.
+    """A stack of homogeneous forms over F_p of one ring and degree, kept
+    only to raise linear forms to powers.
 
-    ``coeffs`` is a read-only int64 array whose last axis holds one residue
-    in [0, p) per monomial of the degree, in descending grevlex order; an
-    optional leading axis stacks several forms of one ring and degree, and
-    every product acts on all of them at once.  The degree is carried
-    explicitly so the zero form of any degree is representable.  Forms are
-    equal when their rings, primes and arrays are.  ``Form(...)`` copies
-    and checks its array; a form the class computes is built by
+    ``coeffs`` is a read-only 2-d int64 array with one form per row and one
+    residue in [0, p) per monomial of the degree, in descending grevlex
+    order, and every product acts on all rows at once.  ``Form(...)``
+    copies and checks its array; a stack the class computes is built by
     ``_computed``, which checks nothing.
     """
 
@@ -189,10 +186,10 @@ class Form:
         size = ring_dim(self.nvars, self.degree)
         # a copy of its own, so no array or view the caller keeps writes to it
         coeffs = np.array(check_integers(self.coeffs), dtype=np.int64)
-        if coeffs.ndim not in (1, 2):
-            raise ValueError(f"a form or a stack of forms, not a {coeffs.ndim}-d array")
-        if coeffs.shape[-1] != size:
-            raise ValueError(f"{coeffs.shape[-1]} coefficients for {size} monomials")
+        if coeffs.ndim != 2:
+            raise ValueError(f"a stack of forms, not a {coeffs.ndim}-d array")
+        if coeffs.shape[1] != size:
+            raise ValueError(f"{coeffs.shape[1]} coefficients for {size} monomials")
         # below 2^31, products of residues stay exact in int64; as uint64 a
         # negative entry is above 2^63, so one maximum checks both ends
         if not self.p < PRIME_LIMIT or (coeffs.size and coeffs.view(np.uint64).max() >= self.p):
@@ -202,57 +199,41 @@ class Form:
 
     @classmethod
     def _computed(cls, nvars: int, degree: int, p: int, coeffs: np.ndarray) -> "Form":
-        """A form of a fresh int64 array of residues that no caller holds,
-        with its last axis dim R_degree: marked read-only, not copied or
-        checked again."""
+        """A stack of a fresh int64 array of residues that no caller holds,
+        dim R_degree wide: marked read-only, not copied or checked again."""
         form = object.__new__(cls)
         coeffs.flags.writeable = False
         form.__dict__.update(nvars=nvars, degree=degree, p=p, coeffs=coeffs)
         return form
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Form)
-                and (self.nvars, self.degree, self.p) == (other.nvars, other.degree, other.p)
-                and np.array_equal(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "Form") -> "Form":
-        """The product, one factor of degree 0 or 1, form by form through
-        two stacks of one shape: a constant scales the other, and c_v y_v g
-        lands at ``raising_table`` index[v], one to one, so each cell sums
-        at most nvars residues."""
-        if self.nvars != other.nvars or self.p != other.p:
+    def __mul__(self, linear: "Form") -> "Form":
+        """Each form times the linear form in the same row of ``linear``:
+        c_v y_v g lands at ``raising_table`` index[v], one to one, so each
+        cell sums at most nvars residues."""
+        if linear.degree != 1:
+            raise ValueError(f"a product needs a linear factor, not one of degree {linear.degree}")
+        if self.nvars != linear.nvars or self.p != linear.p:
             raise ValueError("forms live in different rings")
-        if self.coeffs.shape[:-1] != other.coeffs.shape[:-1]:
+        if len(self.coeffs) != len(linear.coeffs):
             raise ValueError("factors hold different numbers of forms")
-        low, high = (self, other) if self.degree <= other.degree else (other, self)
-        if low.degree > 1:
-            raise ValueError("a product needs a factor of degree 0 or 1")
-        p, g = self.p, high.coeffs
-        if low.degree == 0:
-            out = g * low.coeffs % p
-        else:
-            # one np.add.at over forms x nvars x dim R_{d-1} flat positions:
-            # numpy's fast path, about twice an (..., index) subscript's speed
-            index, _ = raising_table(self.nvars, high.degree + 1)
-            size, forms = ring_dim(self.nvars, high.degree + 1), g.size // g.shape[-1]
-            out = np.zeros(forms * size, np.int64)
-            np.add.at(out, (index + size * np.arange(forms)[:, None, None]).ravel(),
-                      (low.coeffs[..., :, None] * g[..., None, :] % p).ravel())
-            out = out.reshape(g.shape[:-1] + (size,)) % p
-        return Form._computed(self.nvars, low.degree + high.degree, p, out)
+        # one np.add.at over forms x nvars x dim R_d flat positions: numpy's
+        # fast path, about twice an (..., index) subscript's speed
+        p, g = self.p, self.coeffs
+        index, _ = raising_table(self.nvars, self.degree + 1)
+        forms, size = len(g), ring_dim(self.nvars, self.degree + 1)
+        out = np.zeros(forms * size, np.int64)
+        np.add.at(out, (index + size * np.arange(forms)[:, None, None]).ravel(),
+                  (linear.coeffs[:, :, None] * g[:, None, :] % p).ravel())
+        return Form._computed(self.nvars, self.degree + 1, p, out.reshape(forms, size) % p)
 
     def __pow__(self, exponent: int) -> "Form":
-        """self * ... * self, every form of a stack at once, and 1 for e = 0;
-        in one variable, c y1^d to the e is c^e y1^(de)."""
-        if exponent < 0:
-            raise ValueError("negative powers are not defined for forms")
+        """self * ... * self for an exponent of at least 1, every form of
+        the stack at once; in one variable, c y1^d to the e is c^e y1^(de)."""
+        if exponent < 1:
+            raise ValueError(f"powers need an exponent of at least 1, got {exponent}")
         if self.nvars == 1:
-            powers = [pow(c, exponent, self.p) for c in self.coeffs.ravel().tolist()]
-            return Form._computed(1, self.degree * exponent, self.p,
-                                  np.array(powers, np.int64).reshape(self.coeffs.shape))
-        if not exponent:
-            return Form._computed(self.nvars, 0, self.p,
-                                  np.ones(self.coeffs.shape[:-1] + (1,), np.int64))
+            powers = [[pow(c, exponent, self.p)] for c in self.coeffs[:, 0].tolist()]
+            return Form._computed(1, self.degree * exponent, self.p, np.array(powers, np.int64))
         result = self
         for _ in range(exponent - 1):
             result = result * self

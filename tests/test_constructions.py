@@ -380,13 +380,17 @@ def test_a_part_that_cancels_mod_p_is_a_degenerate_draw(nvars, degree, parts, p)
 
 
 def test_a_small_module_is_powered_by_one_pow(monkeypatch):
-    calls = []
-    power = Form.__pow__
+    # and each e-th power by e - 1 products, which the benchmark counts
+    calls, products = [], []
+    power, product = Form.__pow__, Form.__mul__
     monkeypatch.setattr(Form, "__pow__", lambda form, e: calls.append(e) or power(form, e))
+    monkeypatch.setattr(Form, "__mul__",
+                        lambda form, linear: products.append(form.degree) or product(form, linear))
     powers_partition_module(4, 3, (4, 3, 2), random.Random(5))
     augment_with_powers(powers_partition_module(3, 4, (3, 3), random.Random(6)), 2,
                         random.Random(7))
     assert calls == [3, 4, 4]
+    assert products == [1, 2] + [1, 2, 3] * 2
 
 
 def test_a_module_wider_than_one_slice_is_powered_in_little_memory():

@@ -4,7 +4,6 @@ import random
 import time
 from itertools import combinations_with_replacement
 from math import comb
-from operator import add
 
 import numpy as np
 import pytest
@@ -29,17 +28,31 @@ from levellab.forms import (
     randrange_many,
     ring_dim,
 )
-from monomials import form_terms, grevlex, monomial_positions
-from test_spans import form, random_forms, reference_derivative
+from monomials import (
+    dict_power,
+    dict_product,
+    form,
+    form_terms,
+    grevlex,
+    monomial_positions,
+    random_forms,
+    reference_derivative,
+)
 
 
 def y(var, nvars, p=DEFAULT_PRIME):
-    return Form(nvars, 1, p, tuple(int(k == var) for k in range(nvars)))
+    """The stack of one linear form y_{var+1}."""
+    return Form(nvars, 1, p, [[int(k == var) for k in range(nvars)]])
 
 
-def terms(row, nvars, degree):
-    """The nonzero coefficients of a row by monomial."""
-    return {m: c for m, c in zip(monomial_positions(nvars, degree), row.tolist()) if c}
+def fields(f):
+    """Everything a ``Form`` holds, as plain values that compare with ==."""
+    return f.nvars, f.degree, f.p, f.coeffs.tolist()
+
+
+def stack_terms(f):
+    """The nonzero coefficients of each form of a stack by monomial."""
+    return [form_terms(f.nvars, f.degree, row) for row in f.coeffs]
 
 
 def test_default_prime_is_prime():
@@ -103,136 +116,125 @@ def test_monomial_counts():
 
 
 def test_form_validation():
-    assert form_terms(Form(2, 2, 7, (1, 0, 6))) == {(2, 0): 1, (0, 2): 6}
+    assert stack_terms(Form(2, 2, 7, [[1, 0, 6]])) == [{(2, 0): 1, (0, 2): 6}]
     with pytest.raises(ValueError, match="2 coefficients for 3 monomials"):
-        Form(2, 2, DEFAULT_PRIME, (1, 0))  # wrong length
+        Form(2, 2, DEFAULT_PRIME, [[1, 0]])  # wrong length
     with pytest.raises(ValueError, match="3 coefficients for 2 monomials"):
-        Form(2, 1, DEFAULT_PRIME, (1, 0, 0))  # wrong length
+        Form(2, 1, DEFAULT_PRIME, [[1, 0, 0]])  # wrong length
     for residue in (7, -1):
         with pytest.raises(ValueError, match="out of range for p=7"):
-            Form(2, 1, 7, (1, residue))  # residue outside [0, p)
+            Form(2, 1, 7, [[1, residue]])  # residue outside [0, p)
 
 
 def test_a_stack_holds_forms_of_one_ring_and_degree():
     stack = Form(2, 2, 7, [[1, 0, 6], [0, 3, 0]])
     assert stack.coeffs.shape == (2, 3) and not stack.coeffs.flags.writeable
-    assert stack == Form(2, 2, 7, np.array([[1, 0, 6], [0, 3, 0]], dtype=np.int32))
-    assert stack != Form(2, 2, 7, [[1, 0, 6]]) and stack != Form(2, 2, 7, (1, 0, 6))
+    int32 = Form(2, 2, 7, np.array([[1, 0, 6], [0, 3, 0]], dtype=np.int32))
+    assert fields(stack) == fields(int32) and int32.coeffs.dtype == np.int64
     with pytest.raises(ValueError, match="2 coefficients for 3 monomials"):
         Form(2, 2, 7, [[1, 0], [0, 3]])  # wrong last-axis length
-    with pytest.raises(ValueError, match="not a 3-d array"):
-        Form(2, 2, 7, [[[1, 0, 6]]])
+    # one form is a stack of one, not a row
+    for array, ndim in (([[[1, 0, 6]]], 3), ((1, 0, 6), 1)):
+        with pytest.raises(ValueError, match=f"not a {ndim}-d array"):
+            Form(2, 2, 7, array)
     for residue in (7, -1):
         with pytest.raises(ValueError, match="out of range for p=7"):
             Form(2, 2, 7, [[1, 0, 6], [0, residue, 0]])
-    # a product multiplies form by form: one form is not a stack of one
-    for other in (Form(2, 1, 7, [[1, 0], [0, 1], [1, 1]]), Form(2, 0, 7, [[3]]),
-                  Form(2, 1, 7, (1, 1))):
+    # a product multiplies form by form
+    for other in (Form(2, 1, 7, [[1, 0], [0, 1], [1, 1]]), Form(2, 1, 7, [[1, 1]])):
         with pytest.raises(ValueError, match="different numbers of forms"):
-            other * stack
+            stack * other
 
 
 def test_binomial_cube():
-    f = form("y1 + y2", 2, 1)
-    assert format_form(2, 3, (f**3).coeffs) == "y1^3 + 3*y1^2*y2 + 3*y1*y2^2 + y2^3"
+    f = Form(2, 1, DEFAULT_PRIME, [form("y1 + y2", 2, 1)])
+    assert format_form(2, 3, (f**3).coeffs[0]) == "y1^3 + 3*y1^2*y2 + 3*y1*y2^2 + y2^3"
 
 
 def test_power_of_dense_linear_form_is_dense():
-    ell = Form(3, 1, DEFAULT_PRIME, (2, 5, 7))
+    ell = Form(3, 1, DEFAULT_PRIME, [[2, 5, 7]])
     quartic = ell**4
-    assert len(form_terms(quartic)) == 15
+    assert len(stack_terms(quartic)[0]) == 15
     assert quartic.degree == 4
-    assert ell**0 == Form(3, 0, DEFAULT_PRIME, (1,))
-
-
-def dict_product(f, g):
-    """f g by every pair of terms, as ``Form.__mul__`` once computed every
-    product: the oracle for the products through the raising table."""
-    degree = f.degree + g.degree
-    order = monomial_positions(f.nvars, degree)
-    out = [0] * len(order)
-    for m1, c1 in form_terms(f).items():
-        for m2, c2 in form_terms(g).items():
-            out[order[tuple(map(add, m1, m2))]] += c1 * c2
-    return Form(f.nvars, degree, f.p, tuple(c % f.p for c in out))
-
-
-def dict_power(f, e):
-    """f^e by repeated squaring through ``dict_product``."""
-    result, base = Form(f.nvars, 0, f.p, (1,)), f
-    while e:
-        if e & 1:
-            result = dict_product(result, base)
-        e >>= 1
-        if e:
-            base = dict_product(base, base)
-    return result
+    for low in (ell, Form(1, 1, DEFAULT_PRIME, [[3]])):  # one variable has its own path
+        with pytest.raises(ValueError, match="an exponent of at least 1, got 0"):
+            low**0
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 101, DEFAULT_PRIME))
 def test_powers_match_the_dict_product(p):
-    # dense and sparse linear forms, r = 1..8, e = 0..8, one at a time and
-    # stacked: a stack's power is the stack of the powers
+    # dense and sparse linear forms, r = 1..8, e = 1..8, each a stack of
+    # one and both stacked: a stack's power is the stack of the powers
     rng = random.Random(p)
     for nvars in range(1, 9):
         for e in range(9):
-            ells = [Form(nvars, 1, p, tuple(rng.randrange(p) if rng.random() < keep else 0
-                                            for _ in range(nvars)))
+            ells = [[rng.randrange(p) if rng.random() < keep else 0 for _ in range(nvars)]
                     for keep in (1.0, 0.5)]
-            powers = [dict_power(ell, e) for ell in ells]
-            assert [ell**e for ell in ells] == powers
-            stack = Form(nvars, 1, p, [ell.coeffs for ell in ells])
-            assert stack**e == Form(nvars, e, p, [power.coeffs for power in powers])
+            stack = Form(nvars, 1, p, ells)
+            if not e:  # drawn all the same, so e = 1..8 see the same forms
+                with pytest.raises(ValueError, match="an exponent of at least 1"):
+                    stack**e
+                continue
+            powers = [dict_power(form_terms(nvars, 1, ell), e, p) for ell in ells]
+            assert [stack_terms(Form(nvars, 1, p, [ell]) ** e)[0] for ell in ells] == powers
+            assert (stack**e).degree == e and stack_terms(stack**e) == powers
 
 
-def test_products_by_a_constant_or_a_linear_form_match_the_dict_product():
+def test_products_by_a_linear_form_match_the_dict_product():
     rng = random.Random(17)
     for p in (2, 7, DEFAULT_PRIME):
         for nvars, degree in ((1, 3), (2, 0), (3, 2), (4, 4), (6, 3)):
-            (g,) = random_forms(nvars, degree, 1, rng, p)
-            for low in (*random_forms(nvars, 0, 1, rng, p), *random_forms(nvars, 1, 1, rng, p),
+            g = Form(nvars, degree, p, random_forms(nvars, degree, 1, rng, p))
+            constant = Form(nvars, 0, p, random_forms(nvars, 0, 1, rng, p))
+            with pytest.raises(ValueError, match="a linear factor, not one of degree 0"):
+                g * constant
+            for low in (Form(nvars, 1, p, random_forms(nvars, 1, 1, rng, p)),
                         y(nvars - 1, nvars, p)):
-                assert low * g == g * low == dict_product(low, g)
+                assert stack_terms(g * low) == [
+                    dict_product(stack_terms(low)[0], stack_terms(g)[0], p)]
+                with pytest.raises(ValueError, match=f"not one of degree {degree}"):
+                    low * g  # the linear factor comes second
             # three of each, form by form
-            gs = random_form(nvars, degree, 3, rng, p)
-            for lows in (random_form(nvars, 0, 3, rng, p), random_form(nvars, 1, 3, rng, p)):
-                expected = [dict_product(Form(nvars, lows.degree, p, low),
-                                         Form(nvars, degree, p, g))
-                            for low, g in zip(lows.coeffs, gs.coeffs)]
-                assert lows * gs == gs * lows == Form(
-                    nvars, lows.degree + degree, p, [product.coeffs for product in expected])
+            gs = Form(nvars, degree, p, random_forms(nvars, degree, 3, rng, p))
+            constants = Form(nvars, 0, p, random_forms(nvars, 0, 3, rng, p))
+            with pytest.raises(ValueError, match="a linear factor, not one of degree 0"):
+                gs * constants
+            lows = Form(nvars, 1, p, random_forms(nvars, 1, 3, rng, p))
+            expected = [dict_product(low, g, p)
+                        for low, g in zip(stack_terms(lows), stack_terms(gs))]
+            assert (gs * lows).degree == degree + 1 and stack_terms(gs * lows) == expected
 
 
-def test_products_need_a_factor_of_degree_0_or_1_in_one_ring():
-    quadric = form("y1^2 + 3*y2^2", 2, 2)
-    with pytest.raises(ValueError, match="a factor of degree 0 or 1"):
+def test_products_need_a_linear_factor_in_one_ring():
+    quadric = Form(2, 2, DEFAULT_PRIME, [form("y1^2 + 3*y2^2", 2, 2)])
+    with pytest.raises(ValueError, match="a linear factor, not one of degree 2"):
         quadric * quadric
-    with pytest.raises(ValueError, match="a factor of degree 0 or 1"):
+    with pytest.raises(ValueError, match="a linear factor, not one of degree 2"):
         quadric**2
     for other in (y(0, 3), y(0, 2, 7)):
         with pytest.raises(ValueError, match="different rings"):
             y(0, 2) * other
     with pytest.raises(ValueError, match=f"out of range for p={2**61 - 1} < 2"):
-        Form(2, 1, 2**61 - 1, (1, 0))  # its products would overflow int64
+        Form(2, 1, 2**61 - 1, [[1, 0]])  # its products would overflow int64
 
 
 def test_high_powers_follow_the_binomial_theorem():
     # (a y1 + b y2)^e has C(e, k) a^(e-k) b^k at y1^(e-k) y2^k, listed by k
     p, e = 101, 700
-    power = Form(2, 1, p, (3, 5)) ** e
-    assert power.coeffs.tolist() == [comb(e, k) * 3**(e - k) * 5**k % p for k in range(e + 1)]
+    power = Form(2, 1, p, [[3, 5]]) ** e
+    assert power.coeffs.tolist() == [[comb(e, k) * 3**(e - k) * 5**k % p for k in range(e + 1)]]
     # one variable: c y1^d to the e is the one residue c^e, form by form
-    assert Form(1, 1, DEFAULT_PRIME, (3,)) ** 100000 == Form(
-        1, 100000, DEFAULT_PRIME, (pow(3, 100000, DEFAULT_PRIME),))
-    assert Form(1, 2, 7, (3,)) ** 3 == dict_power(Form(1, 2, 7, (3,)), 3)
-    assert Form(1, 1, DEFAULT_PRIME, [[3], [0], [5]]) ** 100000 == Form(
+    assert fields(Form(1, 1, DEFAULT_PRIME, [[3]]) ** 100000) == (
+        1, 100000, DEFAULT_PRIME, [[pow(3, 100000, DEFAULT_PRIME)]])
+    assert stack_terms(Form(1, 2, 7, [[3]]) ** 3) == [dict_power({(2,): 3}, 3, 7)]
+    assert fields(Form(1, 1, DEFAULT_PRIME, [[3], [0], [5]]) ** 100000) == (
         1, 100000, DEFAULT_PRIME, [[pow(c, 100000, DEFAULT_PRIME)] for c in (3, 0, 5)])
 
 
 def test_derivative_frozen_example():
     f = form("y1^2*y2 + y2^3", 2, 3)
-    assert format_form(2, 2, reference_derivative(f, 1).coeffs) == "y1^2 + 3*y2^2"
-    assert reference_derivative(f, 0) == form("2*y1*y2", 2, 2)
+    assert format_form(2, 2, reference_derivative(2, 3, f, 1)) == "y1^2 + 3*y2^2"
+    assert reference_derivative(2, 3, f, 0) == form("2*y1*y2", 2, 2)
 
 
 def test_partials_commute():
@@ -241,8 +243,8 @@ def test_partials_commute():
         (f,) = random_forms(3, 4, 1, rng)
         for i in range(3):
             for j in range(3):
-                assert (reference_derivative(reference_derivative(f, i), j)
-                        == reference_derivative(reference_derivative(f, j), i))
+                assert (reference_derivative(3, 3, reference_derivative(3, 4, f, i), j)
+                        == reference_derivative(3, 3, reference_derivative(3, 4, f, j), i))
 
 
 def test_euler_identity():
@@ -250,23 +252,25 @@ def test_euler_identity():
     rng = random.Random(9)
     for nvars, degree in [(2, 3), (3, 4), (4, 5)]:
         (f,) = random_forms(nvars, degree, 1, rng)
-        total = [0] * len(f.coeffs)
+        total = [0] * len(f)
         for var in range(nvars):
-            term = y(var, nvars) * reference_derivative(f, var)
-            total = [a + b for a, b in zip(total, term.coeffs.tolist())]
-        assert [c % f.p for c in total] == [degree * c % f.p for c in f.coeffs.tolist()]
+            partial = Form(nvars, degree - 1, DEFAULT_PRIME,
+                           [reference_derivative(nvars, degree, f, var)])
+            term = partial * y(var, nvars)
+            total = [a + b for a, b in zip(total, term.coeffs[0].tolist())]
+        assert [c % DEFAULT_PRIME for c in total] == [degree * c % DEFAULT_PRIME for c in f]
 
 
 def test_power_rule_for_linear_forms():
     rng = random.Random(13)
     for _ in range(10):
-        (ell,) = random_forms(3, 1, 1, rng)
+        ell = Form(3, 1, DEFAULT_PRIME, random_forms(3, 1, 1, rng))
         e = rng.randint(2, 5)
-        power = ell**e
-        lower = (ell ** (e - 1)).coeffs.tolist()
-        for var, coefficient in enumerate(ell.coeffs.tolist()):
-            assert reference_derivative(power, var).coeffs.tolist() == [
-                e * coefficient * c % ell.p for c in lower]
+        power = (ell**e).coeffs[0]
+        lower = (ell ** (e - 1)).coeffs[0].tolist()
+        for var, coefficient in enumerate(ell.coeffs[0].tolist()):
+            assert reference_derivative(3, e, power, var) == [
+                e * coefficient * c % DEFAULT_PRIME for c in lower]
 
 
 def test_embedding_keeps_every_term():
@@ -276,18 +280,18 @@ def test_embedding_keeps_every_term():
     for nvars, degree, wide in [(1, 3, 2), (2, 2, 4), (3, 4, 5), (2, 0, 3)]:
         (f,) = random_forms(nvars, degree, 1, rng)
         pad = (0,) * (wide - nvars)
-        zeros = [0] * (ring_dim(wide, degree) - len(f.coeffs))
+        zeros = [0] * (ring_dim(wide, degree) - len(f))
         order = monomial_positions(wide, degree)
         coeffs = [0] * len(order)
-        for m, c in form_terms(f).items():
+        for m, c in form_terms(nvars, degree, f).items():
             coeffs[order[m + pad]] = c
-        assert f.coeffs.tolist() + zeros == coeffs
+        assert f + zeros == coeffs
 
 
 def test_random_linear_form_nonzero_and_seeded():
     a = random_form(4, 1, 1, random.Random(42))
     b = random_form(4, 1, 1, random.Random(42))
-    assert a == b
+    assert fields(a) == fields(b)
     assert a.coeffs.shape == (1, 4) and a.coeffs.any()
     with pytest.raises(ValueError, match="at least one variable"):
         random_form(0, 1, 1, random.Random(42))
@@ -331,16 +335,16 @@ def test_computed_forms_are_read_only_and_equal_their_checked_copies(p):
     rng = random.Random(p)
     linear = random_form(4, 1, 3, rng, p)
     line = random_form(1, 2, 3, rng, p)  # one variable takes its own power path
-    computed = [linear, linear * linear ** 2, linear ** 3, linear ** 0, line ** 2,
+    computed = [linear, linear ** 2 * linear, linear ** 3, line ** 2,
                 random_form(3, 2, 20, rng, p),
                 Form(4, 0, p, np.full((3, 1), 3)) * linear]
     for f in computed:
         assert f.coeffs.dtype == np.int64 and not f.coeffs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            f.coeffs[(0,) * f.coeffs.ndim] = 1
-        assert f == Form(f.nvars, f.degree, f.p, f.coeffs)
+            f.coeffs[0, 0] = 1
+        assert fields(f) == fields(Form(f.nvars, f.degree, f.p, f.coeffs))
         assert ((0 <= f.coeffs) & (f.coeffs < p)).all()
-        assert f.coeffs.shape[-1] == ring_dim(f.nvars, f.degree)
+        assert f.coeffs.shape[1] == ring_dim(f.nvars, f.degree)
     # a product never shares its factors' arrays
     assert not any(np.shares_memory(linear.coeffs, f.coeffs) for f in computed[1:])
 
@@ -430,13 +434,13 @@ def test_grevlex_rank_matches_the_monomial_table():
 def test_parse_examples():
     row = parse_form("y1^4 + 3*y2^3*y3", 3, 4)
     assert row.dtype == np.int64 and row.shape == (15,)
-    assert terms(row, 3, 4) == {(4, 0, 0): 1, (0, 3, 1): 3}
-    assert terms(parse_form("y2*y1*y2", 2, 3), 2, 3) == {(1, 2): 1}
-    assert terms(parse_form("7", 2, 0), 2, 0) == {(0, 0): 7}
+    assert form_terms(3, 4, row) == {(4, 0, 0): 1, (0, 3, 1): 3}
+    assert form_terms(2, 3, parse_form("y2*y1*y2", 2, 3)) == {(1, 2): 1}
+    assert form_terms(2, 0, parse_form("7", 2, 0)) == {(0, 0): 7}
     assert parse_form("0", 3, 4).tolist() == [0] * 15
-    assert terms(parse_form("y1 - y2", 2, 1), 2, 1) == {(1, 0): 1, (0, 1): DEFAULT_PRIME - 1}
-    assert terms(parse_form("  y1   +\t2*y2 ", 2, 1), 2, 1) == {(1, 0): 1, (0, 1): 2}
-    assert terms(parse_form("-y1", 1, 1), 1, 1) == {(1,): DEFAULT_PRIME - 1}
+    assert form_terms(2, 1, parse_form("y1 - y2", 2, 1)) == {(1, 0): 1, (0, 1): DEFAULT_PRIME - 1}
+    assert form_terms(2, 1, parse_form("  y1   +\t2*y2 ", 2, 1)) == {(1, 0): 1, (0, 1): 2}
+    assert form_terms(1, 1, parse_form("-y1", 1, 1)) == {(1,): DEFAULT_PRIME - 1}
 
 
 def test_parse_rejects_bad_text():

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "levellab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "levellab"
 
 
 def test_no_module_imports_a_private_name_from_another():
@@ -32,6 +33,20 @@ def test_only_forms_constructions_and_the_package_name_form():
                 naming.add(path.name)
     assert naming <= {"forms.py", "constructions.py", "__init__.py"}
     assert "forms.py" in naming
+
+
+def test_only_three_test_files_name_form():
+    # the other tests hold forms as coefficient rows, so deleting ``Form``
+    # touches only these test files
+    naming = set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names |= {node.name, node.asname}
+            if "Form" in names:
+                naming.add(path.name)
+    assert naming <= {"test_forms.py", "test_constructions.py", "test_benchmark_tracer.py"}
 
 
 def test_only_forms_defines_the_raising_table():

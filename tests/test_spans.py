@@ -25,14 +25,7 @@ from sympy.polys.matrices import DomainMatrix
 from levellab import forms, spans
 from levellab.constructions import compressed_generic_module, powers_partition_module
 from levellab.errors import HypothesisError, SoundnessError
-from levellab.forms import (
-    DEFAULT_PRIME,
-    Form,
-    parse_form,
-    raising_table,
-    random_form,
-    ring_dim,
-)
+from levellab.forms import DEFAULT_PRIME, parse_form, raising_table, ring_dim
 from levellab.macaulay import binomial
 from levellab.modules import (
     InverseModule,
@@ -45,42 +38,19 @@ from levellab.spans import (
     rank_mod_p,
     rref_mod_p,
 )
-from monomials import form_terms, grevlex, monomial_positions
+from monomials import (
+    form,
+    grevlex,
+    module_of,
+    monomial_positions,
+    random_forms,
+    reference_derivative,
+    scaled,
+)
 
 
-def reference_derivative(f, var):
-    """d f / d y_{var+1} of a form of degree >= 1, term by term over its
-    monomials: the oracle for the tower's index-array derivatives."""
-    lower = monomial_positions(f.nvars, f.degree - 1)
-    coeffs = [0] * len(lower)
-    for mono, coeff in form_terms(f).items():
-        if mono[var]:
-            coeffs[lower[mono[:var] + (mono[var] - 1,) + mono[var + 1:]]] += coeff * mono[var]
-    return Form(f.nvars, f.degree - 1, f.p, tuple(c % f.p for c in coeffs))
-
-
-def form(text, nvars, degree, p=DEFAULT_PRIME):
-    """The ``Form`` that ``text`` names, for the reference arithmetic."""
-    return Form(nvars, degree, p, parse_form(text, nvars, degree, p))
-
-
-def random_forms(nvars, degree, count, rng, p=DEFAULT_PRIME):
-    """``count`` random forms drawn as one stack, each its own ``Form``."""
-    stack = random_form(nvars, degree, count, rng, p)
-    return [Form(nvars, degree, p, row) for row in stack.coeffs]
-
-
-def module_of(forms):
-    """The module generated by ``forms``, of the first one's ring."""
-    return InverseModule(forms[0].nvars, forms[0].degree, forms[0].p, [f.coeffs for f in forms])
-
-
-def tower(forms):
-    return derivative_spaces(module_of(forms))
-
-
-def scaled(f, c):
-    return Form(f.nvars, f.degree, f.p, tuple(c * v % f.p for v in f.coeffs.tolist()))
+def tower(nvars, degree, rows, p=DEFAULT_PRIME):
+    return derivative_spaces(module_of(nvars, degree, rows, p))
 
 
 def small_matrix(rng, rows, cols, lo=0, hi=20):
@@ -166,18 +136,18 @@ def test_rref_is_canonical_for_the_row_space():
         assert np.array_equal(rref_mod_p(recombined, p), reduced)
 
 
-def span_dimension(forms):
-    """Dimension of the span of forms of one ring and degree."""
-    return type_of(module_of(forms))
+def span_dimension(nvars, degree, rows):
+    """Dimension of the span of the rows of forms of one ring and degree."""
+    return type_of(module_of(nvars, degree, rows))
 
 
 def test_span_dimension_basics():
     rng = random.Random(31)
     quadrics = random_forms(3, 2, 3, rng)
-    assert span_dimension(quadrics) == 3
-    assert span_dimension(quadrics + [quadrics[0]]) == 3
+    assert span_dimension(3, 2, quadrics) == 3
+    assert span_dimension(3, 2, quadrics + [quadrics[0]]) == 3
     doubled = quadrics + [scaled(quadrics[1], 7)]
-    assert span_dimension(doubled) == 3
+    assert span_dimension(3, 2, doubled) == 3
     # a module has a nonzero generator: no row, or a zero row, is refused
     for rows in (np.zeros((0, 6), dtype=np.int64), [[0] * 6]):
         with pytest.raises(ValueError):
@@ -186,33 +156,33 @@ def test_span_dimension_basics():
 
 def test_span_dimension_rejects_mixed_degrees():
     with pytest.raises(ValueError):
-        span_dimension([form("y1^2", 2, 2), form("y1^3", 2, 3)])
+        span_dimension(2, 2, [form("y1^2", 2, 2), form("y1^3", 2, 3)])
 
 
 def test_span_dimension_invariant_under_scaling_and_order():
     rng = random.Random(37)
     forms = random_forms(3, 3, 4, rng)
-    dim = span_dimension(forms)
+    dim = span_dimension(3, 3, forms)
     shuffled = forms[::-1]
     multiples = [scaled(f, rng.randrange(1, DEFAULT_PRIME)) for f in forms]
-    assert span_dimension(shuffled) == dim
-    assert span_dimension(multiples) == dim
+    assert span_dimension(3, 3, shuffled) == dim
+    assert span_dimension(3, 3, multiples) == dim
 
 
 def test_tower_of_three_fourth_powers():
-    dims = tuple(map(len, tower([form("y1^4 + y2^4 + y3^4", 3, 4)])))
+    dims = tuple(map(len, tower(3, 4, [form("y1^4 + y2^4 + y3^4", 3, 4)])))
     assert dims == (1, 3, 3, 3, 1)
 
 
 def test_tower_of_monomial_product():
-    dims = tuple(map(len, tower([form("y1*y2*y3", 3, 3)])))
+    dims = tuple(map(len, tower(3, 3, [form("y1*y2*y3", 3, 3)])))
     assert dims == (1, 3, 3, 1)
 
 
 def test_tower_of_generic_quartics():
     rng = random.Random(41)
     gens = random_forms(3, 4, 4, rng)
-    dims = tuple(map(len, tower(gens)))
+    dims = tuple(map(len, tower(3, 4, gens)))
     assert dims == (1, 3, 6, 10, 4)
 
 
@@ -223,7 +193,7 @@ def test_tower_dims_respect_ring_and_derivative_caps():
         degree = rng.randint(1, 4)
         count = rng.randint(1, 3)
         gens = random_forms(nvars, degree, count, rng)
-        spans = tower(gens)
+        spans = tower(nvars, degree, gens)
         assert len(spans) == degree + 1
         for j, basis in enumerate(spans):
             assert basis.shape[1] == ring_dim(nvars, j)
@@ -248,8 +218,8 @@ def test_levels_below_a_full_level_share_one_read_only_identity():
     assert len({id(level) for level in levels[:-1]}) == 1
     assert not levels[0].flags.writeable
     # three variables: identities of each size below the full level 2
-    levels = tower([form("y1^3 + y2^3 + y3^3 + y1*y2*y3", 3, 3),
-                    form("y1^2*y2 + y2^2*y3 + y3^2*y1", 3, 3)])
+    levels = tower(3, 3, [form("y1^3 + y2^3 + y3^3 + y1*y2*y3", 3, 3),
+                          form("y1^2*y2 + y2^2*y3 + y3^2*y1", 3, 3)])
     assert len(levels[2]) == 6
     for level, size in zip(levels[:2], (1, 3)):
         assert level.tobytes() == np.eye(size, dtype=np.int64).tobytes()
@@ -259,10 +229,9 @@ def test_levels_below_a_full_level_share_one_read_only_identity():
 def test_basis_forms_regenerate_the_same_span():
     rng = random.Random(47)
     gens = random_forms(3, 3, 2, rng)
-    spans = tower(gens)
-    quadric_basis = [Form(3, 2, DEFAULT_PRIME, tuple(row)) for row in spans[2].tolist()]
-    assert span_dimension(quadric_basis) == len(spans[2])
-    regenerated = tower([Form(3, 3, DEFAULT_PRIME, tuple(row)) for row in spans[3].tolist()])
+    spans = tower(3, 3, gens)
+    assert span_dimension(3, 2, spans[2]) == len(spans[2])
+    regenerated = tower(3, 3, spans[3])
     assert list(map(len, regenerated)) == list(map(len, spans))
 
 
@@ -273,15 +242,14 @@ def test_stacked_derivatives_match_the_reference_derivative(p):
         nvars = rng.randint(1, 4)
         degree = rng.randint(1, 5)
         gens = random_forms(nvars, degree, rng.randint(1, 4), rng, p)
-        for d, basis in enumerate(tower(gens)[1:], start=1):
+        for d, basis in enumerate(tower(nvars, degree, gens, p)[1:], start=1):
             stacked = spans._stacked_derivatives(basis, nvars, d, p)
             dim = len(basis)
             assert stacked.shape == (nvars * dim, ring_dim(nvars, d - 1))
-            forms = [Form(nvars, d, p, tuple(row)) for row in basis.tolist()]
             for var in range(nvars):
                 block = stacked[var * dim:(var + 1) * dim]
-                assert block.tolist() == [reference_derivative(f, var).coeffs.tolist()
-                                          for f in forms]
+                assert block.tolist() == [reference_derivative(nvars, d, row, var, p)
+                                          for row in basis]
 
 
 # The growth test's body, run in a fresh interpreter: the bytes CPython's
