@@ -3,7 +3,8 @@ augmentation and truncation.
 
 Every builder takes an explicit rng, so a fixed seed reproduces the same
 module and the same ranks; maximal_profile retries a few seeds and keeps
-the largest h-vector, which is the generic one.
+the largest h-vector, which is the generic one, returning the module,
+its profile and the seed that replays it.
 
 Run: python3 demos/construction_recipes.py
 """
@@ -28,22 +29,22 @@ def main() -> None:
     for m in (2, 5, 9):
         builder = lambda rng: InverseModule(
             3, 4, DEFAULT_PRIME, [sum_of_powers(3, 4, m, rng, DEFAULT_PRIME)])
-        _, profile = maximal_profile(builder, m)
+        _, profile, _ = maximal_profile(builder, m)
         print(f"sum of {m} fourth powers in 3 variables: h = ({profile.h}), "
               f"formula ({expected_h_sum_of_powers(3, 4, m)})")
 
     # Several such generators at once, one per part of a partition.
     print()
-    module, profile = maximal_profile(
+    module, profile, seed = maximal_profile(
         lambda rng: powers_partition_module(3, 4, (3, 3, 3), rng, DEFAULT_PRIME), 0)
-    print(f"partition (3,3,3) in degree 4: h = ({profile.h})")
+    print(f"partition (3,3,3) in degree 4: h = ({profile.h}), winning seed {seed}")
 
     # Adjoining one more general fourth power bumps the top two entries.
-    _, grown = maximal_profile(lambda rng: augment_with_powers(module, 1, rng), 1)
+    _, grown, _ = maximal_profile(lambda rng: augment_with_powers(module, 1, rng), 1)
     print(f"after adjoining one general power: h = ({grown.h})")
 
     # Compressed modules max out every entry below the socle.
-    _, top = maximal_profile(
+    _, top, _ = maximal_profile(
         lambda rng: compressed_generic_module(3, 4, 2, rng, DEFAULT_PRIME), 2)
     print(f"two generic quartics (compressed): h = ({top.h})")
 

@@ -69,7 +69,7 @@ class Certificate:
     def module(self) -> InverseModule | None:
         if self.recipe is None:
             return None
-        return build_recipe(self.recipe, Random(self.seed), self.prime).with_seed(self.seed)
+        return build_recipe(self.recipe, Random(self.seed), self.prime)
 
     @property
     def generators(self) -> str | None:
@@ -133,23 +133,6 @@ NECESSARY_CONDITIONS: tuple[tuple[str, object], ...] = (
 )
 
 
-def necessary_condition_violation(h: HVector) -> tuple[str, str] | None:
-    """First violated necessary condition as (name, detail), or None."""
-    for name, check in NECESSARY_CONDITIONS:
-        detail = check(h)
-        if detail is not None:
-            return name, detail
-    return None
-
-
-def condition_still_violated(name: str, h: HVector) -> bool:
-    """Re-evaluate a named non-level condition from scratch."""
-    for known, check in NECESSARY_CONDITIONS:
-        if known == name:
-            return check(h) is not None
-    raise ValueError(f"unknown condition {name!r}")
-
-
 # ------------------------------------------------------------ exact criteria
 
 
@@ -173,21 +156,27 @@ LEVEL_CRITERIA: tuple[tuple[str, object], ...] = (
     ("si-classification", _si_criterion),
 )
 
+# A rule fires when its check returns a detail: a condition when violated,
+# a criterion when it holds.
+RULES = {"condition": NECESSARY_CONDITIONS, "criterion": LEVEL_CRITERIA}
 
-def satisfied_criterion(h: HVector) -> tuple[str, str] | None:
-    for name, check in LEVEL_CRITERIA:
+
+def first_rule_firing(kind: str, h: HVector) -> tuple[str, str] | None:
+    """The first rule of a kind in ``RULES`` that fires on h, as
+    (name, detail), or None."""
+    for name, check in RULES[kind]:
         detail = check(h)
         if detail is not None:
             return name, detail
     return None
 
 
-def criterion_still_holds(name: str, h: HVector) -> bool:
-    """Re-evaluate a named level criterion from scratch."""
-    for known, check in LEVEL_CRITERIA:
+def rule_still_fires(kind: str, name: str, h: HVector) -> bool:
+    """Re-evaluate a named rule of a kind in ``RULES`` from scratch."""
+    for known, check in RULES[kind]:
         if known == name:
             return check(h) is not None
-    raise ValueError(f"unknown criterion {name!r}")
+    raise ValueError(f"unknown {kind} {name!r}")
 
 
 # ------------------------------------------------------------------- recipes
@@ -370,9 +359,10 @@ def recipe_size(recipe: dict, r: int, e: int, p: int, *, depth: int = 1) -> tupl
 
 
 def realize_recipe(recipe: dict, master_seed: int, trials: int,
-                   p: int = DEFAULT_PRIME) -> tuple[InverseModule, HProfile]:
+                   p: int = DEFAULT_PRIME) -> tuple[InverseModule, HProfile, int]:
     """Run a recipe on seeds derived from the master seed and the recipe
-    tag, keeping the trial with the largest profile."""
+    tag, keeping the trial with the largest profile: (module, profile,
+    seed) as ``maximal_profile`` returns it."""
     tag = recipe_tag(recipe)
     return maximal_profile(
         lambda rng: build_recipe(recipe, rng, p),
@@ -404,13 +394,13 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
     hv = h if isinstance(h, HVector) else HVector(h)
     check_prime(prime, hv.socle_degree)
 
-    violated = necessary_condition_violation(hv)
+    violated = first_rule_firing("condition", hv)
     if violated is not None:
         name, detail = violated
         return Classification(hv, Status.NONLEVEL, condition=name, detail=detail,
                               elapsed=time.monotonic() - start)
 
-    criterion = satisfied_criterion(hv)
+    criterion = first_rule_firing("criterion", hv)
     if criterion is not None:
         name, detail = criterion
         cert = Certificate(kind="criterion", criterion=name, detail=detail)
@@ -433,7 +423,7 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
             continue
         trials_used += trials
         try:
-            module, profile = realize_recipe(recipe, master_seed, trials, prime)
+            _, profile, seed = realize_recipe(recipe, master_seed, trials, prime)
         except DependentGeneratorsError:
             diagnostics.append(f"every trial of {recipe_tag(recipe)} degenerated")
             continue
@@ -449,7 +439,7 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
             continue
         # candidates expect exactly hv, so the profile meets the recipe bound
         # and char0_certified(recipe, profile.dims) holds
-        cert = Certificate(kind="construction", recipe=recipe, seed=module.seed,
+        cert = Certificate(kind="construction", recipe=recipe, seed=seed,
                            prime=prime, ranks=profile.dims,
                            characteristic="char-0-verified")
         return Classification(hv, Status.LEVEL, certificate=cert,

@@ -147,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_module(module: InverseModule, out, profile=None) -> None:
+def _print_module(module: InverseModule, out, profile=None, seed=None) -> None:
     profile = profile or h_vector(module)
     print(f"# h: {profile.h}", file=out)
-    if module.seed is not None:
-        print(f"# seed: {module.seed}", file=out)
+    if seed is not None:
+        print(f"# seed: {seed}", file=out)
     print(module_to_text(module), end="", file=out)
 
 
@@ -274,9 +274,10 @@ def _cmd_construct(args, out) -> int:
     if family == "socle3" and not all(1 <= m <= r for m in args.parts):
         raise HypothesisError(f"socle degree 3 parts must be nonempty with entries "
                               f"in 1..{r}, got {args.parts}")
-    module, profile = maximal_profile(lambda rng: build_recipe(recipe, rng, p),
-                                      derive_seed(args.seed, "construct", family), args.trials)
-    _print_module(module, out, profile)
+    module, profile, seed = maximal_profile(lambda rng: build_recipe(recipe, rng, p),
+                                            derive_seed(args.seed, "construct", family),
+                                            args.trials)
+    _print_module(module, out, profile, seed)
     return EXIT_OK
 
 

@@ -183,7 +183,7 @@ def expected_h_compressed(nvars: int, degree: int, count: int) -> HVector:
 
 
 def maximal_profile(builder, master_seed: int,
-                    trials: int = DEFAULT_TRIALS) -> tuple[InverseModule, HProfile]:
+                    trials: int = DEFAULT_TRIALS) -> tuple[InverseModule, HProfile, int]:
     """Run a randomized builder on several derived seeds and keep the best
     witness.
 
@@ -192,7 +192,8 @@ def maximal_profile(builder, master_seed: int,
     ties between incomparable profiles break deterministically by entry
     sum and then lexicographic order.  ``builder`` takes a Random and
     returns an InverseModule, or raises DependentGeneratorsError on a
-    degenerate draw; the winner is returned with its trial's seed.
+    degenerate draw.  Returns the winner as (module, profile, seed), the
+    seed its trial's Random was made from.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -210,8 +211,7 @@ def maximal_profile(builder, master_seed: int,
         raise DependentGeneratorsError(
             f"all {trials} trials drew dependent generators", presented=0, rank=0
         )
-    module, profile, seed = best
-    return module.with_seed(seed), profile
+    return best
 
 
 def _profile_rank(profile: HProfile) -> tuple[int, tuple[int, ...]]:

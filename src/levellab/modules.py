@@ -14,7 +14,6 @@ generator row in the form grammar of ``parse_form`` and ``format_form``.
 from __future__ import annotations
 
 import re
-from copy import copy
 from dataclasses import dataclass, replace
 from random import Random
 
@@ -39,15 +38,13 @@ from levellab.spans import coefficient_matrix, derivative_spaces, rank_mod_p
 class InverseModule:
     """Generators of an inverse system, nonzero forms of degree e over F_p
     for a prime e < p < 2^31: the rows of ``coeffs``, a read-only
-    t x dim R_e int64 array of residues.  ``seed`` records how randomized
-    builders drew them (None for hand-written or parsed modules).  Modules
-    are equal when their rings, primes, seeds and arrays are."""
+    t x dim R_e int64 array of residues.  Modules are equal when their
+    rings, primes and arrays are."""
 
     nvars: int
     degree: int
     p: int
     coeffs: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         check_prime(self.p, self.degree)
@@ -64,22 +61,15 @@ class InverseModule:
         object.__setattr__(self, "coeffs", coeffs)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, InverseModule) and self.seed == other.seed
+        return (isinstance(other, InverseModule)
                 and (self.nvars, self.degree, self.p) == (other.nvars, other.degree, other.p)
                 and np.array_equal(self.coeffs, other.coeffs))
-
-    def with_seed(self, seed: int | None) -> "InverseModule":
-        """This module with another seed, sharing its read-only array,
-        which was checked when this module was built."""
-        module = copy(self)
-        object.__setattr__(module, "seed", seed)
-        return module
 
 
 @dataclass(frozen=True)
 class HProfile:
-    """Computed Hilbert function of a module; the module carries its prime
-    and seed."""
+    """Computed Hilbert function of a module; the module carries its
+    prime."""
 
     h: HVector
 
@@ -164,7 +154,7 @@ def generic_subquotient(module: InverseModule, c: int, rng: Random) -> InverseMo
     for k, gen in enumerate(gens):
         combos += mix[:, k:k + 1] * gen  # below 2^62 + 2^31 before the reduction
         combos %= p
-    return InverseModule(module.nvars, module.degree, p, combos, seed=module.seed)
+    return InverseModule(module.nvars, module.degree, p, combos)
 
 
 def truncate_level(module: InverseModule, new_degree: int) -> InverseModule:
@@ -175,7 +165,7 @@ def truncate_level(module: InverseModule, new_degree: int) -> InverseModule:
             f"truncation degree must be in 1..{module.degree}, got {new_degree}"
         )
     basis = derivative_spaces(module)[new_degree]
-    return InverseModule(module.nvars, new_degree, module.p, basis, seed=module.seed)
+    return InverseModule(module.nvars, new_degree, module.p, basis)
 
 
 # --------------------------------------------------------- generator files

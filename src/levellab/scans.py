@@ -64,30 +64,37 @@ def _scan(base: HVector, degrees: tuple[int, ...], values, trials, master_seed,
           prime) -> ScanReport:
     check_prime(prime, base.socle_degree)
     values = tuple(values)
+    # every candidate before any is classified: HVector refuses a value that
+    # is not an integer with ValueError
+    candidates = [HVector([v if d in degrees else x for d, x in enumerate(base)])
+                  for v in values]
     if any(v < 1 for v in values):
         raise ValueError("scanned values must be positive")
     results = []
-    for v in values:
-        candidate = HVector([v if d in degrees else x for d, x in enumerate(base)])
+    for v, candidate in zip(values, candidates):
         seed = derive_seed(master_seed, "scan", degrees, v)
         results.append(classify(candidate, trials, master_seed=seed, prime=prime))
     results = tuple(results)
     return ScanReport(base, degrees, values, results, find_gaps(values, results))
 
 
-def scan_ic(base: HVector, i: int, values, trials: int = DEFAULT_TRIALS, *,
+def scan_ic(base, i: int, values, trials: int = DEFAULT_TRIALS, *,
             master_seed: int = 0, prime: int = DEFAULT_PRIME) -> ScanReport:
-    """Classify the base vector with entry i replaced by each value."""
+    """Classify the base vector, an :class:`HVector` or a sequence of its
+    entries, with entry i replaced by each value."""
+    base = base if isinstance(base, HVector) else HVector(base)
     e = base.socle_degree
     if not 1 <= i <= e:
         raise ValueError(f"scan degree must lie in 1..{e}, got {i}")
     return _scan(base, (i,), values, trials, master_seed, prime)
 
 
-def scan_gic(base: HVector, i: int, values, trials: int = DEFAULT_TRIALS, *,
+def scan_gic(base, i: int, values, trials: int = DEFAULT_TRIALS, *,
              master_seed: int = 0, prime: int = DEFAULT_PRIME) -> ScanReport:
     """Classify the base vector with the symmetric pair (i, e-i) jointly
-    replaced by each value.  The base must be symmetric of type 1."""
+    replaced by each value.  The base, an :class:`HVector` or a sequence of
+    its entries, must be symmetric of type 1."""
+    base = base if isinstance(base, HVector) else HVector(base)
     e = base.socle_degree
     if base.type != 1:
         raise HypothesisError(f"symmetric-pair scans need type 1, got {base.type}")

@@ -84,8 +84,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from levellab.errors import HypothesisError, SoundnessError
-from levellab.forms import PRIME_LIMIT, check_integers, raising_table, ring_dim
+from levellab.errors import SoundnessError
+from levellab.forms import check_integers, check_prime, raising_table, ring_dim
 
 
 # Rows per batch and columns per panel, by measurement: on the matrices of
@@ -107,10 +107,11 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
 
     The result is canonical for the row space, so any generating set of
     the same span reduces to byte-identical rows.  The modulus must be a
-    prime below 2^31, where int64 products and the 16-bit split stay exact.
+    prime below 2^31, where int64 products and the 16-bit split stay exact,
+    and inverses exist: ``check_prime`` refuses any other with
+    HypothesisError.
     """
-    if not 2 <= p < PRIME_LIMIT:
-        raise HypothesisError(f"modulus {p} is outside 2..2^31-1")
+    check_prime(p, 0)
     matrix = check_integers(matrix)
     if matrix.ndim != 2:
         raise ValueError("expected a 2d matrix")

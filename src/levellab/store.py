@@ -18,9 +18,8 @@ from levellab.classify import (
     Status,
     build_recipe,
     char0_certified,
-    condition_still_violated,
-    criterion_still_holds,
     recipe_size,
+    rule_still_fires,
 )
 from levellab.errors import LevelLabError, VerificationError
 from levellab.forms import check_prime, check_ring
@@ -126,7 +125,7 @@ def store_verify(record: dict) -> None:
     status = record.get("status")
     if status == Status.NONLEVEL.value:
         name = record.get("condition")
-        if not name or not _replay(condition_still_violated, name, h):
+        if not name or not _replay(rule_still_fires, "condition", name, h):
             raise VerificationError(
                 f"condition {name!r} no longer rejects {h}"
             )
@@ -135,7 +134,7 @@ def store_verify(record: dict) -> None:
         return
 
     if record.get("criterion"):
-        if not _replay(criterion_still_holds, record["criterion"], h):
+        if not _replay(rule_still_fires, "criterion", record["criterion"], h):
             raise VerificationError(
                 f"criterion {record['criterion']!r} no longer accepts {h}"
             )

@@ -103,7 +103,7 @@ def test_criterion_04_sum_of_powers_oracle():
             for m in range(1, cap + 1):
                 builder = lambda rng: InverseModule(
                     r, e, DEFAULT_PRIME, [sum_of_powers(r, e, m, rng, DEFAULT_PRIME)])
-                _, profile = maximal_profile(builder, 1000 * r + 10 * e + m)
+                _, profile, _ = maximal_profile(builder, 1000 * r + 10 * e + m)
                 oracle = tuple(
                     min(m, binomial(r + j - 1, j), binomial(r + e - j - 1, e - j))
                     for j in range(e + 1)
@@ -114,10 +114,10 @@ def test_criterion_04_sum_of_powers_oracle():
 
 
 def test_criterion_05_augmentation_agreement():
-    base, base_profile = maximal_profile(
+    base, base_profile, _ = maximal_profile(
         lambda rng: powers_partition_module(3, 4, (3, 3, 3), rng, DEFAULT_PRIME), 0)
     assert base_profile.h == (1, 3, 6, 9, 3)
-    _, grown = maximal_profile(lambda rng: augment_with_powers(base, 1, rng), 1)
+    _, grown, _ = maximal_profile(lambda rng: augment_with_powers(base, 1, rng), 1)
     assert grown.h == (1, 3, 6, 10, 4)
     assert grown.h == expected_h_augment(base_profile.h, 3, 1)
 
@@ -129,13 +129,13 @@ def test_criterion_05_augmentation_agreement():
         t = rng.randint(1, 3)
         parts = tuple(rng.randint(1, r) for _ in range(t))
         seed = rng.randrange(2**32)
-        module, profile = maximal_profile(
+        module, profile, _ = maximal_profile(
             lambda g: powers_partition_module(r, e, parts, g, DEFAULT_PRIME), seed)
         room = binomial(r + e - 1, e) - profile.h.type
         if room < 1:
             continue
         count = rng.randint(1, min(3, room))
-        _, bigger = maximal_profile(
+        _, bigger, _ = maximal_profile(
             lambda g: augment_with_powers(module, count, g), seed + 1)
         assert bigger.h == expected_h_augment(profile.h, r, count), (r, e, parts, count)
         agreements += 1
@@ -149,7 +149,7 @@ def test_criterion_06_gorenstein_intervals():
         target = HVector((1, 3, b, 3, 1))
         result = classify(target)
         assert result.status is Status.LEVEL, b
-        module, profile = maximal_profile(
+        module, profile, _ = maximal_profile(
             lambda rng: InverseModule(3, 4, DEFAULT_PRIME,
                                       [sum_of_powers(3, 4, b, rng, DEFAULT_PRIME)]),
             b)

@@ -24,7 +24,7 @@ from levellab.classify import (
     char0_certified,
     classify,
     expected_h_for_recipe,
-    necessary_condition_violation,
+    first_rule_firing,
     recipe_size,
     recipe_tag,
 )
@@ -191,7 +191,7 @@ def sweep_recipes():
     for r, e in product(range(1, 5), repeat=2):
         for tail in product(*(range(1, ring_dim(r, j) + 1) for j in range(2, e + 1))):
             h = HVector((1, r) + tail)
-            if necessary_condition_violation(h) is None:
+            if first_rule_firing("condition", h) is None:
                 recipes += [rc for rc in candidate_recipes(h) if within_size_rule(rc, r, e)]
     return tuple(recipes)
 

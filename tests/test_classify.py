@@ -16,15 +16,14 @@ from levellab.classify import (
     candidate_recipes,
     char0_certified,
     classify,
-    condition_still_violated,
-    criterion_still_holds,
     expected_h_for_recipe,
-    necessary_condition_violation,
+    first_rule_firing,
     realize_recipe,
     recipe_size,
     recipe_tag,
+    rule_still_fires,
 )
-from levellab.constructions import maximal_profile
+from levellab.constructions import DEFAULT_TRIALS, maximal_profile
 from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
 from levellab.forms import DEFAULT_PRIME
 from levellab.macaulay import HVector
@@ -58,18 +57,18 @@ def test_pure_powers_and_field():
 
 def test_necessary_condition_order():
     # growth failure fires before anything else
-    name, _ = necessary_condition_violation(HVector.parse("1,3,5,8,8,5,3,1"))
+    name, _ = first_rule_firing("condition", HVector.parse("1,3,5,8,8,5,3,1"))
     assert name == "o-sequence"
     # derivative cap fires on growth-admissible input
-    name, _ = necessary_condition_violation(HVector.parse("1,2,3,1"))
+    name, _ = first_rule_firing("condition", HVector.parse("1,2,3,1"))
     assert name == "ci-range"
     # type 1 asymmetric, caps fine
-    name, _ = necessary_condition_violation(HVector.parse("1,2,2,1,1"))
+    name, _ = first_rule_firing("condition", HVector.parse("1,2,2,1,1"))
     assert name == "gorenstein-symmetry"
     # symmetric codim 3 that is not SI
-    name, _ = necessary_condition_violation(HVector.parse("1,3,6,5,6,3,1"))
+    name, _ = first_rule_firing("condition", HVector.parse("1,3,6,5,6,3,1"))
     assert name == "si-classification"
-    assert necessary_condition_violation(HVector.parse("1,3,6,9,3")) is None
+    assert first_rule_firing("condition", HVector.parse("1,3,6,9,3")) is None
 
 
 def test_si_criterion_certificates():
@@ -89,14 +88,14 @@ def test_unknown_is_honest():
 
 
 def test_condition_reevaluation():
-    assert condition_still_violated("ci-range", HVector.parse("1,3,6,10,3"))
-    assert not condition_still_violated("ci-range", HVector.parse("1,3,6,9,3"))
-    assert criterion_still_holds("si-classification", HVector.parse("1,3,3,3,1"))
-    assert not criterion_still_holds("si-classification", HVector.parse("1,3,6,9,3"))
-    with pytest.raises(ValueError):
-        condition_still_violated("nonsense", HVector.parse("1,2,1"))
-    with pytest.raises(ValueError):
-        criterion_still_holds("nonsense", HVector.parse("1,2,1"))
+    assert rule_still_fires("condition", "ci-range", HVector.parse("1,3,6,10,3"))
+    assert not rule_still_fires("condition", "ci-range", HVector.parse("1,3,6,9,3"))
+    assert rule_still_fires("criterion", "si-classification", HVector.parse("1,3,3,3,1"))
+    assert not rule_still_fires("criterion", "si-classification", HVector.parse("1,3,6,9,3"))
+    with pytest.raises(ValueError, match="unknown condition 'nonsense'"):
+        rule_still_fires("condition", "nonsense", HVector.parse("1,2,1"))
+    with pytest.raises(ValueError, match="unknown criterion 'nonsense'"):
+        rule_still_fires("criterion", "nonsense", HVector.parse("1,2,1"))
 
 
 def test_candidate_recipes_match_their_expectation():
@@ -166,7 +165,10 @@ def test_a_certificate_holds_its_module_and_prints_it_on_each_read():
     result = classify(HVector.parse("1,3,6,9,3"), master_seed=7)
     cert = result.certificate
     assert "generators" not in {field.name for field in dataclasses.fields(Certificate)}
-    assert isinstance(cert.module, InverseModule) and cert.module.seed == cert.seed
+    assert isinstance(cert.module, InverseModule)
+    # the winner of the recipe's trials, rebuilt from its seed
+    module, _, seed = realize_recipe(cert.recipe, 7, DEFAULT_TRIALS, cert.prime)
+    assert (cert.module, cert.seed) == (module, seed)
     first, second = cert.generators, cert.generators
     assert first == second == module_to_text(cert.module) and first is not second
     assert record_from_classification(result)["generators"] == first
@@ -211,8 +213,8 @@ def test_char0_certified_is_the_recipe_bound():
 
 def test_profile_above_the_recipe_bound_is_a_soundness_error(monkeypatch):
     def inflated(recipe, master_seed, trials, p):
-        module, _ = realize_recipe(recipe, master_seed, trials, p)
-        return module, HProfile(HVector((1, 3, 5, 2)))
+        module, _, seed = realize_recipe(recipe, master_seed, trials, p)
+        return module, HProfile(HVector((1, 3, 5, 2))), seed
 
     # the package exports the function classify under the module's name
     module = importlib.import_module("levellab.classify")

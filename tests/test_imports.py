@@ -7,6 +7,20 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "levellab"
 
 
+def files_naming(directory: Path, name: str) -> set[str]:
+    """Names of the .py files in ``directory`` that use, bind or import
+    ``name``."""
+    naming = set()
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names |= {node.name, node.asname}
+            if name in names:
+                naming.add(path.name)
+    return naming
+
+
 def test_no_module_imports_a_private_name_from_another():
     private = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -23,14 +37,7 @@ def test_no_module_imports_a_private_name_from_another():
 def test_only_forms_constructions_and_the_package_name_form():
     # every other module keeps generators as int64 rows, so deleting
     # ``Form`` touches only these three files
-    naming = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = {getattr(node, "id", None), getattr(node, "attr", None)}
-            if isinstance(node, ast.alias):
-                names |= {node.name, node.asname}
-            if "Form" in names:
-                naming.add(path.name)
+    naming = files_naming(PACKAGE, "Form")
     assert naming <= {"forms.py", "constructions.py", "__init__.py"}
     assert "forms.py" in naming
 
@@ -38,15 +45,16 @@ def test_only_forms_constructions_and_the_package_name_form():
 def test_only_three_test_files_name_form():
     # the other tests hold forms as coefficient rows, so deleting ``Form``
     # touches only these test files
-    naming = set()
-    for path in sorted(TESTS.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = {getattr(node, "id", None), getattr(node, "attr", None)}
-            if isinstance(node, ast.alias):
-                names |= {node.name, node.asname}
-            if "Form" in names:
-                naming.add(path.name)
+    naming = files_naming(TESTS, "Form")
     assert naming <= {"test_forms.py", "test_constructions.py", "test_benchmark_tracer.py"}
+
+
+def test_four_test_files_name_random_form():
+    # ``random_form`` draws its rows as a ``Form``, so deleting ``Form``
+    # reaches these test files too (``random_forms`` in monomials.py draws
+    # plain rows)
+    assert files_naming(TESTS, "random_form") == {
+        "monomials.py", "test_forms.py", "test_constructions.py", "test_modules.py"}
 
 
 def test_only_forms_defines_the_raising_table():

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from levellab.constructions import maximal_profile, powers_partition_module
 from levellab.errors import (
     DependentGeneratorsError,
     HypothesisError,
@@ -98,26 +99,14 @@ def test_module_array_is_read_only():
                                       "4*y1^2 + 5*y1*y2 + 6*y2^2\n")
 
 
-def test_module_equality_reads_ring_prime_seed_and_array():
+def test_module_equality_reads_ring_prime_and_array():
     module = make_module(["y1^2 + y2^2", "y1*y2"], 2, 2)
     same = make_module(["y1^2 + y2^2", "y1*y2"], 2, 2)
     assert module == same
     assert module != make_module(["y1^2 + y2^2", "2*y1*y2"], 2, 2)
     assert module != make_module(["y1^2 + y2^2", "y1*y2"], 2, 2, p=101)
-    assert module != same.with_seed(3)
-    assert module.with_seed(3) == same.with_seed(3)
     assert module != module_to_text(module)
-
-
-def test_with_seed_shares_the_checked_read_only_array():
-    module = make_module(["y1^2 + y2^2", "y1*y2"], 2, 2).with_seed(5)
-    reseeded = module.with_seed(9)
-    assert reseeded.seed == 9 and module.seed == 5
-    assert reseeded == replace(module, seed=9) and reseeded != module
-    assert reseeded.coeffs is module.coeffs
-    with pytest.raises(ValueError, match="read-only"):
-        reseeded.coeffs[0, 0] = 2
-    assert reseeded.with_seed(None) == make_module(["y1^2 + y2^2", "y1*y2"], 2, 2)
+    assert [f.name for f in fields(module)] == ["nvars", "degree", "p", "coeffs"]
 
 
 def test_h_vector_frozen_examples():
@@ -280,6 +269,9 @@ def test_module_text_round_trip():
     parsed = module_from_text(text)
     assert parsed == module
     assert module_to_text(parsed) == text
+    # the winner of a trial search is its generators, whichever seed drew them
+    winner, _, _ = maximal_profile(lambda g: powers_partition_module(3, 4, (3, 2), g), 17)
+    assert module_from_text(module_to_text(winner)) == winner
 
 
 def test_module_text_format():

@@ -88,6 +88,26 @@ def test_scan_ic_validation():
         scan_ic(base, 2, [3.5])
 
 
+def test_scans_refuse_a_value_that_is_not_an_integer_before_classifying(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a candidate was classified before the refusal")
+
+    monkeypatch.setattr("levellab.scans.classify", refuse)
+    with pytest.raises(ValueError, match="h_2 = '3' is not an integer"):
+        scan_ic(HVector.parse("1,3,6,3"), 2, [4, "3"])
+    with pytest.raises(ValueError, match="h_1 = 2.0 is not an integer"):
+        scan_gic(HVector.parse("1,3,3,3,1"), 1, [3, 2.0])
+
+
+def test_scans_take_the_base_as_a_sequence():
+    for scan, base, i, values in ((scan_ic, (1, 2, 1), 2, [1, 4, 2]),
+                                  (scan_gic, (1, 3, 3, 1), 1, [2, 3])):
+        given, typed = scan(base, i, values), scan(HVector(base), i, values)
+        assert given.base == typed.base == HVector(base)
+        assert [(c.status, c.certificate) for c in given.classifications] == [
+            (c.status, c.certificate) for c in typed.classifications]
+
+
 def test_scan_gic_middle_entry():
     report = scan_gic(HVector.parse("1,3,3,3,1"), 2, range(3, 7))
     # even socle degree, i == e - i: exactly one entry moves
@@ -202,7 +222,8 @@ def test_a_scan_report_keeps_no_module_and_replays_each_certificate():
             continue
         assert any(isinstance(obj, np.ndarray) for obj in reachable(cert.module))
         seed = derive_seed(9, "scan", degrees, value)
-        module, _ = realize_recipe(cert.recipe, seed, DEFAULT_TRIALS, cert.prime)
+        module, _, winner = realize_recipe(cert.recipe, seed, DEFAULT_TRIALS, cert.prime)
+        assert (cert.module, cert.seed) == (module, winner)
         assert cert.generators == module_to_text(module)
         built += 1
     assert built >= 3

@@ -278,7 +278,7 @@ def tower():
     assert h_vector(module).h == (1, 21, 42, 2)
 
 def text():
-    assert module_from_text(module_to_text(module)) == module.with_seed(None)
+    assert module_from_text(module_to_text(module)) == module
 
 warm = compressed_generic_module(20, 3, 2, Random(3))
 h_vector(warm)
@@ -718,6 +718,46 @@ def test_products_at_the_inner_bound_stay_exact():
 def test_modulus_outside_the_int64_range_refused(p):
     with pytest.raises(HypothesisError, match=str(p)):
         rref_mod_p(np.eye(3, dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("matrix, p", [
+    (np.eye(3, dtype=np.int64), 4),  # answered rank 3
+    ([[3, 1], [1, 1]], 2**31 - 3),  # answered rank 2
+    ([[2, 1], [1, 1]], 4),  # raised ValueError: 2 has no inverse mod 4
+    (np.eye(80, dtype=np.int64), 91),  # past the one-pass size
+])
+def test_composite_modulus_refused(matrix, p):
+    with pytest.raises(HypothesisError, match=f"modulus {p} is not prime"):
+        rank_mod_p(matrix, p)
+
+
+@pytest.mark.parametrize("per_batch, batches", [(1, 200), (2, 100)])
+def test_a_slowly_growing_rank_keeps_few_blocks(monkeypatch, per_batch, batches):
+    # batch k of 32 rows mixes the first (k + 1) per_batch rows of a random
+    # basis, so each batch adds per_batch pivots.  A short last block takes
+    # the new rows in, so a batch is cleared against at most
+    # rank / _BATCH + 1 blocks, plus one clear to merge.  One block per
+    # batch takes 39,800 clears on the first matrix, where this takes 935.
+    p, ncols = 32003, 300
+    rng = np.random.default_rng(11)
+    rank = per_batch * batches
+    mix = rng.integers(0, p, (batches * _BATCH, rank))
+    for k in range(batches):
+        mix[k * _BATCH:(k + 1) * _BATCH, (k + 1) * per_batch:] = 0
+    matrix = mix @ rng.integers(0, p, (rank, ncols)) % p  # below 2^38 before the %
+    calls = 0
+    subtract = spans._subtract_product
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        subtract(*args)
+
+    monkeypatch.setattr(spans, "_subtract_product", counted)
+    assert rank_mod_p(matrix, p) == rank
+    blocks = rank // _BATCH + 1
+    # the clears of every batch, then back-substitution once per pair of blocks
+    assert calls <= batches * (blocks + 1) + blocks * (blocks - 1) // 2
 
 
 def test_rank_probe_beyond_2_31_refused():
