@@ -28,7 +28,7 @@ from levellab.constructions import (
     powers_partition_module,
 )
 from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
-from levellab.forms import DEFAULT_PRIME, check_prime, check_ring
+from levellab.forms import DEFAULT_PRIME, check_integer, check_prime, check_ring
 from levellab.macaulay import HVector, is_si_sequence, o_sequence_violation
 from levellab.modules import (
     HProfile,
@@ -388,11 +388,13 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
     added trials.  The result depends only on the input, the seed, the
     prime and the trial count, never on machine load.
     """
+    trials = check_integer("trials", trials)
+    master_seed = check_integer("master_seed", master_seed)
     if trials < 1:
         raise ValueError(f"classify needs at least one trial, got {trials}")
     start = time.monotonic()
     hv = h if isinstance(h, HVector) else HVector(h)
-    check_prime(prime, hv.socle_degree)
+    prime = check_prime(prime, hv.socle_degree)
 
     violated = first_rule_firing("condition", hv)
     if violated is not None:
@@ -438,9 +440,10 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
             )
             continue
         # candidates expect exactly hv, so the profile meets the recipe bound
-        # and char0_certified(recipe, profile.dims) holds
+        # and char0_certified(recipe, profile.dims) holds; the ranks share
+        # the verdict's tuple
         cert = Certificate(kind="construction", recipe=recipe, seed=seed,
-                           prime=prime, ranks=profile.dims,
+                           prime=prime, ranks=hv.entries,
                            characteristic="char-0-verified")
         return Classification(hv, Status.LEVEL, certificate=cert,
                               trials_used=trials_used,

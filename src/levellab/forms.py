@@ -24,6 +24,7 @@ play gives the same generic answers.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,12 +77,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)
+def check_integer(name: str, value) -> int:
+    """``value`` as a plain int, whatever its integer type, so that seeds
+    derived from it do not depend on the type: ``True`` reads as 1.  A
+    float, a string or any other non-integer raises ValueError naming
+    ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: 101.0 must not hit the entry of 101
 def check_prime(p: int, degree: int) -> int:
-    """Require a prime p with degree < p < 2^31.
+    """Require a prime p with degree < p < 2^31; returns it as a plain int.
 
     Above the range the int64 elimination overflows; at or below the degree
     the derivative multipliers vanish mod p, so neither can certify."""
+    p = check_integer("prime", p)
     if not degree < p < PRIME_LIMIT:
         raise HypothesisError(
             f"prime {p} must exceed the socle degree {degree} and stay below 2^31"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from levellab.classify import Classification, Status, classify
 from levellab.constructions import DEFAULT_TRIALS
 from levellab.errors import HypothesisError
-from levellab.forms import DEFAULT_PRIME, check_prime
+from levellab.forms import DEFAULT_PRIME, check_integer, check_prime
 from levellab.macaulay import HVector
 from levellab.seeds import derive_seed
 
@@ -62,12 +62,16 @@ def find_gaps(values, classifications) -> tuple[Gap, ...]:
 
 def _scan(base: HVector, degrees: tuple[int, ...], values, trials, master_seed,
           prime) -> ScanReport:
-    check_prime(prime, base.socle_degree)
+    prime = check_prime(prime, base.socle_degree)
+    trials = check_integer("trials", trials)
+    master_seed = check_integer("master_seed", master_seed)
     values = tuple(values)
     # every candidate before any is classified: HVector refuses a value that
     # is not an integer with ValueError
     candidates = [HVector([v if d in degrees else x for d, x in enumerate(base)])
                   for v in values]
+    # plain ints, so a value's seed does not depend on its integer type
+    values = tuple(check_integer("value", v) for v in values)
     if any(v < 1 for v in values):
         raise ValueError("scanned values must be positive")
     results = []
@@ -84,6 +88,7 @@ def scan_ic(base, i: int, values, trials: int = DEFAULT_TRIALS, *,
     entries, with entry i replaced by each value."""
     base = base if isinstance(base, HVector) else HVector(base)
     e = base.socle_degree
+    i = check_integer("scan degree", i)
     if not 1 <= i <= e:
         raise ValueError(f"scan degree must lie in 1..{e}, got {i}")
     return _scan(base, (i,), values, trials, master_seed, prime)
@@ -100,6 +105,7 @@ def scan_gic(base, i: int, values, trials: int = DEFAULT_TRIALS, *,
         raise HypothesisError(f"symmetric-pair scans need type 1, got {base.type}")
     if not base.is_symmetric():
         raise HypothesisError("symmetric-pair scans need a symmetric base")
+    i = check_integer("scan degree", i)
     if not 1 <= i <= e - 1:
         raise ValueError(f"scan degree must lie in 1..{e - 1}, got {i}")
     degrees = (i,) if i == e - i else (i, e - i)

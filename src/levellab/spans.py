@@ -1,17 +1,22 @@
 """Exact linear algebra for graded spans of forms.
 
-Ranks over F_p run on int64 matrices: with p < 2^31 every intermediate
-product stays below 2^62, so vectorized row reduction is exact.  A matrix
-of integers of any width within int64 is read; floats, strings and wider
-integers are refused with ValueError before any reduction.
+Ranks over F_p run on int64 matrices: with p < 2^31 a sum of two products
+of residues stays below 2 (p - 1)^2 < 2^63, so vectorized row reduction is
+exact.  A matrix of integers of any width within int64 is read; floats,
+strings and wider integers are refused with ValueError before any
+reduction.
 
 A matrix of at most 2 _BATCH rows and columns is reduced by one pass of
-per-pivot Gauss-Jordan steps in place over all its rows (``_steps``) on
-an int64 copy of its residues, and its nonzero top rows are copied out,
-or the identity returned at full rank.  Such a matrix is reduced at a
-cost per call, not per cell, so batches, blocks and back-substitution
-would cost more than they save: about nine in ten of the matrices of a
-scan or a replay take this pass.
+Gauss-Jordan steps in place over all its rows (``_steps``) on an int64
+copy of its residues, and its nonzero top rows are copied out, or the
+identity returned at full rank.  Such a matrix is reduced at a cost per
+call, not per cell, so batches, blocks and back-substitution would cost
+more than they save: about nine in ten of the matrices of a scan or a
+replay take this pass.  A step with pivot row r on column c takes row
+r + 1 on column c + 1 too when their 2 x 2 block there is invertible mod
+p, as one-pivot steps would next, unswapped: one product by the block's
+inverse updates every row, each entry losing two products before one
+``%``, as FFLAS-FFPACK delays reductions.  Otherwise it takes one pivot.
 
 A larger matrix is read in batches of ``_BATCH`` rows, and the rows
 found so far are kept as blocks, each the new rows of one batch or a few:
@@ -41,7 +46,7 @@ _BATCH columns that are nonzero in the rows not yet pivoted are reduced
 beside an identity, [panel | I] -> [panel' | T], and one product applies
 T to every column right of the panel.  That covers the top levels of the
 towers and their wide R_2 and R_3 levels.  Other batches take the
-per-pivot steps in place, as every scan matrix and most replayed ones do:
+pivot steps in place, as every scan matrix and most replayed ones do:
 on them the panel's extra product costs more than the row updates it
 saves.
 
@@ -58,12 +63,13 @@ raises SoundnessError.  Wide int64 arrays, the batch residues, the
 products' high halves and the cleared or transformed rows, are reduced
 mod p as x - (x // p) p in place (``_mod``): numpy divides int64 by a
 scalar with a multiply and a shift, where its remainder ``%`` divides
-each entry, several times slower.  The in-place pivot steps keep ``%``:
-but for batches of one or two rows their arrays are at most 2 _BATCH
-square, where its one call costs less (floor division slowed the scan
-matrices by about a fifth).  The reduced row echelon form of a span is
-unique, so the result depends neither on the batches, the blocks or the
-panels, nor on which rows are picked as pivots.
+each entry, several times slower.  The in-place pivot steps, and the
+copy the one pass starts from, keep ``%``: but for batches of one or two
+rows their arrays are at most 2 _BATCH square, where its one call costs
+less (floor division slowed the scan matrices by about a fifth).  The
+reduced row echelon form of a span is unique, so the result depends
+neither on the batches, the blocks or the panels, nor on which rows are
+picked as pivots.
 
 A derivative tower walks a module's degree-e generators, read straight
 from its int64 array, down to degree 0, reducing the stacked partial
@@ -111,7 +117,7 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     and inverses exist: ``check_prime`` refuses any other with
     HypothesisError.
     """
-    check_prime(p, 0)
+    p = check_prime(p, 0)
     matrix = check_integers(matrix)
     if matrix.ndim != 2:
         raise ValueError("expected a 2d matrix")
@@ -119,7 +125,8 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     if nrows <= 2 * _BATCH and ncols <= 2 * _BATCH:
         # small enough that batches, blocks and back-substitution cost more
         # than the pivot steps on every row at once
-        a = _mod(matrix.astype(np.int64), p)
+        a = matrix.astype(np.int64)
+        a %= p
         k = len(_steps(a, p, 0, ncols))
         return np.eye(ncols, dtype=np.int64) if k == ncols else a[:k].copy()
     blocks: list[_Block] = []
@@ -236,26 +243,45 @@ def _pivot_steps(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _steps(a: np.ndarray, p: int, pivot: int, stop: int) -> list[int]:
-    """Per-pivot Gauss-Jordan steps on columns 0..stop-1 of ``a`` in place,
-    taking pivots from row ``pivot`` on; returns the columns they land in.
-    ``a`` is one batch, so each step updates all its rows at once; the rows
-    not yet used as pivots are zero left of the column searched, so only
-    the columns from the pivot on change.  One search skips a run of
-    columns zero in those rows, as in a sparse batch of one wide row."""
+    """Gauss-Jordan steps on columns 0..stop-1 of ``a`` in place, taking
+    pivots from row ``pivot`` on; returns the columns they land in.  ``a``
+    is one batch, so each step updates all its rows at once; the rows not
+    yet used as pivots are zero left of the column searched, so only the
+    columns from the pivot on change.  One search skips a run of columns
+    zero in those rows, as in a sparse batch of one wide row.  Two pivots
+    with an invertible block B take a -= (a[:, cols] - E) B^-1 a[rows], E
+    the identity on the pivot rows."""
     nrows = len(a)
     found = []
     col = 0
     while pivot < nrows and col < stop:
-        stuck = a[pivot:, col].nonzero()[0]
-        if stuck.size == 0:
-            live = a[pivot:, col:stop].any(axis=0).nonzero()[0]
-            if not live.size:
-                break
-            col += int(live[0])
+        if not a[pivot, col]:
             stuck = a[pivot:, col].nonzero()[0]
-        first = pivot + int(stuck[0])
-        if first != pivot:
-            a[[pivot, first]] = a[[first, pivot]]
+            if stuck.size == 0:
+                live = a[pivot:, col:stop].any(axis=0).nonzero()[0]
+                if not live.size:
+                    break
+                col += int(live[0])
+                stuck = a[pivot:, col].nonzero()[0]
+            first = pivot + int(stuck[0])
+            if first != pivot:
+                a[[pivot, first]] = a[[first, pivot]]
+        if pivot + 1 < nrows and col + 1 < stop:
+            (x, y), (z, w) = a[pivot:pivot + 2, col:col + 2].tolist()
+            det = (x * w - y * z) % p
+            if det:
+                d = pow(det, -1, p)
+                inverse = np.array([[w * d % p, -y * d % p], [-z * d % p, x * d % p]])
+                factors = a[:, col:col + 2].copy()
+                factors[pivot, 0] -= 1
+                factors[pivot + 1, 1] -= 1
+                rest = a[:, col:]
+                rest -= (factors @ inverse % p) @ a[pivot:pivot + 2, col:]
+                rest %= p
+                found += [col, col + 1]
+                pivot += 2
+                col += 2
+                continue
         row = a[pivot, col:]
         row *= pow(int(row[0]), -1, p)
         row %= p

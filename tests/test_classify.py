@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 from levellab.classify import (
@@ -236,6 +237,38 @@ def test_classify_repeats_verdict_certificate_and_diagnostics():
         b = classify(HVector.parse(text), 2, master_seed=3)
         assert (a.status, a.certificate, a.diagnostics, a.trials_used) == (
             b.status, b.certificate, b.diagnostics, b.trials_used)
+
+
+def test_certificates_depend_on_integer_values_not_types():
+    # seeds hash the repr of their tags, so every integer argument is read
+    # as a plain int first; True reads as 1, as operator.index has it
+    h = (1, 3, 4, 2)
+    want = classify(h, 2, master_seed=5, prime=101).certificate
+    assert want.kind == "construction"
+    for cast in (np.int64, np.int32, np.uint8):
+        got = classify(h, cast(2), master_seed=cast(5), prime=cast(101)).certificate
+        assert got == want and type(got.prime) is int
+    ones = classify(h, 1, master_seed=1).certificate
+    assert classify(h, True, master_seed=True).certificate == ones
+
+
+def test_classify_refuses_a_non_integer_argument_before_any_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a recipe was realized before the refusal")
+
+    monkeypatch.setattr(importlib.import_module("levellab.classify"), "realize_recipe", refuse)
+    h = (1, 3, 4, 2)
+    for kwargs, name in (({"trials": 2.0}, "trials"), ({"trials": "2"}, "trials"),
+                         ({"master_seed": 5.0}, "master_seed"),
+                         ({"master_seed": "5"}, "master_seed"),
+                         ({"prime": 101.0}, "prime"), ({"prime": "101"}, "prime")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            classify(h, **kwargs)
+
+
+def test_certificate_ranks_share_the_verdicts_entries():
+    result = classify(HVector.parse("1,3,4,2"))
+    assert result.certificate.ranks is result.h.entries
 
 
 def test_classify_refuses_primes_outside_the_exact_range():

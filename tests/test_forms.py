@@ -70,6 +70,19 @@ def test_check_prime_range():
             check_prime(p, degree)
 
 
+def test_check_prime_returns_a_plain_int_and_refuses_other_numbers():
+    # a float of a prime's value must not share the cache entry of the int
+    assert check_prime(101, 0) == 101
+    for p in (np.int64(101), np.int32(101), np.uint16(101)):
+        got = check_prime(p, 0)
+        assert type(got) is int and got == 101
+    for p in (101.0, "101", np.float64(101), None):
+        with pytest.raises(ValueError, match="prime must be an integer"):
+            check_prime(p, 0)
+    with pytest.raises(HypothesisError, match="modulus 1 is not prime"):
+        check_prime(True, 0)  # True reads as 1
+
+
 def test_monomial_order_frozen():
     assert tuple(monomial_positions(3, 2)) == (
         (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2),

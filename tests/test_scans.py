@@ -99,6 +99,44 @@ def test_scans_refuse_a_value_that_is_not_an_integer_before_classifying(monkeypa
         scan_gic(HVector.parse("1,3,3,3,1"), 1, [3, 2.0])
 
 
+def certificates(report):
+    return [(c.status, c.certificate) for c in report.classifications]
+
+
+def test_scans_certify_integer_values_alike_whatever_their_type():
+    # each value's seed hashes the repr of the degree and the value, so
+    # both are read as plain ints first; True reads as 1
+    for scan, base, i, values in ((scan_ic, (1, 3, 6, 3), 2, [4, 5]),
+                                  (scan_gic, (1, 3, 3, 3, 1), 1, [2, 3])):
+        want = scan(base, i, values, 2, master_seed=9, prime=101)
+        assert type(want.values[0]) is int
+        for cast in (np.int64, np.int32):
+            got = scan(base, cast(i), np.array(values, dtype=cast), cast(2),
+                       master_seed=cast(9), prime=cast(101))
+            assert got.values == want.values and type(got.values[0]) is int
+            assert got.degrees == want.degrees
+            assert certificates(got) == certificates(want)
+    ones = scan_ic((1, 3, 1), 1, [3], 1, master_seed=1)
+    assert certificates(scan_ic((1, 3, 1), True, [3], True, master_seed=True)) == (
+        certificates(ones))
+
+
+def test_scans_refuse_a_non_integer_argument_before_classifying(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a candidate was classified before the refusal")
+
+    monkeypatch.setattr("levellab.scans.classify", refuse)
+    base = HVector.parse("1,3,6,3")
+    with pytest.raises(ValueError, match="scan degree must be an integer, got 2.0"):
+        scan_ic(base, 2.0, [4])
+    with pytest.raises(ValueError, match="scan degree must be an integer"):
+        scan_gic(HVector.parse("1,3,3,3,1"), "1", [3])
+    for kwargs, name in (({"trials": 2.0}, "trials"), ({"master_seed": "9"}, "master_seed"),
+                         ({"prime": 101.0}, "prime")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            scan_ic(base, 2, [4], **kwargs)
+
+
 def test_scans_take_the_base_as_a_sequence():
     for scan, base, i, values in ((scan_ic, (1, 2, 1), 2, [1, 4, 2]),
                                   (scan_gic, (1, 3, 3, 1), 1, [2, 3])):

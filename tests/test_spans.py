@@ -25,7 +25,7 @@ from sympy.polys.matrices import DomainMatrix
 from levellab import forms, spans
 from levellab.constructions import compressed_generic_module, powers_partition_module
 from levellab.errors import HypothesisError, SoundnessError
-from levellab.forms import DEFAULT_PRIME, parse_form, raising_table, ring_dim
+from levellab.forms import DEFAULT_PRIME, PRIME_LIMIT, parse_form, raising_table, ring_dim
 from levellab.macaulay import binomial
 from levellab.modules import (
     InverseModule,
@@ -57,13 +57,15 @@ def small_matrix(rng, rows, cols, lo=0, hi=20):
     return np.array([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
-def reference_rref(matrix, p):
-    """One full-width Gauss-Jordan update per pivot: the oracle."""
+def reference_steps(matrix, p, pivot=0, stop=None):
+    """One full-width Gauss-Jordan update per pivot on columns 0..stop-1,
+    taking pivots from row ``pivot`` on: the reduced matrix, every row of
+    it, and the pivot columns."""
     a = np.array(matrix, dtype=np.int64, copy=True)
     a %= p
     nrows, ncols = a.shape
-    pivot = 0
-    for col in range(ncols):
+    cols = []
+    for col in range(ncols if stop is None else stop):
         if pivot >= nrows:
             break
         stuck = np.nonzero(a[pivot:, col])[0]
@@ -78,8 +80,15 @@ def reference_rref(matrix, p):
         others = others[others != pivot]
         if others.size:
             a[others] = (a[others] - np.outer(a[others, col], a[pivot])) % p
+        cols.append(col)
         pivot += 1
-    return a[:pivot]
+    return a, cols
+
+
+def reference_rref(matrix, p):
+    """The oracle: the top rows of ``reference_steps`` on every column."""
+    a, cols = reference_steps(matrix, p)
+    return a[:len(cols)]
 
 
 def assert_same_rref(matrix, p):
@@ -714,6 +723,17 @@ def test_products_at_the_inner_bound_stay_exact():
         spans._matmul_mod(np.ones((2, 64)), spans._halves(np.ones((64, 3), dtype=np.int64)), p)
 
 
+def test_the_modulus_is_read_by_value():
+    # the kernel's inverses take a plain int: a numpy prime used to end in
+    # pow's TypeError, a float one in numpy's
+    mat = np.array([[3, 5, 1], [6, 1, 4], [2, 2, 2]])
+    want = rref_mod_p(mat, 101)
+    for p in (np.int64(101), np.int32(101)):
+        assert rref_mod_p(mat, p).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="prime must be an integer, got 101.0"):
+        rref_mod_p(mat, 101.0)
+
+
 @pytest.mark.parametrize("p", (0, 1, -7, 2**31, 2**32 - 5, 2**61 - 1))
 def test_modulus_outside_the_int64_range_refused(p):
     with pytest.raises(HypothesisError, match=str(p)):
@@ -945,3 +965,91 @@ def test_chunked_partials_match_gathers_one_variable_at_a_time(monkeypatch, p, n
     assert got.dtype == np.int32 and got.shape == (nvars * len(matrix), ring_dim(nvars, degree - 1))
     assert got.tolist() == partials_one_variable_at_a_time(matrix, nvars, degree, p).tolist()
     assert seen == gathers
+
+
+# ---------------------------------------------------------- two pivots a step
+
+
+def test_pair_sums_fit_int64_below_the_prime_limit():
+    # a two-pivot update subtracts two products of residues of p - 1 at
+    # most, so raising PRIME_LIMIT must fail here, not wrap in numpy's
+    # integer products, which do not warn on overflow
+    assert 2 * (PRIME_LIMIT - 2) ** 2 < 2**63
+    assert 2 * (DEFAULT_PRIME - 1) ** 2 == 2**63 - 2**34 + 8
+
+
+def assert_same_steps(matrix, p, pivot, stop):
+    want, cols = reference_steps(matrix, p, pivot, stop)
+    got = np.array(matrix, dtype=np.int64) % p
+    assert spans._steps(got, p, pivot, stop) == cols
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_entries_of_p_minus_one_match_reference(p):
+    # below an identity block every other row is p - 1, so at 2^31 - 1 the
+    # first step's sums reach 2 (p - 1)^2 = 2^63 - 2^34 + 8
+    for rows, cols in ((5, 7), (2 * _BATCH, 2 * _BATCH), (40, 200)):
+        mat = np.full((rows, cols), p - 1, dtype=np.int64)
+        assert_same_rref(mat, p)
+        mat[:2, :2] = np.eye(2, dtype=np.int64)
+        assert_same_rref(mat, p)
+        assert_same_steps(mat, p, 0, cols)
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_singular_leading_blocks_match_reference(p):
+    # the second row is a multiple of the first on the two columns only,
+    # or zero there, so the block is singular though the rows are not
+    gen = np.random.default_rng(173)
+    for rows, cols in ((6, 9), (2 * _BATCH, 2 * _BATCH), (_BATCH, 3 * _BATCH)):
+        for factor in (0, 1, 2, p - 1):
+            mat = random_residues(gen, rows, cols, p)
+            mat[1, :2] = mat[0, :2] * factor % p
+            assert_same_rref(mat, p)
+            assert_same_steps(mat, p, 0, cols)
+        # a zero pivot with an invertible block swaps the two rows
+        mat[0, 0] = 0
+        assert_same_rref(mat, p)
+        # a singular block every second step, and one zero in the first column
+        mat[1::2, :cols // 2] = mat[::2, :cols // 2][:len(mat[1::2])] * 3 % p
+        mat[0, :2] = 0
+        assert_same_rref(mat, p)
+        assert_same_steps(mat, p, 0, cols)
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_steps_up_to_stop_from_any_pivot_match_reference(p):
+    # panels call the steps on [panel | I] from a pivot past the rows
+    # already found, up to the panel's width: an odd width leaves a last
+    # column that a pair would cross, and the last row is one pivot alone
+    gen = np.random.default_rng(179)
+    for rows, width in ((7, 5), (_BATCH, 2 * _BATCH - 1), (9, 4), (3, 8)):
+        panel = np.hstack([random_residues(gen, rows, width, p),
+                           np.eye(rows, dtype=np.int64)])
+        for pivot in (0, 1, 2, rows - 1):
+            for stop in (width, width - 1, 1):
+                assert_same_steps(panel, p, pivot, stop)
+    for rows, cols in ((1, 5), (1, 1), (3, 1), (2, 2)):
+        assert_same_rref(random_residues(gen, rows, cols, p), p)
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_panels_from_a_later_pivot_match_reference(monkeypatch, p):
+    # a first panel of rank 10 leaves rows of a 32-row batch unpivoted, so
+    # the next panel's steps start at pivot 10, and zero columns from
+    # 2 _BATCH - 1 on leave that panel 31 columns wide
+    gen = np.random.default_rng(181)
+    calls = []
+    steps = spans._steps
+
+    def recorded(a, p, pivot, stop):
+        calls.append((pivot, stop))
+        return steps(a, p, pivot, stop)
+
+    monkeypatch.setattr(spans, "_steps", recorded)
+    for rows in (5, _BATCH):
+        mat = dependent_panel(gen, rows, 4 * _BATCH + 3, p)
+        mat[:, 2 * _BATCH - 1:] = 0
+        assert_same_rref(mat, p)
+    assert (10, _BATCH - 1) in calls
