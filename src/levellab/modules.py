@@ -31,7 +31,7 @@ from levellab.forms import (
     ring_dim,
 )
 from levellab.macaulay import HVector
-from levellab.spans import coefficient_matrix, derivative_spaces, rank_mod_p
+from levellab.spans import coefficient_matrix, derivative_spaces, rank_mod_p, rref_mod_p
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -158,13 +158,13 @@ def generic_subquotient(module: InverseModule, c: int, rng: Random) -> InverseMo
 
 
 def truncate_level(module: InverseModule, new_degree: int) -> InverseModule:
-    """Module generated by a basis of the degree ``new_degree`` component.
+    """Module generated by the RREF of the degree ``new_degree`` component.
     Its h-vector is the prefix of the original through that degree."""
     if not 0 < new_degree <= module.degree:
         raise ValueError(
             f"truncation degree must be in 1..{module.degree}, got {new_degree}"
         )
-    basis = derivative_spaces(module)[new_degree]
+    basis = rref_mod_p(derivative_spaces(module)[new_degree], module.p)
     return InverseModule(module.nvars, new_degree, module.p, basis)
 
 

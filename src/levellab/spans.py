@@ -72,10 +72,13 @@ neither on the batches, the blocks or the panels, nor on which rows are
 picked as pivots.
 
 A derivative tower walks a module's degree-e generators, read straight
-from its int64 array, down to degree 0, reducing the stacked partial
-derivatives of each basis in turn until a level is all of R_d, below which
-every level is the identity.  Each basis is a plain RREF int64 matrix, and
-their lengths are the h-vector of the module.  Sizes come from
+from its int64 array, down to degree 0, stacking the partials of each
+level in turn until a level is all of R_d, below which every level is
+the identity.  A level needs a basis, not an RREF: one of at most 2 _BATCH
+rows over more columns is its own basis when its first 2 _BATCH columns
+have full row rank, by one small ``rref_mod_p`` call.  While levels stay
+unreduced, a row made by d/dy_u is differentiated by y_w for w <= u only,
+listing each derivative once: d/dy_w d/dy_u = d/dy_u d/dy_w.  Sizes come from
 ``forms.ring_dim``, and the tower keeps no monomial table: it gathers the
 partial d/dy_v of a degree-d basis as basis[:, index[v]] mult[v], through
 ``forms.raising_table``, which the products of forms read too, for as
@@ -87,6 +90,7 @@ the r = 16..30 towers, so a tower's largest temporary does not grow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -331,15 +335,23 @@ def coefficient_matrix(module) -> np.ndarray:
     return module.coeffs
 
 
-def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int) -> np.ndarray:
+def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int,
+                         starts: list[int] | None = None) -> np.ndarray:
     """All first partials of the rows of ``matrix``, coefficients of degree
     ``degree`` forms, one block per variable, gathered through the raising
     table for as many variables at once as fit ``_CHUNK_CELLS`` (at least
-    one), which bounds the int64 temporaries.  Residues below 2^31 fit
-    int32, which halves the largest array of a tower; ``rref_mod_p``
-    reduces an int64 copy of it."""
+    one), which bounds the int64 temporaries.  Given ``starts``, the
+    partials by y_v are taken of the rows from starts[v] on only, one
+    variable per gather.  Residues below 2^31 fit int32, which halves the
+    largest array of a tower; ``rref_mod_p`` reduces an int64 copy of it."""
     index, mult = raising_table(nvars, degree)
     dim, size = len(matrix), index.shape[1]
+    if starts is not None:
+        ends = np.cumsum([dim - start for start in starts])
+        stacked = np.empty((ends[-1], size), dtype=np.int32)
+        for v, start in enumerate(starts):
+            stacked[ends[v] - dim + start:ends[v]] = _mod(matrix[start:, index[v]] * mult[v], p)
+        return stacked
     stacked = np.empty((nvars, dim, size), dtype=np.int32)
     step = max(1, _CHUNK_CELLS // (dim * size))
     for lo in range(0, nvars, step):
@@ -351,19 +363,33 @@ def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int) ->
 
 
 def derivative_spaces(module) -> list[np.ndarray]:
-    """Canonical bases of every graded piece of the span of a module's
-    generators closed under differentiation, listed by degree 0..e: for
-    each degree d, the RREF int64 rows over the degree-d monomials in
-    grevlex order, so its dimension is its length.  Below a level that is
-    all of R_d each level is the identity, neither stacked nor reduced:
-    for p > d, d/dy_v (y_v m) is a unit times m.  Those levels share one
-    read-only identity per size."""
+    """A basis per graded piece of the span of a module's generators closed
+    under differentiation, listed by degree 0..e: for each degree d, int64
+    rows over the degree-d monomials in grevlex order, so its dimension is
+    its length.  Wide levels of few independent rows come unreduced, their
+    rows taking each derivative once (module docstring); the others are in
+    RREF.  Below a level that is all of R_d each level is the identity,
+    neither stacked nor reduced: for p > d, d/dy_v (y_v m) is a unit times
+    m.  Those levels share one read-only identity per size."""
     nvars, p = module.nvars, module.p
-    spans = [rref_mod_p(coefficient_matrix(module), p)]
-    degree = module.degree
-    while degree and len(spans[-1]) < ring_dim(nvars, degree):
+    level, degree, spans, starts = coefficient_matrix(module), module.degree, [], None
+    while True:
+        wide = len(level) <= 2 * _BATCH < level.shape[1]
+        if wide and len(rref_mod_p(level[:, :2 * _BATCH], p)) == len(level):
+            if spans:
+                # a stack: the partials by y_v follow those by y_0 .. y_v-1
+                counts = [len(spans[-1]) - start for start in starts or [0] * nvars]
+                starts = list(accumulate(counts[:-1], initial=0))
+            # independent rows; an int32 stack would wrap times the exponents
+            spans.append(level.astype(np.int64, copy=False))
+        else:
+            spans.append(rref_mod_p(level, p))
+            starts = None
+        if not degree or len(spans[-1]) == ring_dim(nvars, degree):
+            break
         # no name keeps a level's stacked matrix alive while the next is built
-        spans.append(rref_mod_p(_stacked_derivatives(spans[-1], nvars, degree, p), p))
+        del level
+        level = _stacked_derivatives(spans[-1], nvars, degree, p, starts)
         degree -= 1
     eyes: dict[int, np.ndarray] = {}
     for size in (ring_dim(nvars, d) for d in range(degree - 1, -1, -1)):

@@ -23,13 +23,20 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from levellab import forms, spans
-from levellab.constructions import compressed_generic_module, powers_partition_module
-from levellab.errors import HypothesisError, SoundnessError
+from levellab.constructions import (
+    add_new_variable_power,
+    compressed_generic_module,
+    expected_h_compressed,
+    powers_partition_module,
+)
+from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
 from levellab.forms import DEFAULT_PRIME, PRIME_LIMIT, parse_form, raising_table, ring_dim
 from levellab.macaulay import binomial
 from levellab.modules import (
     InverseModule,
     h_vector,
+    module_to_text,
+    truncate_level,
     type_of,
 )
 from levellab.spans import (
@@ -507,8 +514,11 @@ def test_full_level_stop_matches_the_full_reduction(monkeypatch, p, nvars, degre
     monkeypatch.setattr(spans, "raising_table",
                         lambda nvars, d: built.append(d) or table(nvars, d))
     got = derivative_spaces(module)
+    # a level of independent rows may come unreduced: it must span the
+    # reference level, so it reduces to the same rows and has its length
     assert [a.dtype for a in got] == [np.dtype(np.int64)] * (degree + 1)
-    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert [len(a) for a in got] == [len(b) for b in want]
+    assert [reference_rref(a, p).tobytes() for a in got] == [b.tobytes() for b in want]
     # no raising table is read at or below a full level
     assert built == list(range(degree, full or 0, -1))
 
@@ -1053,3 +1063,99 @@ def test_panels_from_a_later_pivot_match_reference(monkeypatch, p):
         mat[:, 2 * _BATCH - 1:] = 0
         assert_same_rref(mat, p)
     assert (10, _BATCH - 1) in calls
+
+
+# ------------------------------------------------------- unreduced levels
+
+# (nvars, degree, count, rows of each stack): the top levels stay
+# unreduced, so the k-th stack under them lists each order-k derivative of
+# the generators once, t C(r + k - 1, k) rows; a reduced level resets
+# that, as (6, 5, 1) shows: its level 3 spans 56 columns and is reduced,
+# and the stack under it takes all six partials of each of its 21 rows
+UNREDUCED_CASES = [
+    (9, 4, 1, [9, 45]),
+    (8, 4, 2, [16, 72]),
+    (6, 5, 1, [6, 21, 126]),
+    (7, 5, 1, [7, 28, 84]),
+]
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES + ("next",))
+@pytest.mark.parametrize("nvars, degree, count, stacks", UNREDUCED_CASES)
+def test_unreduced_levels_span_the_full_reduction(monkeypatch, p, nvars, degree, count, stacks):
+    p = {4: 5, 5: 7}[degree] if p == "next" else p  # the smallest prime above e
+    rng = Random(nvars * 100 + degree)
+    expected = list(expected_h_compressed(nvars, degree, count))
+    while True:
+        # small primes make a draw degenerate now and then: draw again
+        module = compressed_generic_module(nvars, degree, count, rng, p)
+        want = full_reduction(module)
+        if list(map(len, want)) == expected:
+            break
+    seen, widths = [], []
+    stack, rref = spans._stacked_derivatives, spans.rref_mod_p
+    monkeypatch.setattr(spans, "_stacked_derivatives",
+                        lambda *args: seen.append(stack(*args)) or seen[-1])
+    monkeypatch.setattr(spans, "rref_mod_p",
+                        lambda matrix, p: widths.append(matrix.shape[1]) or rref(matrix, p))
+    got = derivative_spaces(module)
+    assert [a.dtype for a in got] == [np.dtype(np.int64)] * (degree + 1)
+    assert list(map(len, got)) == expected
+    assert [reference_rref(a, p).tobytes() for a in got] == [b.tobytes() for b in want]
+    assert [len(a) for a in seen] == stacks
+    # the levels over more than 2 _BATCH columns are only checked there,
+    # and come as they are, unreduced
+    wide = sum(ring_dim(nvars, d) > 2 * _BATCH for d in range(degree + 1))
+    assert widths[:wide] == [2 * _BATCH] * wide and max(widths[wide:]) <= 2 * _BATCH
+
+
+def test_an_unreduced_int32_stack_is_differentiated_in_int64(monkeypatch):
+    # at 2^31 - 1 a residue times an exponent up to 4 passes 2^31, so the
+    # int32 stack of a level kept unreduced must be read as int64
+    module = compressed_generic_module(9, 4, 1, Random(7))
+    want = full_reduction(module)
+    seen = []
+    stack = spans._stacked_derivatives
+
+    def recorded(matrix, *args):
+        out = stack(matrix, *args)
+        seen.append((matrix.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(spans, "_stacked_derivatives", recorded)
+    got = derivative_spaces(module)
+    assert seen == [(np.dtype(np.int64), np.dtype(np.int32))] * 2
+    assert [reference_rref(a, DEFAULT_PRIME).tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def test_dependent_rows_of_a_wide_level_are_reduced():
+    # R_4 in five variables has 70 monomials: three rows, the third the
+    # sum of the first two, fail the check on the first 2 _BATCH columns
+    rows = random_residues(np.random.default_rng(191), 2, ring_dim(5, 4), DEFAULT_PRIME)
+    rows = np.vstack([rows, rows.sum(axis=0) % DEFAULT_PRIME])
+    with pytest.raises(DependentGeneratorsError) as err:
+        h_vector(InverseModule(5, 4, DEFAULT_PRIME, rows))
+    assert (err.value.presented, err.value.rank) == (3, 2)
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_independent_rows_zero_on_the_checked_columns_are_reduced(p):
+    # the pure power of a new seventh variable is the last unit vector of
+    # R_3's 84 monomials: zero on the first 2 _BATCH columns, so the check
+    # fails on independent rows
+    module = add_new_variable_power(compressed_generic_module(6, 3, 2, Random(193), p))
+    assert not module.coeffs[-1, :2 * _BATCH].any()
+    got = derivative_spaces(module)
+    want = full_reduction(module)
+    assert list(map(len, got)) == [1, 7, 13, 3]
+    assert [reference_rref(a, p).tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("degree", (4, 3))
+def test_truncate_level_prints_the_reduced_level(degree):
+    module = compressed_generic_module(9, 4, 1, Random(197))
+    want = module_to_text(InverseModule(9, degree, module.p, full_reduction(module)[degree]))
+    assert module_to_text(truncate_level(module, degree)) == want
+    # the tower keeps this level unreduced, and its text differs
+    raw = derivative_spaces(module)[degree]
+    assert module_to_text(InverseModule(9, degree, module.p, raw)) != want
