@@ -409,6 +409,11 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
         return Classification(hv, Status.LEVEL, certificate=cert,
                               elapsed=time.monotonic() - start)
 
+    # every candidate builds this ring or a larger one; its tag can be long
+    try:
+        check_ring(hv.codimension, hv.socle_degree)
+    except ValueError as exc:
+        raise HypothesisError(f"h = {hv} needs a ring too large to build: {exc}") from None
     diagnostics: list[str] = []
     trials_used = 0
     recipes = candidate_recipes(hv)

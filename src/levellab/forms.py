@@ -48,9 +48,6 @@ PRIME_LIMIT = 2**31
 # e = 4: 123,410 quartics, 4,936,400 cells.
 MAX_MONOMIALS = 1 << 17
 MAX_CELLS = 1 << 23
-# Fewer draws than this are cheaper one ``randrange`` call at a time than
-# through numpy's fixed cost per call (measured crossover about a dozen).
-_BULK_DRAWS = 16
 
 
 def is_prime(n: int) -> bool:
@@ -282,12 +279,10 @@ def randrange_many(rng: Random, n: int, count: int) -> np.ndarray:
     Mersenne Twister word per attempt and rejects values >= n, and
     ``getrandbits(32 * m)`` returns the next m words, least significant
     first.  So the words are drawn in bulk, shifted and filtered, and the
-    shortfall is drawn again until ``count`` values are kept.  Fewer than
-    ``_BULK_DRAWS`` values are drawn one call at a time."""
+    shortfall is drawn again until ``count`` values are kept, for any
+    count: ``count`` calls would save only microseconds on a few values."""
     if not 2 <= n < PRIME_LIMIT:
         raise HypothesisError(f"modulus {n} is outside 2..2^31-1")
-    if count < _BULK_DRAWS:
-        return np.array([rng.randrange(n) for _ in range(count)], dtype=np.int64)
     shift = 32 - n.bit_length()
     kept = np.empty(0, dtype=np.int64)
     while len(kept) < count:

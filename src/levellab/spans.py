@@ -85,6 +85,9 @@ partial d/dy_v of a degree-d basis as basis[:, index[v]] mult[v], through
 many variables per gather as fit ``_CHUNK_CELLS``: all of them on the
 small rings of scans and replays, one at a time on the large levels of
 the r = 16..30 towers, so a tower's largest temporary does not grow.
+Below an unreduced level the rows that rule drops are cut from the full
+gather by one ``np.concatenate``: gathering only the kept rows, a variable
+at a time, read scans and replays 10-13% slower and towers no faster.
 """
 
 from __future__ import annotations
@@ -340,18 +343,13 @@ def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int,
     """All first partials of the rows of ``matrix``, coefficients of degree
     ``degree`` forms, one block per variable, gathered through the raising
     table for as many variables at once as fit ``_CHUNK_CELLS`` (at least
-    one), which bounds the int64 temporaries.  Given ``starts``, the
-    partials by y_v are taken of the rows from starts[v] on only, one
-    variable per gather.  Residues below 2^31 fit int32, which halves the
-    largest array of a tower; ``rref_mod_p`` reduces an int64 copy of it."""
+    one), which bounds the int64 temporaries.  Given ``starts``, block v
+    keeps the partials by y_v of the rows from starts[v] on only, cut from
+    the full stack by one ``np.concatenate``.  Residues below 2^31 fit
+    int32, which halves the largest array of a tower; ``rref_mod_p``
+    reduces an int64 copy of it."""
     index, mult = raising_table(nvars, degree)
     dim, size = len(matrix), index.shape[1]
-    if starts is not None:
-        ends = np.cumsum([dim - start for start in starts])
-        stacked = np.empty((ends[-1], size), dtype=np.int32)
-        for v, start in enumerate(starts):
-            stacked[ends[v] - dim + start:ends[v]] = _mod(matrix[start:, index[v]] * mult[v], p)
-        return stacked
     stacked = np.empty((nvars, dim, size), dtype=np.int32)
     step = max(1, _CHUNK_CELLS // (dim * size))
     for lo in range(0, nvars, step):
@@ -359,6 +357,8 @@ def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int,
         partials = matrix[:, index[lo:lo + step]]
         partials *= mult[lo:lo + step]
         stacked[lo:lo + step] = _mod(partials, p).swapaxes(0, 1)
+    if starts is not None:
+        return np.concatenate([block[start:] for block, start in zip(stacked, starts)])
     return stacked.reshape(nvars * dim, size)
 
 

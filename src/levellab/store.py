@@ -83,23 +83,13 @@ def store_append(record: dict, path: str | None = None) -> None:
         fh.write(line + "\n")
 
 
-def store_load(path: str | None = None, **filters) -> list[dict]:
-    """Load records, optionally filtered by field equality.
+def store_load(path: str | None = None) -> list[dict]:
+    """Load every record, in file order.
 
-    The ``h`` filter accepts anything HVector.parse-compatible or a
-    sequence of entries.  A line that is not a JSON object with a known
-    status and integer ``r`` and ``e`` raises VerificationError naming it.
+    A line that is not a JSON object with a known status and integer ``r``
+    and ``e`` raises VerificationError naming it.
     """
-    path = _require_path(path)
-    if "h" in filters:
-        wanted = filters["h"]
-        if isinstance(wanted, str):
-            wanted = HVector.parse(wanted)
-        elif not isinstance(wanted, HVector):
-            wanted = HVector(wanted)
-        filters["h"] = list(wanted.entries)
-    return [record for record in _read_records(path, _check_summary)
-            if all(record.get(key) == value for key, value in filters.items())]
+    return list(_read_records(_require_path(path), _check_summary))
 
 
 def store_verify(record: dict) -> None:

@@ -287,6 +287,24 @@ def test_classify_refuses_a_ring_the_store_refuses(monkeypatch):
         classify(HVector((1, 300, 1)))
 
 
+def test_classify_refuses_a_huge_ring_before_listing_candidates(monkeypatch):
+    # 200,000 linear forms: a powers_partition candidate's tag alone would
+    # run past a megabyte
+    monkeypatch.setattr(importlib.import_module("levellab.classify"),
+                        "candidate_recipes", None)
+    with pytest.raises(HypothesisError) as refused:
+        classify(HVector((1, 200000)))
+    message = str(refused.value)
+    assert len(message) < 200
+    assert "1,200000" in message and "degree 1 in 200000 variables" in message
+    # (1,300,10,2) matches no candidate, and its ring is refused all the same
+    with pytest.raises(HypothesisError, match="degree 3 in 300 variables"):
+        classify(HVector((1, 300, 10, 2)))
+    # the rules still decide first
+    verdict = classify(HVector((1, 200000, 10**11)))
+    assert (verdict.status, verdict.condition) == (Status.NONLEVEL, "o-sequence")
+
+
 def test_classify_skips_refused_candidates_and_tries_the_rest(monkeypatch):
     # the degree-6 truncate sources of (1,20,30) and of its add-variable base
     # are refused; the other eight candidates are admitted.  Each admitted one

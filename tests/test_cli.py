@@ -305,6 +305,14 @@ def test_classify_refuses_a_ring_the_store_refuses(monkeypatch, capsys):
     assert "degree 2 in 300 variables" in err and "over 8388608 cells" in err
 
 
+def test_classify_refuses_a_huge_ring_in_one_short_line(capsys):
+    code, text = run(["classify", "1,200000"])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: hypothesis: ") and err.count("\n") == 1
+    assert len(err) < 200 and "degree 1 in 200000 variables" in err
+
+
 def test_classify_skips_a_candidate_the_prime_cannot_build(capsys):
     # the truncate candidates of (1,3,4,4) need a prime above 5; another
     # candidate still certifies the vector

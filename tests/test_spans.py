@@ -268,6 +268,22 @@ def test_stacked_derivatives_match_the_reference_derivative(p):
                                           for row in basis]
 
 
+@pytest.mark.parametrize("per_gather", (1, 2, 3, 4))
+def test_stacked_derivatives_keep_the_rows_from_each_start(monkeypatch, per_gather):
+    # 5 cubics in 4 variables: each variable's block is 5 rows of 10 quadric
+    # coefficients, and _CHUNK_CELLS = 50 k gathers k variables at a time
+    nvars, degree, p, rows = 4, 3, 101, 5
+    rng = np.random.default_rng(71)
+    matrix = rng.integers(0, p, (rows, ring_dim(nvars, degree)), dtype=np.int64)
+    blocks = spans._stacked_derivatives(matrix, nvars, degree, p).reshape(nvars, rows, -1)
+    monkeypatch.setattr(spans, "_CHUNK_CELLS", per_gather * rows * ring_dim(nvars, degree - 1))
+    for starts in ([0] * nvars, [0, 1, 2, 3], [0, 2, rows, 1], [4, 0, 3, rows - 1]):
+        stacked = spans._stacked_derivatives(matrix, nvars, degree, p, starts)
+        expected = np.concatenate([block[start:] for block, start in zip(blocks, starts)])
+        assert stacked.dtype == np.int32 and stacked.shape == expected.shape
+        assert stacked.tobytes() == expected.tobytes()
+
+
 # The growth test's body, run in a fresh interpreter: the bytes CPython's
 # free lists keep for spans.py depend on which tests ran before it.  It
 # prints the bytes each file gained and what the caches should hold.

@@ -42,18 +42,6 @@ def test_round_trip_and_filters(tmp_path, sample_records):
     assert len(loaded) == 4
     assert [r["status"] for r in loaded] == ["level", "level", "nonlevel", "unknown"]
 
-    level = store_load(path, status="level")
-    assert len(level) == 2
-    assert {r["t"] for r in level} == {3, 1}
-
-    one = store_load(path, h="1,3,6,10,3")
-    assert len(one) == 1
-    assert one[0]["condition"] == "ci-range"
-
-    by_entries = store_load(path, h=(1, 5, 4, 5))
-    assert len(by_entries) == 1
-    assert by_entries[0]["status"] == "unknown"
-
 
 def test_every_record_kind_verifies(tmp_path, sample_records):
     path = str(tmp_path / "store.jsonl")
@@ -313,9 +301,8 @@ def test_malformed_record_raises_only_verification_error(tmp_path, name):
 def test_store_load_names_a_malformed_line(tmp_path, line, fault):
     path = tmp_path / "store.jsonl"
     path.write_text(json.dumps(CONSTRUCTION) + "\n" + line + "\n", encoding="utf-8")
-    for filters in ({}, {"status": "level"}):
-        with pytest.raises(VerificationError, match=f"line 2: {fault}"):
-            store_load(str(path), **filters)
+    with pytest.raises(VerificationError, match=f"line 2: {fault}"):
+        store_load(str(path))
 
 
 def corpus_record_of_kind(kind):
