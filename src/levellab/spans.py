@@ -12,11 +12,15 @@ copy of its residues, and its nonzero top rows are copied out, or the
 identity returned at full rank.  Such a matrix is reduced at a cost per
 call, not per cell, so batches, blocks and back-substitution would cost
 more than they save: about nine in ten of the matrices of a scan or a
-replay take this pass.  A step with pivot row r on column c takes row
-r + 1 on column c + 1 too when their 2 x 2 block there is invertible mod
-p, as one-pivot steps would next, unswapped: one product by the block's
-inverse updates every row, each entry losing two products before one
-``%``, as FFLAS-FFPACK delays reductions.  Otherwise it takes one pivot.
+replay take this pass.  A step with pivot row r on column c takes a
+second pivot on column c + 1 when a row below r has an invertible 2 x 2
+block B with it there: row r + 1, or else the first such row, which is
+the row one-pivot steps would take next, swapped up.  The pivot rows
+become lead = B^-1 a[rows] mod p, and one product a[:, c:c+2] lead
+updates every row, each entry losing two products of residues before
+one ``%``, as FFLAS-FFPACK delays reductions (Dumas, Giorgi and Pernet,
+ACM TOMS 2008).  Only the last row or column, or a row none pairs with,
+takes one pivot.
 
 A larger matrix is read in batches of ``_BATCH`` rows, and the rows
 found so far are kept as blocks, each the new rows of one batch or a few:
@@ -29,8 +33,8 @@ block is zero left of its own pivot, so a step writes only the columns
 from the block's first pivot on: on the r = 16..30 towers of compressed
 cubics and quartics that clears 29% fewer cells than all the columns
 would.  Gauss-Jordan steps reduce the rows the batch leaves nonzero, and
-these become the next block, or join the last one while it holds fewer
-than _BATCH rows, so a rank that grows a few rows per batch leaves few
+these become the next block, or join the last one while it stays within
+2 _BATCH rows, so a rank that grows a few rows per batch leaves few
 blocks to reduce by.  Once the rank
 reaches ncols the span is everything: the identity is returned, and
 neither the rows not yet read nor the blocks are reduced any further.
@@ -53,13 +57,13 @@ saves.
 The matrix product is exact: ``_matmul_mod`` keeps its left operand x as
 residues below 2^31, splits the right one into 16-bit halves y1 < 2^15
 and y0 < 2^16, and returns (x y1 mod p) 2^16 + x y0 from two float64
-products.  Each runs over at most 2 _BATCH - 1 = 63 inner terms: the rows
-of a block that a batch, or an earlier block at back-substitution, is
-cleared against (a block under _BATCH rows takes in at most _BATCH more),
-or at most _BATCH rows when a short block takes in new rows or a panel
-transform is applied.  So every sum stays below 63 2^31 2^16 < 2^53,
-exact in float64, and the result below 2^54 in int64; a wider product
-raises SoundnessError.  Wide int64 arrays, the batch residues, the
+products.  Each runs over at most 2 _BATCH = 64 inner terms: the rows of
+a block that a batch, or an earlier block at back-substitution, is
+cleared against, or at most _BATCH rows when a block takes in new rows
+or a panel transform is applied.  So every sum is at most
+64 (2^31 - 2)(2^16 - 1) < 2^53, exact in float64 in any order of
+addition, and the result below 2^54 in int64; a wider product raises
+SoundnessError.  Wide int64 arrays, the batch residues, the
 products' high halves and the cleared or transformed rows, are reduced
 mod p as x - (x // p) p in place (``_mod``): numpy divides int64 by a
 scalar with a multiply and a shift, where its remainder ``%`` divides
@@ -151,9 +155,10 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
             return np.eye(ncols, dtype=np.int64)
         if k:
             rows = x[:k].copy()
-            if blocks and len(blocks[-1].cols) < _BATCH:
-                # a short last block takes the new rows in, so a slowly
-                # growing rank leaves few blocks to reduce each batch by
+            if blocks and len(blocks[-1].cols) + k <= 2 * _BATCH:
+                # the last block takes the new rows in while it stays within
+                # the products' 64 inner terms, so a slowly growing rank
+                # leaves few blocks to reduce each batch by
                 last = blocks.pop()
                 _Block(cols, rows).clear(last.rows, p)
                 cols, rows = np.concatenate([last.cols, cols]), np.vstack([last.rows, rows])
@@ -164,7 +169,8 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass
 class _Block:
-    """Rows one batch or a few added to the basis: in reduced echelon form
+    """Rows one batch or a few added to the basis, at most 2 _BATCH (the
+    products' inner bound): in reduced echelon form
     among themselves with pivot columns ``cols``, and zero on the pivot
     columns of every earlier block.  Each row is zero left of its pivot,
     and keeps that when the block takes in rows or is back-substituted:
@@ -254,10 +260,13 @@ def _steps(a: np.ndarray, p: int, pivot: int, stop: int) -> list[int]:
     pivots from row ``pivot`` on; returns the columns they land in.  ``a``
     is one batch, so each step updates all its rows at once; the rows not
     yet used as pivots are zero left of the column searched, so only the
-    columns from the pivot on change.  One search skips a run of columns
-    zero in those rows, as in a sparse batch of one wide row.  Two pivots
-    with an invertible block B take a -= (a[:, cols] - E) B^-1 a[rows], E
-    the identity on the pivot rows."""
+    columns from the pivot on change, and a swap of two such rows copies
+    only those slices.  One search skips a run of columns zero in those rows, as in a
+    sparse batch of one wide row.  A step takes k = 2 pivots when a row
+    below has an invertible block B with the pivot row on the next two
+    columns (module docstring), else k = 1.  Every row loses a[:, cols]
+    lead, lead = B^-1 a[rows]: the pivot rows lose all of their residues,
+    and lead is written back into them."""
     nrows = len(a)
     found = []
     col = 0
@@ -271,35 +280,35 @@ def _steps(a: np.ndarray, p: int, pivot: int, stop: int) -> list[int]:
                 col += int(live[0])
                 stuck = a[pivot:, col].nonzero()[0]
             first = pivot + int(stuck[0])
-            if first != pivot:
-                a[[pivot, first]] = a[[first, pivot]]
+            a[pivot, col:], a[first, col:] = a[first, col:], a[pivot, col:].copy()
+        det = 0
         if pivot + 1 < nrows and col + 1 < stop:
             (x, y), (z, w) = a[pivot:pivot + 2, col:col + 2].tolist()
             det = (x * w - y * z) % p
-            if det:
-                d = pow(det, -1, p)
-                inverse = np.array([[w * d % p, -y * d % p], [-z * d % p, x * d % p]])
-                factors = a[:, col:col + 2].copy()
-                factors[pivot, 0] -= 1
-                factors[pivot + 1, 1] -= 1
-                rest = a[:, col:]
-                rest -= (factors @ inverse % p) @ a[pivot:pivot + 2, col:]
-                rest %= p
-                found += [col, col + 1]
-                pivot += 2
-                col += 2
-                continue
-        row = a[pivot, col:]
-        row *= pow(int(row[0]), -1, p)
-        row %= p
-        factors = a[:, col:col + 1].copy()
-        factors[pivot] = 0
+            if not det:
+                # once the pivot row clears column col, the first row below
+                # nonzero on col + 1 is the first with an invertible block
+                dets = (x * a[pivot + 2:, col + 1] - y * a[pivot + 2:, col]) % p
+                later = dets.nonzero()[0]
+                if later.size:
+                    first = pivot + 2 + int(later[0])
+                    a[pivot + 1, col:], a[first, col:] = a[first, col:], a[pivot + 1, col:].copy()
+                    z, w = a[pivot + 1, col:col + 2].tolist()
+                    det = int(dets[later[0]])
+        if det:
+            d = pow(det, -1, p)
+            inverse = np.array([[w * d % p, -y * d % p], [-z * d % p, x * d % p]])
+        else:
+            inverse = np.array([[pow(int(a[pivot, col]), -1, p)]])
+        k = len(inverse)
+        lead = inverse @ a[pivot:pivot + k, col:] % p
         rest = a[:, col:]
-        rest -= factors * row
+        rest -= a[:, col:col + k] @ lead
         rest %= p
-        found.append(col)
-        pivot += 1
-        col += 1
+        a[pivot:pivot + k, col:] = lead
+        found += range(col, col + k)
+        pivot += k
+        col += k
     return found
 
 
@@ -319,9 +328,9 @@ def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _matmul_mod(x: np.ndarray, y: tuple, p: int) -> np.ndarray:
     """x @ y, congruent mod p and in [0, 2^54), for residues ``x`` as
     float64 and ``y`` given by its ``_halves``: two exact float64 products
-    over at most 63 inner terms (module docstring)."""
-    if x.shape[1] > 63:
-        raise SoundnessError(f"inner dimension {x.shape[1]} is above 63: float64 may round")
+    over at most 64 inner terms (module docstring)."""
+    if x.shape[1] > 64:
+        raise SoundnessError(f"inner dimension {x.shape[1]} is above 64: float64 may round")
     y0, y1 = y
     out = _mod((x @ y1).astype(np.int64), p)
     out <<= 16

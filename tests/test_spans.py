@@ -733,20 +733,22 @@ def test_narrow_batches_take_no_panel_product(monkeypatch):
 
 
 def test_products_at_the_inner_bound_stay_exact():
-    # 63 inner terms of the largest residue against right halves at their
+    # 64 inner terms of the largest residue against right halves at their
     # largest (0x7FFF high in p - 1, 0xFFFF low in p - 2^16) carry the
-    # float64 sums as close to 2^53 as the kernel's products come
+    # float64 sums to 64 (2^31 - 2)(2^16 - 1) = 2^53 - 2^37 - 2^23 + 2^7,
+    # the closest to 2^53 the kernel's products come
     p = DEFAULT_PRIME
-    x = np.full((2, 63), p - 1, dtype=np.int64)
-    y = np.full((63, 3), p - 1, dtype=np.int64)
+    x = np.full((2, 64), p - 1, dtype=np.int64)
+    y = np.full((64, 3), p - 1, dtype=np.int64)
     y[:, 1] = p - 2**16
-    y[::7, 2] = np.arange(9) + p - 40
+    y[::7, 2] = np.arange(10) + p - 40
+    assert 64 * (p - 1) * (2**16 - 1) == 2**53 - 2**37 - 2**23 + 2**7
     got = spans._matmul_mod(x.astype(np.float64), spans._halves(y), p)
     want = x.astype(object).dot(y.astype(object)) % p
     assert (got >= 0).all()
     assert (got % p).tolist() == want.tolist()
-    with pytest.raises(SoundnessError, match="64"):
-        spans._matmul_mod(np.ones((2, 64)), spans._halves(np.ones((64, 3), dtype=np.int64)), p)
+    with pytest.raises(SoundnessError, match="65"):
+        spans._matmul_mod(np.ones((2, 65)), spans._halves(np.ones((65, 3), dtype=np.int64)), p)
 
 
 def test_the_modulus_is_read_by_value():
@@ -1042,6 +1044,33 @@ def test_singular_leading_blocks_match_reference(p):
         mat[0, :2] = 0
         assert_same_rref(mat, p)
         assert_same_steps(mat, p, 0, cols)
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+def test_singular_blocks_pair_with_a_later_row_match_reference(p):
+    # rows pivot + 1 .. pivot + 3 are zero on the first two columns, or a
+    # multiple of the pivot row there, so the step swaps up the first row
+    # after them, the one the one-pivot steps would take next; on six rows
+    # from pivot 2 no row is left to pair with
+    gen = np.random.default_rng(191)
+    for rows, cols in ((6, 9), (2 * _BATCH, 2 * _BATCH), (_BATCH, 3 * _BATCH - 1)):
+        for pivot in (0, 1, 2):
+            mat = random_residues(gen, rows, cols, p)
+            for row, factor in zip(range(pivot + 1, pivot + 4), (0, 1, p - 1)):
+                mat[row, :2] = mat[pivot, :2] * factor % p
+            for stop in (cols, cols - 1 - cols % 2, 3):
+                assert_same_steps(mat, p, pivot, stop)
+            assert_same_rref(mat, p)
+    # stacked partials of a module with the pure power of a new variable:
+    # sparse rows, singular with the pivot row on several steps
+    for base in (powers_partition_module(4, 3, (2, 2), Random(3), p),
+                 compressed_generic_module(4, 3, 2, Random(3), p)):
+        module = add_new_variable_power(base)
+        stack = spans._stacked_derivatives(module.coeffs, module.nvars, module.degree, p)
+        for pivot in (0, 1):
+            for stop in (stack.shape[1], stack.shape[1] - 2):
+                assert_same_steps(stack, p, pivot, stop)
+        assert_same_rref(stack, p)
 
 
 @pytest.mark.parametrize("p", EXIT_PRIMES)
