@@ -192,14 +192,10 @@ def expected_h_for_recipe(recipe: dict) -> HVector:
 
     It is also an entrywise upper bound on the h-vector of the recipe's
     module over any field; see :func:`char0_certified`."""
-    kind, to = recipe["kind"], None
-    if kind == "truncate" and recipe["source"]["kind"] in ("sum_of_powers", "powers_partition"):
-        # the bound of a power-sum source, computed only through ``to``
-        recipe, to = recipe["source"], recipe["to"]
-        kind = recipe["kind"]
+    kind = recipe["kind"]
     if kind in ("sum_of_powers", "powers_partition"):  # a sum of m powers is the partition (m)
         parts = recipe["parts"] if kind == "powers_partition" else [recipe["count"]]
-        return expected_h_powers_partition(recipe["nvars"], recipe["degree"], tuple(parts), to)
+        return expected_h_powers_partition(recipe["nvars"], recipe["degree"], tuple(parts))
     if kind == "compressed":
         return expected_h_compressed(recipe["nvars"], recipe["degree"], recipe["count"])
     if kind == "truncate":

@@ -80,15 +80,15 @@ def _power_sums(nvars: int, degree: int, parts: tuple[int, ...], rng: Random,
     return rows
 
 
-def _add_power_sums(h: tuple[int, ...], nvars: int, parts, e: int) -> HVector:
+def _add_power_sums(h: tuple[int, ...], nvars: int, parts) -> HVector:
     """h'_j = min(h_j + sum_i min(m_i, dim R_j, dim R_{e-j}), dim R_j) for
-    j = 1..len(h) - 1: the generic h-vector after adjoining one sum of m_i
-    e-th powers per part to a level module of socle degree e with h-vector
-    h, through the last degree h lists."""
+    j = 1..e, with e = len(h) - 1: the generic h-vector after adjoining one
+    sum of m_i e-th powers per part to a level module with h-vector h."""
+    e = len(h) - 1
     return HVector((1,) + tuple(
         min(h[j] + sum(min(m, ring_dim(nvars, j), ring_dim(nvars, e - j)) for m in parts),
             ring_dim(nvars, j))
-        for j in range(1, len(h))))
+        for j in range(1, e + 1)))
 
 
 def expected_h_sum_of_powers(nvars: int, degree: int, count: int) -> HVector:
@@ -108,14 +108,11 @@ def powers_partition_module(nvars: int, degree: int, parts: tuple[int, ...], rng
     return InverseModule(nvars, degree, p, _power_sums(nvars, degree, parts, rng, p))
 
 
-def expected_h_powers_partition(nvars: int, degree: int, parts: tuple[int, ...],
-                                to: int | None = None) -> HVector:
+def expected_h_powers_partition(nvars: int, degree: int, parts: tuple[int, ...]) -> HVector:
     """Generic h-vector of a partition module: degreewise sums of the
-    single-generator profiles, capped by the ring dimension.  Given ``to``,
-    only its entries through degree ``to``: the bound of a truncate."""
-    top = degree if to is None else min(to, degree)
+    single-generator profiles, capped by the ring dimension."""
     # a plain tuple: HVector trims trailing zeros, so it refuses a zero base
-    return _add_power_sums((0,) * (top + 1), nvars, parts, degree)
+    return _add_power_sums((0,) * (degree + 1), nvars, parts)
 
 
 def greedy_partition(total: int, count: int, cap: int) -> tuple[int, ...]:
@@ -149,7 +146,7 @@ def augment_with_powers(module: InverseModule, count: int, rng: Random) -> Inver
 def expected_h_augment(h: HVector, nvars: int, count: int) -> HVector:
     """Generic h-vector after adjoining a sum of ``count`` powers to a
     level module with h-vector h: degreewise sum capped by the ring."""
-    return _add_power_sums(h.entries, nvars, (count,), h.socle_degree)
+    return _add_power_sums(h.entries, nvars, (count,))
 
 
 def add_new_variable_power(module: InverseModule) -> InverseModule:

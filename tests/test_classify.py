@@ -26,7 +26,7 @@ from levellab.classify import (
 )
 from levellab.constructions import DEFAULT_TRIALS, maximal_profile
 from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
-from levellab.forms import DEFAULT_PRIME, ring_dim
+from levellab.forms import DEFAULT_PRIME
 from levellab.macaulay import HVector
 from levellab.modules import HProfile, InverseModule, module_to_text
 from levellab.store import record_from_classification
@@ -303,39 +303,6 @@ def test_classify_refuses_a_huge_ring_before_listing_candidates(monkeypatch):
     # the rules still decide first
     verdict = classify(HVector((1, 200000, 10**11)))
     assert (verdict.status, verdict.condition) == (Status.NONLEVEL, "o-sequence")
-
-
-def truncates_in(recipe):
-    """The truncate nodes of a recipe, outermost first."""
-    while recipe is not None:
-        if recipe["kind"] == "truncate":
-            yield recipe
-        recipe = recipe.get("source", recipe.get("base"))
-
-
-def test_truncate_bounds_are_prefixes_of_their_source_bounds():
-    # a power-sum source's bound is computed only through ``to``; it must
-    # be the prefix of the source's full bound, for every truncate the
-    # candidates of the criterion-10 vectors hold and for every source of
-    # degree e + 1 .. 2e + 2 that candidate_recipes tries, e <= 5
-    vectors = [(1, r, v) for r in range(1, 7) for v in range(1, ring_dim(r, 2) + 1)]
-    vectors += [(1, r, v, t) for r in range(1, 6) for t in range(max(1, r - 2), ring_dim(r, 2) + 1)
-                for v in range(max(r, t), min(r * t, ring_dim(r, 2)) + 1)]
-    truncates = [node for h in vectors for recipe in candidate_recipes(HVector(h))
-                 for node in truncates_in(recipe)]
-    assert len(truncates) > 100
-    for r in range(1, 7):
-        for e in range(1, 6):
-            for degree in range(e + 1, 2 * e + 3):
-                for count in range(1, 22):
-                    source = {"kind": "sum_of_powers", "nvars": r, "degree": degree,
-                              "count": count}
-                    truncates.append({"kind": "truncate", "to": e, "source": source})
-                truncates.append({"kind": "truncate", "to": e, "source": {
-                    "kind": "powers_partition", "nvars": r, "degree": degree, "parts": [r, 2, 1]}})
-    for recipe in truncates:
-        full = expected_h_for_recipe(recipe["source"])
-        assert expected_h_for_recipe(recipe) == HVector(full.entries[:recipe["to"] + 1])
 
 
 def test_classify_skips_refused_candidates_and_tries_the_rest(monkeypatch):

@@ -782,10 +782,11 @@ def test_composite_modulus_refused(matrix, p):
 @pytest.mark.parametrize("per_batch, batches", [(1, 200), (2, 100)])
 def test_a_slowly_growing_rank_keeps_few_blocks(monkeypatch, per_batch, batches):
     # batch k of 32 rows mixes the first (k + 1) per_batch rows of a random
-    # basis, so each batch adds per_batch pivots.  A short last block takes
-    # the new rows in, so a batch is cleared against at most
-    # rank / _BATCH + 1 blocks, plus one clear to merge.  One block per
-    # batch takes 39,800 clears on the first matrix, where this takes 935.
+    # basis, so each batch adds per_batch pivots.  The last block takes the
+    # new rows in while it stays within 64 rows, so a batch is cleared
+    # against at most rank / _BATCH + 1 blocks, plus one clear to merge.
+    # One block per batch takes 39,800 clears on the first matrix, where
+    # this takes 614 (306 on the second).
     p, ncols = 32003, 300
     rng = np.random.default_rng(11)
     rank = per_batch * batches
