@@ -10,6 +10,7 @@ Unknown with diagnostics.
 
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -171,11 +172,12 @@ def first_rule_firing(kind: str, h: HVector) -> tuple[str, str] | None:
     return None
 
 
-def rule_still_fires(kind: str, name: str, h: HVector) -> bool:
-    """Re-evaluate a named rule of a kind in ``RULES`` from scratch."""
+def rule_still_fires(kind: str, name: str, h: HVector) -> str | None:
+    """Re-evaluate a named rule of a kind in ``RULES`` from scratch: the
+    detail it gives now if it fires, else None."""
     for known, check in RULES[kind]:
         if known == name:
-            return check(h) is not None
+            return check(h)
     raise ValueError(f"unknown {kind} {name!r}")
 
 
@@ -265,56 +267,56 @@ def build_recipe(recipe: dict, rng: Random, p: int = DEFAULT_PRIME) -> InverseMo
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
-def candidate_recipes(h: HVector) -> list[dict]:
+def candidate_recipes(h: HVector) -> Iterator[dict]:
     """Recipes whose expected h-vector equals h exactly, cheapest first.
 
     Everything here is arithmetic; no matrix ranks are computed until a
-    candidate is realized.
+    candidate is realized.  Each recipe is worked out only when it is
+    asked for, so a caller that stops early skips the rest.
     """
-    out = _direct_recipes(h)
+    yield from _direct_recipes(h)
     e = h.socle_degree
     if h.codimension >= 2 and e >= 1 and all(h[j] >= 2 for j in range(1, e + 1)):
         # a new variable's power adds one in every positive degree
         smaller = HVector((1,) + tuple(h[j] - 1 for j in range(1, e + 1)))
-        out += [{"kind": "add_variable", "base": base} for base in _direct_recipes(smaller)]
-    return out
+        for base in _direct_recipes(smaller):
+            yield {"kind": "add_variable", "base": base}
 
 
-def _direct_recipes(h: HVector) -> list[dict]:
-    r, e, t = h.codimension, h.socle_degree, h.type
-    out: list[dict] = []
-    seen: set[str] = set()
-
-    def add(recipe: dict) -> None:
-        if expected_h_for_recipe(recipe) == h:
-            parts = recipe.get("parts", ())  # the partition (m) builds a sum of m powers
-            tag = recipe_tag(recipe if len(parts) != 1 else {
-                "kind": "sum_of_powers", "nvars": r, "degree": e, "count": parts[0]})
-            if tag not in seen:
-                seen.add(tag)
-                out.append(recipe)
-
+def _direct_recipes(h: HVector) -> Iterator[dict]:
+    r, e = h.codimension, h.socle_degree
     if e < 1 or r < 1:
-        return out
+        return
+    seen: set[str] = set()
+    for recipe in _direct_shapes(h):
+        if expected_h_for_recipe(recipe) != h:
+            continue
+        parts = recipe.get("parts", ())  # the partition (m) builds a sum of m powers
+        tag = recipe_tag(recipe if len(parts) != 1 else {
+            "kind": "sum_of_powers", "nvars": r, "degree": e, "count": parts[0]})
+        if tag not in seen:
+            seen.add(tag)
+            yield recipe
+
+
+def _direct_shapes(h: HVector) -> Iterator[dict]:
+    """The direct recipes to test against h, in the order they are tried."""
+    r, e, t = h.codimension, h.socle_degree, h.type
     if t == 1:
-        add({"kind": "sum_of_powers", "nvars": r, "degree": e,
-             "count": max(h.entries)})
-    add({"kind": "powers_partition", "nvars": r, "degree": e,
-         "parts": [r] * t})
+        yield {"kind": "sum_of_powers", "nvars": r, "degree": e, "count": max(h.entries)}
+    yield {"kind": "powers_partition", "nvars": r, "degree": e, "parts": [r] * t}
     if e >= 2:
         try:
             parts = greedy_partition(h[e - 1], t, r)
         except ValueError:
             parts = None
         if parts is not None:
-            add({"kind": "powers_partition", "nvars": r, "degree": e,
-                 "parts": list(parts)})
-    add({"kind": "compressed", "nvars": r, "degree": e, "count": t})
+            yield {"kind": "powers_partition", "nvars": r, "degree": e, "parts": list(parts)}
+    yield {"kind": "compressed", "nvars": r, "degree": e, "count": t}
     for degree_src in range(e + 1, 2 * e + 3):
-        add({"kind": "truncate", "to": e,
-             "source": {"kind": "sum_of_powers", "nvars": r,
-                        "degree": degree_src, "count": max(h.entries)}})
-    return out
+        yield {"kind": "truncate", "to": e,
+               "source": {"kind": "sum_of_powers", "nvars": r,
+                          "degree": degree_src, "count": max(h.entries)}}
 
 
 # add_variable of a truncate of a power sum: the deepest recipe that
@@ -415,12 +417,10 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
     except ValueError as exc:
         raise HypothesisError(f"h = {hv} needs a ring too large to build: {exc}") from None
     diagnostics: list[str] = []
-    trials_used = 0
-    recipes = candidate_recipes(hv)
-    if not recipes:
-        diagnostics.append("no construction recipe matches this h-vector")
+    trials_used = seen = 0
     refused = []
-    for recipe in recipes:
+    # candidates are worked out one at a time, and none after the winner
+    for seen, recipe in enumerate(candidate_recipes(hv), 1):
         # skip what the store would refuse to replay, or p cannot build
         try:
             recipe_size(recipe, hv.codimension, hv.socle_degree, prime)
@@ -454,7 +454,9 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
                               trials_used=trials_used,
                               elapsed=time.monotonic() - start,
                               diagnostics=tuple(diagnostics))
-    if refused and len(refused) == len(recipes):
+    if not seen:
+        diagnostics.append("no construction recipe matches this h-vector")
+    elif len(refused) == seen:
         raise HypothesisError(refused[0])
     return Classification(hv, Status.UNKNOWN, trials_used=trials_used,
                           elapsed=time.monotonic() - start,

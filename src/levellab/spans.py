@@ -105,17 +105,15 @@ from levellab.errors import SoundnessError
 from levellab.forms import check_integers, check_prime, raising_table, ring_dim
 
 
-# Rows per batch and columns per panel, by measurement: on the matrices of
-# the r = 16..30 derivative towers 32 and 48 tied (0.68-0.72 s against
-# 0.68-0.74 s a pass), ahead of 24 (0.73-0.83 s), 64 (0.81-0.92 s) and 16
-# (0.98-1.05 s); more rows make fewer, larger products against the blocks
-# but more pivot steps per batch.
+# Rows per batch and columns per panel.  At most 32, so that a product
+# runs over at most 2 _BATCH = 64 inner terms and stays exact; on the
+# r = 16..30 towers 32 beat 16, 24 and 64: more rows make fewer, larger
+# products but more pivot steps per batch.
 _BATCH = 32
 # Cells per product chunk, which bounds the temporaries of the modular
 # product to a few arrays of 128 KiB.  On the tower matrices 2^14 beat 2^13
-# and 2^15 (0.63-0.70 s a pass against 0.70 s and 0.69-0.83 s): smaller
-# chunks cost more calls, larger ones ran slower BLAS products on a busy
-# 2-vCPU host.  The same bound caps the int64 gathers of a level's partials.
+# and 2^15: smaller chunks cost more calls, larger ones ran slower BLAS
+# products.  The same bound caps the int64 gathers of a level's partials.
 _CHUNK_CELLS = 1 << 14
 
 

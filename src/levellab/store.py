@@ -100,7 +100,8 @@ def store_verify(record: dict) -> None:
     records without a recipe are recomputed from their generator payload.
     A ``char-0-verified`` claim is re-derived by ``char0_certified`` from
     the recipe and the replayed ranks, so a record without a recipe cannot
-    carry it.  Criterion and non-level records re-run their decision rule.
+    carry it.  Criterion and non-level records re-run their decision rule,
+    which must give the stored ``detail`` word for word.
     A malformed record of any shape raises VerificationError.
     """
     _check_summary(record)
@@ -113,21 +114,17 @@ def store_verify(record: dict) -> None:
                 f"field {key}={record.get(key)!r} disagrees with h ({value})"
             )
     status = record.get("status")
-    if status == Status.NONLEVEL.value:
-        name = record.get("condition")
-        if not name or not _replay(rule_still_fires, "condition", name, h):
-            raise VerificationError(
-                f"condition {name!r} no longer rejects {h}"
-            )
-        return
     if status == Status.UNKNOWN.value:
         return
-
-    if record.get("criterion"):
-        if not _replay(rule_still_fires, "criterion", record["criterion"], h):
+    kind = "condition" if status == Status.NONLEVEL.value else "criterion"
+    if kind == "condition" or record.get("criterion"):
+        name = record.get(kind)
+        detail = _replay(rule_still_fires, kind, name, h) if name else None
+        if detail is None:
+            raise VerificationError(f"{kind} {name!r} no longer fires on {h}")
+        if record.get("detail") != detail:
             raise VerificationError(
-                f"criterion {record['criterion']!r} no longer accepts {h}"
-            )
+                f"stored detail {record.get('detail')!r} differs from the {kind}'s {detail!r}")
         return
 
     generators = record.get("generators")

@@ -9,6 +9,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from levellab.bounds import gorenstein_socle4_interval, socle2_type_range, socle3_interval
 from levellab.classify import (
     MAX_RECIPE_DEPTH,
     Certificate,
@@ -27,7 +28,7 @@ from levellab.classify import (
 from levellab.constructions import DEFAULT_TRIALS, maximal_profile
 from levellab.errors import DependentGeneratorsError, HypothesisError, SoundnessError
 from levellab.forms import DEFAULT_PRIME
-from levellab.macaulay import HVector
+from levellab.macaulay import HVector, binomial
 from levellab.modules import HProfile, InverseModule, module_to_text
 from levellab.store import record_from_classification
 
@@ -102,7 +103,7 @@ def test_condition_reevaluation():
 def test_candidate_recipes_match_their_expectation():
     for text in ("1,3,6,9,3", "1,3,6,10,4", "1,7,25", "1,2,3,4", "1,3,5,5,3,1"):
         h = HVector.parse(text)
-        recipes = candidate_recipes(h)
+        recipes = list(candidate_recipes(h))
         assert recipes, text
         for recipe in recipes:
             assert expected_h_for_recipe(recipe) == h
@@ -111,7 +112,7 @@ def test_candidate_recipes_match_their_expectation():
 @pytest.mark.parametrize("text", ["1,3,1", "1,5,1", "1,3,3,1", "1,4,4,4,1"])
 def test_no_two_candidates_build_the_same_module(text):
     # a sum of m powers and the partition (m) are one build: only the sum stays
-    recipes = candidate_recipes(HVector.parse(text))
+    recipes = list(candidate_recipes(HVector.parse(text)))
     texts = [module_to_text(build_recipe(recipe, Random(3))) for recipe in recipes]
     assert len(set(texts)) == len(texts)
     assert recipes[0]["kind"] == "sum_of_powers"
@@ -318,7 +319,7 @@ def test_classify_skips_refused_candidates_and_tries_the_rest(monkeypatch):
     monkeypatch.setattr(importlib.import_module("levellab.classify"),
                         "realize_recipe", degenerate)
     hv = HVector((1, 20, 30))
-    recipes = candidate_recipes(hv)
+    recipes = list(candidate_recipes(hv))
     result = classify(hv, 1)
     refused = [d for d in result.diagnostics if d.startswith("refused ")]
     assert result.status is Status.UNKNOWN
@@ -346,6 +347,83 @@ def test_classify_skips_candidates_that_need_a_larger_prime(monkeypatch):
                         lambda h: truncates)
     with pytest.raises(HypothesisError, match="prime 5 must exceed the socle degree 5"):
         classify(hv, 1, prime=5)
+
+
+def recorded(monkeypatch, name):
+    """Calls of a ``levellab.classify`` function, by first argument, as
+    ``classify`` makes them."""
+    module = importlib.import_module("levellab.classify")
+    calls, real = [], getattr(module, name)
+
+    def record(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def test_classify_works_out_no_candidate_after_the_winner(monkeypatch):
+    # (1,3,4,4) is level by its first candidate, the partition (1,1,1,1);
+    # four truncates and seven add-variable candidates follow it
+    hv = HVector((1, 3, 4, 4))
+    recipes = list(candidate_recipes(hv))
+    assert [rc["kind"] for rc in recipes].count("add_variable") == 7
+    bounded = recorded(monkeypatch, "expected_h_for_recipe")
+    realized = recorded(monkeypatch, "realize_recipe")
+    result = classify(hv, 1, master_seed=7)
+    assert result.status is Status.LEVEL and result.certificate.recipe == recipes[0]
+    assert realized == recipes[:1]
+    # the partition (3,3,3,3) misses h, then the winner: no truncate is
+    # bounded, and no add-variable base in two variables
+    assert bounded == [dict(recipes[0], parts=[3, 3, 3, 3]), recipes[0]]
+
+
+def test_an_unknown_verdict_realizes_every_candidate_in_order(monkeypatch):
+    # at p = 5 and seed 7 both candidates of (1,3,6,2) realize (1,3,5,2)
+    hv = HVector((1, 3, 6, 2))
+    recipes = list(candidate_recipes(hv))
+    realized = recorded(monkeypatch, "realize_recipe")
+    result = classify(hv, 1, master_seed=7, prime=5)
+    assert result.status is Status.UNKNOWN
+    assert len(recipes) == 2 and realized == recipes
+    assert result.diagnostics == tuple(
+        f"{recipe_tag(rc)} realized 1,3,5,2, wanted 1,3,6,2" for rc in recipes)
+    assert result.trials_used == 2
+
+
+def one_trial_status(entries):
+    return classify(HVector(entries), 1, master_seed=7).status
+
+
+def test_classify_never_contradicts_the_paper_intervals():
+    # socle3_interval (t >= r - 2) and gorenstein_socle4_interval are proven
+    # level from any level start: from the least value classify certifies,
+    # no member may come out nonlevel, while every value above the sharp cap
+    # must.  Members may stay unknown: a construction can miss.
+    for r in range(2, 7):
+        for t in range(max(1, r - 2), binomial(r + 2, 3) + 1):
+            cap = min(r * t, binomial(r + 1, 2))
+            start = next((a for a in range(1, cap + 1)
+                          if one_trial_status((1, r, a, t)) is Status.LEVEL), None)
+            members = socle3_interval(r, start, t) if start else ()
+            assert all(one_trial_status((1, r, b, t)) is not Status.NONLEVEL
+                       for b in members), (r, t)
+            assert all(one_trial_status((1, r, b, t)) is Status.NONLEVEL
+                       for b in range(cap + 1, cap + 4)), (r, t)
+    for r in range(2, 8):
+        cap = binomial(r + 1, 2)
+        start = next(a for a in range(1, cap + 1)
+                     if one_trial_status((1, r, a, r, 1)) is Status.LEVEL)
+        assert all(one_trial_status((1, r, b, r, 1)) is not Status.NONLEVEL
+                   for b in gorenstein_socle4_interval(r, start)), r
+        assert all(one_trial_status((1, r, b, r, 1)) is Status.NONLEVEL
+                   for b in range(cap + 1, cap + 4)), r
+    # socle degree 2: (1, r, t) is nonlevel exactly outside socle2_type_range(r)
+    for r in range(1, 9):
+        types = socle2_type_range(r)
+        for t in range(1, types.stop + 3):
+            assert (one_trial_status((1, r, t)) is Status.NONLEVEL) == (t not in types), (r, t)
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.jsonl"

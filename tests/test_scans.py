@@ -1,6 +1,7 @@
 """Tests for interval scans and gap detection."""
 
 import gc
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -9,7 +10,7 @@ from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 import numpy as np
 import pytest
 
-from levellab.classify import Classification, Status, realize_recipe
+from levellab.classify import Classification, Status, classify, realize_recipe
 from levellab.constructions import DEFAULT_TRIALS
 from levellab.errors import HypothesisError
 from levellab.macaulay import HVector, binomial
@@ -231,6 +232,23 @@ def test_scans_reproduce_the_frozen_certificates():
             compared += 1
     assert next(frozen, None) is None
     assert compared == 80
+
+
+def test_criterion_10_classifications_keep_their_signature():
+    # every field of the 204 classifications but their timing: verdict,
+    # certificate key, diagnostics and trial count.  The frozen scan above
+    # compares only the 80 records of codimension at most 4, and not their
+    # diagnostics.
+    digest = hashlib.sha256()
+    for base, values in criterion10_families():
+        for value in values:
+            result = classify(base.replace(2, value), master_seed=301)
+            cert = result.certificate
+            row = [result.h.entries, result.status.value, cert and cert.recipe,
+                   cert and cert.seed, cert and cert.ranks, result.diagnostics,
+                   result.trials_used]
+            digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "517e57b339ac6b95841d126c98f0f3a01ad80e166e1b43a4efcc5c16d9eed038"
 
 
 def reachable(root):

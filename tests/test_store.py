@@ -251,6 +251,18 @@ def corpus_records():
     return [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
 
 
+def test_tampered_rule_detail_rejected():
+    # a condition or criterion record stores the text its rule gives, and
+    # the rule must give it again word for word
+    rules = [record for record in corpus_records() if "detail" in record]
+    assert len(rules) == 13
+    for record in rules:
+        store_verify(record)
+        for tampered in (dict(record, detail="anything at all"), dict(record, detail=None)):
+            with pytest.raises(VerificationError, match="stored detail .* differs"):
+                store_verify(tampered)
+
+
 def recipe_free(record, **changes):
     record = dict(record, **changes)
     del record["recipe"]
