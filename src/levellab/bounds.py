@@ -2,7 +2,9 @@
 
 Everything here is exact integer or rational arithmetic, no randomness:
 feasibility caps on adjacent entries, lower bounds for generic level
-quotients, and the interval statements driving the scanners.  Conditional
+quotients, and the interval statements of the solved cases of the Interval
+Conjecture.  No scanner reads the intervals: a scan classifies each value
+on its own, and the tests hold ``classify`` to them.  Conditional
 statements raise HypothesisError when their hypotheses fail, so callers can
 tell "statement does not apply" from "interval is empty".
 """

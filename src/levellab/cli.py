@@ -79,33 +79,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "classification and interval scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, flags: tuple[str, ...], help_text: str):
+    def command(name: str, run, flags: tuple[str, ...], help_text: str):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
         return p
 
-    p = command("hvec", ("prime",), "Hilbert function of a generator file")
+    p = command("hvec", _cmd_hvec, ("prime",), "Hilbert function of a generator file")
     p.add_argument("file")
 
-    p = command("expand", (), "i-binomial expansion")
+    p = command("expand", _cmd_expand, (), "i-binomial expansion")
     p.add_argument("n", type=_positive_int)
     p.add_argument("i", type=_positive_int)
 
-    p = command("bound", (), "growth and adjacency bounds")
+    p = command("bound", _cmd_bound, (), "growth and adjacency bounds")
     p.add_argument("rule", choices=["upper", "bg", "ci"])
     p.add_argument("n", type=_positive_int)
     p.add_argument("d", type=_positive_int)
     p.add_argument("r", type=_positive_int, nargs="?",
                    help="number of variables (ci rule only)")
 
-    p = command("osequence", (), "check the growth condition")
+    p = command("osequence", _cmd_osequence, (), "check the growth condition")
     p.add_argument("h", type=HVector.parse)
 
-    p = command("si", (), "check the symmetric differentiable condition")
+    p = command("si", _cmd_si, (), "check the symmetric differentiable condition")
     p.add_argument("h", type=HVector.parse)
 
-    p = command("construct", ("prime", "seed", "trials"),
+    p = command("construct", _cmd_construct, ("prime", "seed", "trials"),
                 "build a module and print it as a generator file")
     p.add_argument("family", choices=["powers", "compressed", "socle2", "socle3"])
     p.add_argument("args", type=_positive_int, nargs="*",
@@ -113,35 +114,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parts", type=_parts, default=None,
                    help="socle3 partition, e.g. 3,3,2")
 
-    p = command("augment", ("prime", "seed"),
+    p = command("augment", _cmd_augment, ("prime", "seed"),
                 "adjoin a sum of general powers to a module file")
     p.add_argument("file")
     p.add_argument("--count", type=_positive_int, required=True)
 
-    p = command("quotient", ("prime", "seed"), "generic level quotient of a module file")
+    p = command("quotient", _cmd_quotient, ("prime", "seed"),
+                "generic level quotient of a module file")
     p.add_argument("file")
     p.add_argument("--type", dest="quotient_type", type=_positive_int, required=True)
 
-    p = command("truncate", ("prime",), "truncate a module file to a smaller socle degree")
+    p = command("truncate", _cmd_truncate, ("prime",),
+                "truncate a module file to a smaller socle degree")
     p.add_argument("file")
     p.add_argument("--to", dest="to_degree", type=_positive_int, required=True)
 
-    p = command("classify", _SEARCH_FLAGS, "level / non-level / unknown with certificate")
+    p = command("classify", _cmd_classify, _SEARCH_FLAGS,
+                "level / non-level / unknown with certificate")
     p.add_argument("h", type=HVector.parse)
 
-    for name, help_text in (("scan-ic", "sweep one entry over a value range"),
-                            ("scan-gic", "sweep a symmetric pair of a type 1 vector")):
-        p = command(name, _SEARCH_FLAGS, help_text)
+    for name, scan, help_text in (
+            ("scan-ic", scan_ic, "sweep one entry over a value range"),
+            ("scan-gic", scan_gic, "sweep a symmetric pair of a type 1 vector")):
+        p = command(name, _cmd_scan, _SEARCH_FLAGS, help_text)
+        p.set_defaults(scan=scan)
         p.add_argument("h", type=HVector.parse)
         p.add_argument("--at", type=_positive_int, required=True,
                        help="degree of the scanned entry")
         p.add_argument("--from", dest="start", type=_positive_int, required=True)
         p.add_argument("--to", dest="stop", type=_positive_int, required=True)
 
-    p = command("verify", (), "replay every certificate in a store file")
+    p = command("verify", _cmd_verify, (), "replay every certificate in a store file")
     p.add_argument("file", nargs="?", default=None)
 
-    p = command("report", (), "summarize a store file")
+    p = command("report", _cmd_report, (), "summarize a store file")
     p.add_argument("file", nargs="?", default=None)
 
     return parser
@@ -308,12 +314,11 @@ def _cmd_classify(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(args, out, scan) -> int:
+def _cmd_scan(args, out) -> int:
     if args.stop < args.start:
         raise ValueError(f"empty scan range {args.start}..{args.stop}")
-    report = scan(args.h, args.at, range(args.start, args.stop + 1),
-                  args.trials, master_seed=args.seed,
-                  prime=args.prime)
+    report = args.scan(args.h, args.at, range(args.start, args.stop + 1),
+                       args.trials, master_seed=args.seed, prime=args.prime)
     degrees = ",".join(map(str, report.degrees))
     print(f"base: {report.base}  degrees: {degrees}", file=out)
     for value, result in zip(report.values, report.classifications):
@@ -366,31 +371,13 @@ def _cmd_report(args, out) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "hvec": _cmd_hvec,
-    "expand": _cmd_expand,
-    "bound": _cmd_bound,
-    "osequence": _cmd_osequence,
-    "si": _cmd_si,
-    "construct": _cmd_construct,
-    "augment": _cmd_augment,
-    "quotient": _cmd_quotient,
-    "truncate": _cmd_truncate,
-    "classify": _cmd_classify,
-    "scan-ic": lambda args, out: _cmd_scan(args, out, scan_ic),
-    "scan-gic": lambda args, out: _cmd_scan(args, out, scan_gic),
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
         if "prime" in args:
             check_prime(args.prime, 0)
-        return _COMMANDS[args.command](args, out)
+        return args.run(args, out)
     except LevelLabError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -1,97 +1,39 @@
 """Exact linear algebra for graded spans of forms.
 
-Ranks over F_p run on int64 matrices: with p < 2^31 a sum of two products
-of residues stays below 2 (p - 1)^2 < 2^63, so vectorized row reduction is
-exact.  A matrix of integers of any width within int64 is read; floats,
-strings and wider integers are refused with ValueError before any
-reduction.
+Ranks over F_p, p < 2^31, run on int64 residues.  A Gauss-Jordan step
+subtracts two products of residues before one ``%``, a sum below
+2 (p - 1)^2 < 2^63.  A matrix product (``_matmul_mod``) splits its right
+operand into 16-bit halves and takes two float64 products over at most
+2 _BATCH = 64 inner terms, whose sums stay below
+64 (2^31 - 2)(2^16 - 1) < 2^53, exact in any order of addition, and
+whose results stay below 2^54 in int64; a wider product raises
+SoundnessError.  Matrices of integers within int64 are read; floats,
+strings and wider integers are refused with ValueError.
 
-A matrix of at most 2 _BATCH rows and columns is reduced by one pass of
-Gauss-Jordan steps in place over all its rows (``_steps``) on an int64
-copy of its residues, and its nonzero top rows are copied out, or the
-identity returned at full rank.  Such a matrix is reduced at a cost per
-call, not per cell, so batches, blocks and back-substitution would cost
-more than they save: about nine in ten of the matrices of a scan or a
-replay take this pass.  A step with pivot row r on column c takes a
-second pivot on column c + 1 when a row below r has an invertible 2 x 2
-block B with it there: row r + 1, or else the first such row, which is
-the row one-pivot steps would take next, swapped up.  The pivot rows
-become lead = B^-1 a[rows] mod p, and one product a[:, c:c+2] lead
-updates every row, each entry losing two products of residues before
-one ``%``, as FFLAS-FFPACK delays reductions (Dumas, Giorgi and Pernet,
-ACM TOMS 2008).  Only the last row or column, or a row none pairs with,
-takes one pivot.
+The reduced row echelon form of a span is unique, so the output is
+canonical: it depends neither on the batches, the blocks or the panels,
+nor on which rows are picked as pivots.  ``rref_mod_p`` picks one of three
+regimes by the matrix's shape, each needed by a workload of the benchmark:
 
-A larger matrix is read in batches of ``_BATCH`` rows, and the rows
-found so far are kept as blocks, each the new rows of one batch or a few:
-a block's rows are in reduced echelon form among themselves and zero on
-the pivot columns of every earlier block.  A new batch loses its part in
-their span block by block, in the order they were found, each step
-x -= x[:, cols] rows one modular matrix product; a later block is zero on
-the pivots of an earlier one, so it never refills them.  Each row of a
-block is zero left of its own pivot, so a step writes only the columns
-from the block's first pivot on: on the r = 16..30 towers of compressed
-cubics and quartics that clears 29% fewer cells than all the columns
-would.  Gauss-Jordan steps reduce the rows the batch leaves nonzero, and
-these become the next block, or join the last one while it stays within
-2 _BATCH rows, so a rank that grows a few rows per batch leaves few
-blocks to reduce by.  Once the rank
-reaches ncols the span is everything: the identity is returned, and
-neither the rows not yet read nor the blocks are reduced any further.
-Derivative towers stack many more partials than their level has
-monomials, and most of their levels end that way.  Any other matrix is
-back-substituted once, at return: each block loses its part on the pivots
-of every later block, one product each, and the rows are sorted by pivot
-column.
+- A matrix of at most 64 rows and 64 columns takes one pass of in-place
+  steps over all its rows, at a cost per call rather than per cell: that
+  is 2,335 of the 2,540 matrices of a pass of ``scan_socle23`` and 511 of
+  the 552 of ``replay_corpus``.
+- A taller matrix at most 64 columns wide is read in batches of 32 rows,
+  each cleared by the rows found before it and reduced by in-place steps:
+  the other 205 and 41 matrices of those passes.
+- A wider matrix reduces every batch by panels, one product per 32
+  pivots: the 24 wide levels of a pass of ``tower_codim`` (r = 16..30),
+  and no matrix of the other two workloads.
 
-A batch of more than two rows and more than 2 _BATCH columns right of
-the current position is reduced by panels (``_pivot_steps``): its next
-_BATCH columns that are nonzero in the rows not yet pivoted are reduced
-beside an identity, [panel | I] -> [panel' | T], and one product applies
-T to every column right of the panel.  That covers the top levels of the
-towers and their wide R_2 and R_3 levels.  Other batches take the
-pivot steps in place, as every scan matrix and most replayed ones do:
-on them the panel's extra product costs more than the row updates it
-saves.
+Both batched regimes stop once the rank reaches the width, without
+reading the rows left; otherwise they back-substitute once, at the end.
 
-The matrix product is exact: ``_matmul_mod`` keeps its left operand x as
-residues below 2^31, splits the right one into 16-bit halves y1 < 2^15
-and y0 < 2^16, and returns (x y1 mod p) 2^16 + x y0 from two float64
-products.  Each runs over at most 2 _BATCH = 64 inner terms: the rows of
-a block that a batch, or an earlier block at back-substitution, is
-cleared against, or at most _BATCH rows when a block takes in new rows
-or a panel transform is applied.  So every sum is at most
-64 (2^31 - 2)(2^16 - 1) < 2^53, exact in float64 in any order of
-addition, and the result below 2^54 in int64; a wider product raises
-SoundnessError.  Wide int64 arrays, the batch residues, the
-products' high halves and the cleared or transformed rows, are reduced
-mod p as x - (x // p) p in place (``_mod``): numpy divides int64 by a
-scalar with a multiply and a shift, where its remainder ``%`` divides
-each entry, several times slower.  The in-place pivot steps, and the
-copy the one pass starts from, keep ``%``: but for batches of one or two
-rows their arrays are at most 2 _BATCH square, where its one call costs
-less (floor division slowed the scan matrices by about a fifth).  The
-reduced row echelon form of a span is unique, so the result depends
-neither on the batches, the blocks or the panels, nor on which rows are
-picked as pivots.
-
-A derivative tower walks a module's degree-e generators, read straight
-from its int64 array, down to degree 0, stacking the partials of each
-level in turn until a level is all of R_d, below which every level is
-the identity.  A level needs a basis, not an RREF: one of at most 2 _BATCH
-rows over more columns is its own basis when its first 2 _BATCH columns
-have full row rank, by one small ``rref_mod_p`` call.  While levels stay
-unreduced, a row made by d/dy_u is differentiated by y_w for w <= u only,
-listing each derivative once: d/dy_w d/dy_u = d/dy_u d/dy_w.  Sizes come from
-``forms.ring_dim``, and the tower keeps no monomial table: it gathers the
-partial d/dy_v of a degree-d basis as basis[:, index[v]] mult[v], through
-``forms.raising_table``, which the products of forms read too, for as
-many variables per gather as fit ``_CHUNK_CELLS``: all of them on the
-small rings of scans and replays, one at a time on the large levels of
-the r = 16..30 towers, so a tower's largest temporary does not grow.
-Below an unreduced level the rows that rule drops are cut from the full
-gather by one ``np.concatenate``: gathering only the kept rows, a variable
-at a time, read scans and replays 10-13% slower and towers no faster.
+A derivative tower (``derivative_spaces``) keeps four rules.  A level
+needs a basis, not an RREF.  A wide level of at most 64 rows stays
+unreduced when its first 64 columns have full row rank.  Below unreduced
+levels each derivative is taken once, as d/dy_w d/dy_u = d/dy_u d/dy_w.
+Below a level that is all of R_d every level is the identity.
 """
 
 from __future__ import annotations
@@ -131,9 +73,8 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError("expected a 2d matrix")
     nrows, ncols = matrix.shape
-    if nrows <= 2 * _BATCH and ncols <= 2 * _BATCH:
-        # small enough that batches, blocks and back-substitution cost more
-        # than the pivot steps on every row at once
+    panels = ncols > 2 * _BATCH
+    if nrows <= 2 * _BATCH and not panels:
         a = matrix.astype(np.int64)
         a %= p
         k = len(_steps(a, p, 0, ncols))
@@ -146,7 +87,7 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
             for block in blocks:
                 block.clear(x, p)
             x = x[x.any(axis=1)]
-        cols = _pivot_steps(x, p)
+        cols = _pivot_steps(x, p) if panels else np.array(_steps(x, p, 0, ncols), dtype=np.intp)
         k = len(cols)
         if rank + k == ncols:
             # the rows left cannot change a span that is already everything
@@ -162,7 +103,15 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
                 cols, rows = np.concatenate([last.cols, cols]), np.vstack([last.rows, rows])
             blocks.append(_Block(cols, rows))
             rank += k
-    return _back_substitute(blocks, ncols, p)
+    if not blocks:
+        return np.zeros((0, ncols), dtype=np.int64)
+    # back-substitution in the order the blocks were found: a later block is
+    # zero on the pivots of the earlier ones, so it never refills them
+    for i, block in enumerate(blocks):
+        for later in blocks[i + 1:]:
+            later.clear(block.rows, p)
+    rows = np.vstack([block.rows for block in blocks])
+    return rows[np.argsort(np.concatenate([block.cols for block in blocks]))]
 
 
 @dataclass
@@ -183,61 +132,38 @@ class _Block:
     def clear(self, a: np.ndarray, p: int) -> None:
         """a -= a[:, cols] rows mod p in place: ``a`` loses its part on
         this block's pivots.  Only the columns from the first pivot on
-        change."""
+        change, which on the r = 16..30 towers writes 29% fewer cells than
+        all the columns would.  Runs in row chunks of ``a`` that bound the
+        temporaries."""
         start = int(self.cols.min())
         if self.halves is None:
             self.halves = _halves(self.rows[:, start:])
-        _subtract_product(a[:, start:], self.cols - start, self.halves, p)
-
-
-def _back_substitute(blocks: list[_Block], ncols: int, p: int) -> np.ndarray:
-    """The basis of ``blocks`` in reduced echelon form, sorted by pivot.
-
-    Each block loses its part on the pivots of every later block, in the
-    order they were found: a later block is zero on the pivots of the
-    earlier ones, so a step never refills the columns a step before it
-    cleared, and the block's own pivots stay put."""
-    if not blocks:
-        return np.zeros((0, ncols), dtype=np.int64)
-    for i, block in enumerate(blocks):
-        for later in blocks[i + 1:]:
-            later.clear(block.rows, p)
-    rows = np.vstack([block.rows for block in blocks])
-    return rows[np.argsort(np.concatenate([block.cols for block in blocks]))]
-
-
-def _subtract_product(a: np.ndarray, cols: np.ndarray, halves: tuple, p: int) -> None:
-    """a -= a[:, cols] rows mod p in place, for rows given by their
-    ``halves``, in reduced echelon form with pivots ``cols``: clears those
-    columns of ``a``.  Runs in row chunks of ``a`` that bound the
-    temporaries."""
-    step = max(1, _CHUNK_CELLS // a.shape[1])
-    for lo in range(0, len(a), step):
-        chunk = a[lo:lo + step]
-        chunk -= _matmul_mod(chunk[:, cols].astype(np.float64), halves, p)
-        _mod(chunk, p)
+        a, cols = a[:, start:], self.cols - start
+        step = max(1, _CHUNK_CELLS // a.shape[1])
+        for lo in range(0, len(a), step):
+            chunk = a[lo:lo + step]
+            chunk -= _matmul_mod(chunk[:, cols].astype(np.float64), self.halves, p)
+            _mod(chunk, p)
 
 
 def _pivot_steps(a: np.ndarray, p: int) -> np.ndarray:
-    """Gauss-Jordan elimination of ``a`` in place; returns the pivot
-    columns, whose reduced rows end up on top.
+    """Gauss-Jordan elimination of ``a`` in place by panels; returns the
+    pivot columns, whose reduced rows end up on top.
 
-    While ``a`` has more than two rows and more than 2 _BATCH columns lie
-    right of the current position, it runs on panels: the next _BATCH
-    columns that are nonzero in the rows not yet pivoted are reduced
-    together with an identity, [panel | I] -> [panel' | T], and T reduces
-    every column right of the panel in one product.  The columns it
-    skipped are zero in the rows T mixes, so T leaves them as they are.
-    The rest is reduced in place."""
+    The next _BATCH columns that are nonzero in the rows not yet pivoted
+    are reduced together with an identity, [panel | I] -> [panel' | T],
+    and T reduces every column right of the panel in one product.  The
+    columns it skipped are zero in the rows T mixes, so T leaves them as
+    they are."""
     nrows, ncols = a.shape
     cols: list[int] = []
     start = 0
-    while 2 < nrows and len(cols) < nrows and ncols - start > 2 * _BATCH:
+    while len(cols) < nrows and start < ncols:
         pivot = len(cols)
         live = start + np.flatnonzero(a[pivot:, start:].any(axis=0))[:_BATCH]
         if not live.size:
             # the rows not yet pivoted are zero
-            return np.array(cols, dtype=np.intp)
+            break
         width = len(live)
         panel = np.hstack([a[:, live], np.eye(nrows, dtype=np.int64)])
         found = _steps(panel, p, pivot, width)
@@ -249,7 +175,6 @@ def _pivot_steps(a: np.ndarray, p: int) -> np.ndarray:
             chunk = a[:, lo:lo + step]
             chunk[:] = _mod(_matmul_mod(transform, _halves(chunk), p), p)
         cols.extend(live[found].tolist())
-    cols.extend(start + col for col in _steps(a[:, start:], p, len(cols), ncols - start))
     return np.array(cols, dtype=np.intp)
 
 
@@ -259,12 +184,17 @@ def _steps(a: np.ndarray, p: int, pivot: int, stop: int) -> list[int]:
     is one batch, so each step updates all its rows at once; the rows not
     yet used as pivots are zero left of the column searched, so only the
     columns from the pivot on change, and a swap of two such rows copies
-    only those slices.  One search skips a run of columns zero in those rows, as in a
-    sparse batch of one wide row.  A step takes k = 2 pivots when a row
-    below has an invertible block B with the pivot row on the next two
-    columns (module docstring), else k = 1.  Every row loses a[:, cols]
-    lead, lead = B^-1 a[rows]: the pivot rows lose all of their residues,
-    and lead is written back into them."""
+    only those slices.  One search skips a run of columns zero in those
+    rows.  A step with pivot row r takes k = 2 pivots when a row below has
+    an invertible 2 x 2 block B with it on the next two columns: row r + 1,
+    or else the first such row, the one one-pivot steps would take next,
+    swapped up; else k = 1.  Every row loses a[:, cols] lead,
+    lead = B^-1 a[rows], each entry two products of residues before one
+    ``%``, as FFLAS-FFPACK delays reductions (Dumas, Giorgi and Pernet, ACM
+    TOMS 2008); the pivot rows lose all of their residues, and lead is
+    written back into them.  ``a`` is at most 2 _BATCH columns wide, where
+    one ``%`` costs less than ``_mod`` (which slowed the scan matrices by
+    about a fifth)."""
     nrows = len(a)
     found = []
     col = 0
@@ -352,7 +282,9 @@ def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int,
     table for as many variables at once as fit ``_CHUNK_CELLS`` (at least
     one), which bounds the int64 temporaries.  Given ``starts``, block v
     keeps the partials by y_v of the rows from starts[v] on only, cut from
-    the full stack by one ``np.concatenate``.  Residues below 2^31 fit
+    the full stack by one ``np.concatenate`` (gathering only the kept rows,
+    a variable at a time, read scans and replays 10-13% slower and towers
+    no faster).  Residues below 2^31 fit
     int32, which halves the largest array of a tower; ``rref_mod_p``
     reduces an int64 copy of it."""
     index, mult = raising_table(nvars, degree)

@@ -571,15 +571,22 @@ def full_rank_at(gen, rows, cols, at, p, schedule):
 
 def batches_reduced(monkeypatch, matrix, p):
     """The rref of ``matrix`` and, for each batch read, the number of its
-    rows left nonzero by the basis, which the per-pivot steps then reduce."""
+    rows left nonzero by the basis, which the pivot steps then reduce: the
+    panels of ``_pivot_steps`` on a matrix wider than 2 _BATCH, in-place
+    ``_steps`` on a narrower one.  The one pass of a small matrix calls
+    ``_steps`` on all its rows, where a batch of a taller matrix has at
+    most _BATCH of them."""
     seen = []
-    steps = spans._pivot_steps
+    wide = matrix.shape[1] > 2 * _BATCH
+    name = "_pivot_steps" if wide else "_steps"
+    steps = getattr(spans, name)
 
-    def counting(a, p):
-        seen.append(len(a))
-        return steps(a, p)
+    def counting(a, *args):
+        if wide or len(a) < len(matrix):
+            seen.append(len(a))
+        return steps(a, *args)
 
-    monkeypatch.setattr(spans, "_pivot_steps", counting)
+    monkeypatch.setattr(spans, name, counting)
     return rref_mod_p(matrix, p), seen
 
 
@@ -701,15 +708,16 @@ def test_many_blocks_back_substituted_match_reference(monkeypatch, p):
 
 
 def test_narrow_batches_take_no_panel_product(monkeypatch):
-    # Matrices at most 2 _BATCH wide, and batches of one or two rows, are
-    # reduced by in-place pivot steps; the panel product only pays off on
-    # wider batches of more rows.
+    # A matrix at most 2 _BATCH columns wide, of any height, reduces every
+    # batch by in-place pivot steps and never enters the panel loop; a
+    # wider one reduces every batch by panels, even of one or two rows.
     p = DEFAULT_PRIME
     gen = np.random.default_rng(137)
     inside = []
     steps, product = spans._pivot_steps, spans._matmul_mod
 
     def tracked_steps(a, p):
+        entered.append(len(a))
         inside.append(True)
         try:
             return steps(a, p)
@@ -722,14 +730,19 @@ def test_narrow_batches_take_no_panel_product(monkeypatch):
 
     monkeypatch.setattr(spans, "_pivot_steps", tracked_steps)
     monkeypatch.setattr(spans, "_matmul_mod", counted_product)
-    for rows, cols in ((_BATCH, 2 * _BATCH), (200, 2 * _BATCH), (150, 50), (_BATCH, 1),
-                       (1, 3 * _BATCH), (2, 3 * _BATCH)):
-        calls = []
+    for rows, cols in ((_BATCH, 2 * _BATCH), (200, 2 * _BATCH), (150, 50), (_BATCH, 1)):
+        calls, entered = [], []
         assert_same_rref(random_residues(gen, rows, cols, p), p)
-        assert not any(calls)
-    calls = []
-    assert_same_rref(random_residues(gen, _BATCH, 2 * _BATCH + 1, p), p)
-    assert any(calls)
+        assert not entered and not any(calls)
+    for rows in (1, 2 * _BATCH + 1, 400):
+        # rank short of the columns, so every batch is read
+        calls, entered = [], []
+        assert_same_rref(low_rank(gen, rows, 2 * _BATCH, 40, p), p)
+        assert not entered and not any(calls)
+    for rows, cols in ((1, 3 * _BATCH), (2, 3 * _BATCH), (_BATCH, 2 * _BATCH + 1)):
+        calls, entered = [], []
+        assert_same_rref(random_residues(gen, rows, cols, p), p)
+        assert entered == [rows] and any(calls)
 
 
 def test_products_at_the_inner_bound_stay_exact():
@@ -795,14 +808,14 @@ def test_a_slowly_growing_rank_keeps_few_blocks(monkeypatch, per_batch, batches)
         mix[k * _BATCH:(k + 1) * _BATCH, (k + 1) * per_batch:] = 0
     matrix = mix @ rng.integers(0, p, (rank, ncols)) % p  # below 2^38 before the %
     calls = 0
-    subtract = spans._subtract_product
+    clear = spans._Block.clear
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        subtract(*args)
+        clear(*args)
 
-    monkeypatch.setattr(spans, "_subtract_product", counted)
+    monkeypatch.setattr(spans._Block, "clear", counted)
     assert rank_mod_p(matrix, p) == rank
     blocks = rank // _BATCH + 1
     # the clears of every batch, then back-substitution once per pair of blocks
@@ -861,21 +874,23 @@ def test_pivots_left_of_the_first_block_match_reference(p):
 
 
 def test_clears_write_from_the_first_pivot_on(monkeypatch):
-    # a block's rows are zero left of its first pivot, so every product
-    # that clears by a block gets the columns from that pivot on: its
-    # first column is a pivot of the block, and its cached halves are as
-    # wide as the columns it writes
+    # a block's rows are zero left of its first pivot, so every clear by a
+    # block writes the columns from that pivot on only, and its cached
+    # halves are as wide as the columns it writes
     p = DEFAULT_PRIME
-    subtract = spans._subtract_product
+    clear = spans._Block.clear
     widths = []
 
-    def checked(a, cols, halves, p):
-        assert int(cols.min()) == 0
-        assert halves[0].shape[1] == halves[1].shape[1] == a.shape[1]
-        widths.append(a.shape[1])
-        subtract(a, cols, halves, p)
+    def checked(block, a, p):
+        start = int(block.cols.min())
+        left = a[:, :start].copy()
+        assert not block.rows[:, :start].any()
+        clear(block, a, p)
+        assert (a[:, :start] == left).all()
+        assert block.halves[0].shape[1] == block.halves[1].shape[1] == a.shape[1] - start
+        widths.append(a.shape[1] - start)
 
-    monkeypatch.setattr(spans, "_subtract_product", checked)
+    monkeypatch.setattr(spans._Block, "clear", checked)
     gen = np.random.default_rng(151)
     for mat in (late_left_pivots(gen, p), many_blocks(gen, p)):
         assert_same_rref(mat, p)

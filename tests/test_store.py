@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levellab.classify import build_recipe, classify, expected_h_for_recipe
+from levellab.classify import Status, build_recipe, classify, expected_h_for_recipe
 from levellab.errors import ParseError, VerificationError
 from levellab.macaulay import HVector, binomial
 from levellab.modules import h_vector, module_from_text, module_to_text
 from levellab.constructions import powers_partition_module
 from levellab.forms import DEFAULT_PRIME, MAX_MONOMIALS
 from levellab.store import (
+    CHARACTERISTICS,
     STORE_ENV,
     record_from_classification,
     store_append,
@@ -492,6 +493,85 @@ def test_mutated_records_raise_only_verification_error(data):
         store_verify(record)
     except VerificationError:
         pass
+
+
+def nearby_values(key, value) -> list:
+    """Values next to ``value`` of its own kind: another status or
+    characteristic, an integer off by one, a list short of its last entry or
+    with its first raised, a string with its last character changed."""
+    vocabulary = {"status": [status.value for status in Status],
+                  "characteristic": list(CHARACTERISTICS)}
+    if key in vocabulary:
+        return [word for word in vocabulary[key] if word != value]
+    if isinstance(value, int):
+        return [value - 1, value + 1]
+    if isinstance(value, list):
+        return [value[:-1], [value[0] + 1, *value[1:]]]
+    if isinstance(value, str):
+        return [value[:-1] + chr(ord(value[-1]) ^ 1)]
+    return []
+
+
+def claim_mutations(record, path=()):
+    """(path, value) for each field of ``record``, recipes within recipes
+    too: deleted (value None), then set to each of its ``nearby_values``."""
+    for key, field in record.items():
+        yield path + (key,), None
+        for value in nearby_values(key, field):
+            yield path + (key,), value
+        if isinstance(field, dict):
+            yield from claim_mutations(field, path + (key,))
+
+
+def mutated(record, path, value):
+    record = copy.deepcopy(record)
+    container = functools.reduce(dict.__getitem__, path[:-1], record)
+    if value is None:
+        del container[path[-1]]
+    else:
+        container[path[-1]] = value
+    return record
+
+
+def true_claim(record, path, value) -> str | None:
+    """Why a mutation of a corpus record still makes a true claim, or None."""
+    char_p = record.get("characteristic") == "char-p"
+    if path == ("timestamp",):
+        return "the timestamp is no claim"
+    if path == ("status",) and value == "unknown":
+        return "an unknown record claims nothing"
+    if char_p and path == ("recipe",) and value is None:
+        return "a record without a recipe is checked from its generators"
+    if char_p and path == ("characteristic",) and value is None:
+        return "a record without a characteristic claims char-p"
+    if char_p and path == ("characteristic",) and value == "char-0-verified":
+        return "char0_certified re-derives char-0, and it holds"
+    if path == ("recipe", "source", "degree") and record["recipe"]["kind"] == "truncate" \
+            and value == 5:
+        return "truncated to degree 2, the same powers of degree 4 or 5 span the same squares"
+    return None
+
+
+def test_every_claim_field_is_rechecked():
+    # each single-field mutation of a sample of the corpus, at least one
+    # record of every kind, is refused, unless it still makes a true claim
+    records = corpus_records()
+    kinds = {}
+    for record in records:
+        kinds.setdefault((record["status"], (record.get("recipe") or {}).get("kind"),
+                          record.get("criterion"), record.get("condition")), record)
+    reasons = set()
+    for record in [*kinds.values(), *records[::7]]:
+        for path, value in claim_mutations(record):
+            reason = true_claim(record, path, value)
+            try:
+                store_verify(mutated(record, path, value))
+            except VerificationError:
+                assert reason is None, (path, value, reason)
+            else:
+                assert reason is not None, (path, value, record)
+                reasons.add(reason)
+    assert len(reasons) == 6
 
 
 def test_env_default_path(tmp_path, monkeypatch, sample_records):
