@@ -574,18 +574,23 @@ def batches_reduced(monkeypatch, matrix, p):
     rows left nonzero by the basis, which the pivot steps then reduce: the
     panels of ``_pivot_steps`` on a matrix wider than 2 _BATCH, in-place
     ``_steps`` on a narrower one.  The one pass of a small matrix calls
-    ``_steps`` on all its rows, where a batch of a taller matrix has at
-    most _BATCH of them."""
-    seen = []
-    wide = matrix.shape[1] > 2 * _BATCH
-    name = "_pivot_steps" if wide else "_steps"
-    steps = getattr(spans, name)
+    ``_steps`` too, but reduces its input by ``%``; only the batch loop
+    reduces each batch by ``_mod`` before its steps, so a call counts as a
+    batch only after ``_mod`` has run."""
+    seen, reduced = [], []
+    name = "_pivot_steps" if matrix.shape[1] > 2 * _BATCH else "_steps"
+    steps, mod = getattr(spans, name), spans._mod
+
+    def counted_mod(x, p):
+        reduced.append(len(x))
+        return mod(x, p)
 
     def counting(a, *args):
-        if wide or len(a) < len(matrix):
+        if reduced:
             seen.append(len(a))
         return steps(a, *args)
 
+    monkeypatch.setattr(spans, "_mod", counted_mod)
     monkeypatch.setattr(spans, name, counting)
     return rref_mod_p(matrix, p), seen
 
