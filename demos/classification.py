@@ -8,25 +8,25 @@ everything else stays Unknown.
 Run: python3 demos/classification.py
 """
 
-from levellab import HVector, Status, classify
+from levellab import HVector, classify
 
 
 def show(text: str) -> None:
+    # the certificate decides the status: none is unknown, a condition
+    # non-level, a criterion or a construction level
     result = classify(HVector.parse(text))
     print(f"({result.h}): {result.status.value}")
-    if result.status is Status.NONLEVEL:
-        print(f"  condition: {result.condition}")
-        print(f"  detail: {result.detail}")
-    elif result.status is Status.LEVEL:
-        cert = result.certificate
-        if cert.kind == "criterion":
-            print(f"  criterion: {cert.criterion}")
-        else:
-            print(f"  recipe: {cert.recipe}")
-            print(f"  seed {cert.seed}, ranks {cert.ranks}")
-    else:
+    cert = result.certificate
+    if cert is None:
         for note in result.diagnostics:
             print(f"  note: {note}")
+    elif cert.kind == "construction":
+        print(f"  recipe: {cert.recipe}")
+        print(f"  seed {cert.seed}, ranks {cert.ranks}")
+    else:
+        print(f"  {cert.kind}: {cert.rule}")
+        if cert.kind == "condition":
+            print(f"  detail: {cert.detail}")
 
 
 def main() -> None:

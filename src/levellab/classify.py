@@ -9,7 +9,6 @@ Unknown with diagnostics.
 """
 
 import json
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -48,22 +47,24 @@ class Status(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Certificate:
-    """Replayable witness for a level verdict.
+    """Replayable witness for a verdict.
 
     Construction certificates keep only their replay key: the recipe, the
     winning seed, the prime and the computed per-degree ranks.  ``module``
     rebuilds the witness from it byte for byte on each read, as
     ``store_verify`` does, and ``generators`` prints that module.
-    Criterion certificates name an exact rule instead.
+    Rule certificates name instead the ``rule`` of their kind in ``RULES``
+    that fired and the ``detail`` it gave: a ``"criterion"`` proves the
+    vector level, a ``"condition"`` proves it non-level.
     """
 
-    kind: str  # "construction" | "criterion"
+    kind: str  # "construction" | "criterion" | "condition"
     recipe: dict | None = None
     seed: int | None = None
     prime: int | None = None
     ranks: tuple[int, ...] | None = None
     characteristic: str | None = None  # "char-p" | "char-0-verified"
-    criterion: str | None = None
+    rule: str | None = None
     detail: str | None = None
 
     @property
@@ -80,14 +81,21 @@ class Certificate:
 
 @dataclass(frozen=True, slots=True)
 class Classification:
+    """A verdict on h: its certificate, the construction trials spent and
+    why a search found nothing.  The status is read off the certificate,
+    so it cannot disagree with it: none is Unknown, a condition is
+    non-level, a criterion or a construction is level."""
+
     h: HVector
-    status: Status
     certificate: Certificate | None = None
-    condition: str | None = None
-    detail: str | None = None
     trials_used: int = 0
-    elapsed: float = 0.0
     diagnostics: tuple[str, ...] = ()
+
+    @property
+    def status(self) -> Status:
+        if self.certificate is None:
+            return Status.UNKNOWN
+        return Status.NONLEVEL if self.certificate.kind == "condition" else Status.LEVEL
 
 
 # ------------------------------------------------------ necessary conditions
@@ -354,8 +362,8 @@ def recipe_size(recipe: dict, r: int, e: int, p: int, *, depth: int = 1) -> tupl
     counts = chain(parts, (len(parts), recipe.get("count", 0)))
     over = next((count for count in counts if count > cap), None)
     if over is not None:  # name the first only: a partition may have many parts
-        raise ValueError(f"{kind} counts exceed dim R_{degree} = {cap}: first {over}, "
-                         f"of {len(parts)} parts")
+        of_parts = f", of {len(parts)} parts" if parts else ""
+        raise ValueError(f"{kind} counts exceed dim R_{degree} = {cap}: first {over}{of_parts}")
     check_prime(p, degree)
     return nvars, degree
 
@@ -380,36 +388,28 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
              prime: int = DEFAULT_PRIME) -> Classification:
     """Decide level / non-level / unknown for a candidate h-vector.
 
-    Non-level verdicts re-check necessary conditions; level verdicts carry
-    either an exact criterion or a construction certificate whose replay
-    reproduces the ranks.  ``trials`` random trials run per recipe; the
-    candidate recipes are finitely many, so this bounds the work.  The
-    verdict is monotone in the trials: a level verdict reached with fewer
-    is never revoked with more, since more only adds trials.  Its
-    certificate may change, because an earlier recipe can win with the
-    added trials.  The result depends only on the input, the seed, the
-    prime and the trial count, never on machine load.
+    A non-level verdict's certificate names a necessary condition that
+    fails; a level verdict's names either an exact criterion or a
+    construction whose replay reproduces the ranks.  ``trials`` random
+    trials run per recipe; the candidate recipes are finitely many, so
+    this bounds the work.  The verdict is monotone in the trials: a level
+    verdict reached with fewer is never revoked with more, since more only
+    adds trials.  Its certificate may change, because an earlier recipe
+    can win with the added trials.  The result depends only on the input,
+    the seed, the prime and the trial count, never on machine load.
     """
     trials = check_integer("trials", trials)
     master_seed = check_integer("master_seed", master_seed)
     if trials < 1:
         raise ValueError(f"classify needs at least one trial, got {trials}")
-    start = time.monotonic()
     hv = h if isinstance(h, HVector) else HVector(h)
     prime = check_prime(prime, hv.socle_degree)
 
-    violated = first_rule_firing("condition", hv)
-    if violated is not None:
-        name, detail = violated
-        return Classification(hv, Status.NONLEVEL, condition=name, detail=detail,
-                              elapsed=time.monotonic() - start)
-
-    criterion = first_rule_firing("criterion", hv)
-    if criterion is not None:
-        name, detail = criterion
-        cert = Certificate(kind="criterion", criterion=name, detail=detail)
-        return Classification(hv, Status.LEVEL, certificate=cert,
-                              elapsed=time.monotonic() - start)
+    for kind in RULES:  # conditions before criteria
+        fired = first_rule_firing(kind, hv)
+        if fired is not None:
+            name, detail = fired
+            return Classification(hv, Certificate(kind, rule=name, detail=detail))
 
     # every candidate builds this ring or a larger one; its tag can be long
     try:
@@ -450,14 +450,9 @@ def classify(h, trials: int = DEFAULT_TRIALS, *, master_seed: int = 0,
         cert = Certificate(kind="construction", recipe=recipe, seed=seed,
                            prime=prime, ranks=hv.entries,
                            characteristic="char-0-verified")
-        return Classification(hv, Status.LEVEL, certificate=cert,
-                              trials_used=trials_used,
-                              elapsed=time.monotonic() - start,
-                              diagnostics=tuple(diagnostics))
+        return Classification(hv, cert, trials_used, tuple(diagnostics))
     if not seen:
         diagnostics.append("no construction recipe matches this h-vector")
     elif len(refused) == seen:
         raise HypothesisError(refused[0])
-    return Classification(hv, Status.UNKNOWN, trials_used=trials_used,
-                          elapsed=time.monotonic() - start,
-                          diagnostics=tuple(diagnostics))
+    return Classification(hv, trials_used=trials_used, diagnostics=tuple(diagnostics))

@@ -6,6 +6,7 @@ certified level values.
 """
 
 import argparse
+import os
 import sys
 from random import Random
 
@@ -13,7 +14,7 @@ from levellab.bounds import (
     min_prev_entry,
     prev_entry_range,
 )
-from levellab.classify import Status, build_recipe, classify, recipe_size
+from levellab.classify import build_recipe, classify, recipe_size
 from levellab.constructions import DEFAULT_TRIALS, augment_with_powers, maximal_profile
 from levellab.errors import HypothesisError, LevelLabError
 from levellab.forms import DEFAULT_PRIME, check_prime
@@ -36,7 +37,6 @@ from levellab.modules import (
 from levellab.scans import scan_gic, scan_ic
 from levellab.seeds import derive_seed
 from levellab.store import (
-    default_store_path,
     record_from_classification,
     store_append,
     store_load,
@@ -46,6 +46,7 @@ from levellab.store import (
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_COUNTEREXAMPLE = 4
+STORE_ENV = "LEVELLAB_STORE"
 
 
 def _positive_int(text: str) -> int:
@@ -164,27 +165,33 @@ def _print_module(module: InverseModule, out, profile=None, seed=None) -> None:
 def _print_classification(result, out) -> None:
     print(f"h: {result.h}", file=out)
     print(f"status: {result.status.value}", file=out)
-    if result.status is Status.NONLEVEL:
-        print(f"condition: {result.condition}", file=out)
-        print(f"detail: {result.detail}", file=out)
-    elif result.status is Status.LEVEL:
-        cert = result.certificate
-        if cert.kind == "criterion":
-            print(f"certificate: criterion {cert.criterion}", file=out)
-            print(f"detail: {cert.detail}", file=out)
-        else:
-            print(f"certificate: construction {cert.recipe['kind']}", file=out)
-            print(f"seed: {cert.seed}", file=out)
-            print(f"prime: {cert.prime}", file=out)
-            print(f"ranks: {','.join(map(str, cert.ranks))}", file=out)
-            print(f"characteristic: {cert.characteristic}", file=out)
-    else:
+    cert = result.certificate
+    if cert is None:
         for note in result.diagnostics:
             print(f"note: {note}", file=out)
+    elif cert.kind == "construction":
+        print(f"certificate: construction {cert.recipe['kind']}", file=out)
+        print(f"seed: {cert.seed}", file=out)
+        print(f"prime: {cert.prime}", file=out)
+        print(f"ranks: {','.join(map(str, cert.ranks))}", file=out)
+        print(f"characteristic: {cert.characteristic}", file=out)
+    else:
+        head = "condition:" if cert.kind == "condition" else "certificate: criterion"
+        print(f"{head} {cert.rule}", file=out)
+        print(f"detail: {cert.detail}", file=out)
+
+
+def _store_path(given: str | None, *, required: bool) -> str | None:
+    """The store a command names, or else ``$LEVELLAB_STORE``: the one place
+    that reads the variable.  A command that reads a store needs one."""
+    path = given or os.environ.get(STORE_ENV)
+    if required and not path:
+        raise ValueError(f"no store path given and {STORE_ENV} is not set")
+    return path
 
 
 def _maybe_store(args, result) -> None:
-    path = args.store or default_store_path()
+    path = _store_path(args.store, required=False)
     if path:
         store_append(record_from_classification(result), path)
 
@@ -323,12 +330,9 @@ def _cmd_scan(args, out) -> int:
     print(f"base: {report.base}  degrees: {degrees}", file=out)
     for value, result in zip(report.values, report.classifications):
         label = result.status.value
-        if result.status is Status.LEVEL:
-            cert = result.certificate
-            label += (f" ({cert.criterion})" if cert.kind == "criterion"
-                      else f" ({cert.recipe['kind']})")
-        elif result.status is Status.NONLEVEL:
-            label += f" ({result.condition})"
+        cert = result.certificate
+        if cert is not None:
+            label += f" ({cert.rule or cert.recipe['kind']})"
         print(f"value {value}: {label}", file=out)
         _maybe_store(args, result)
     if not report.gaps:
@@ -344,13 +348,13 @@ def _cmd_scan(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    count = verify_store_file(args.file)
+    count = verify_store_file(_store_path(args.file, required=True))
     print(f"verified {count} records", file=out)
     return EXIT_OK
 
 
 def _cmd_report(args, out) -> int:
-    records = store_load(args.file)
+    records = store_load(_store_path(args.file, required=True))
     counts = {"level": 0, "nonlevel": 0, "unknown": 0}
     constructions = criteria = 0
     families: dict[tuple[int, int], int] = {}

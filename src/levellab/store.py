@@ -7,7 +7,6 @@ re-evaluated from scratch.
 """
 
 import json
-import os
 import re
 from collections.abc import Iterator
 from datetime import datetime, timezone
@@ -27,12 +26,7 @@ from levellab.macaulay import HVector
 from levellab.modules import h_vector, module_from_text, module_to_text
 
 SCHEMA_VERSION = 1
-STORE_ENV = "LEVELLAB_STORE"
 CHARACTERISTICS = ("char-p", "char-0-verified")
-
-
-def default_store_path() -> str | None:
-    return os.environ.get(STORE_ENV)
 
 
 def record_from_classification(result: Classification) -> dict:
@@ -47,9 +41,6 @@ def record_from_classification(result: Classification) -> dict:
         "t": h.type,
         "status": result.status.value,
     }
-    if result.status is Status.NONLEVEL:
-        record["condition"] = result.condition
-        record["detail"] = result.detail
     cert = result.certificate
     if cert is not None and cert.kind == "construction":
         record.update(
@@ -60,36 +51,26 @@ def record_from_classification(result: Classification) -> dict:
             generators=cert.generators,
             characteristic=cert.characteristic,
         )
-    elif cert is not None and cert.kind == "criterion":
-        record["criterion"] = cert.criterion
+    elif cert is not None:  # a condition or a criterion
+        record[cert.kind] = cert.rule
         record["detail"] = cert.detail
     return record
 
 
-def _require_path(path: str | None) -> str:
-    path = path or default_store_path()
-    if not path:
-        raise ValueError(
-            f"no store path given and {STORE_ENV} is not set"
-        )
-    return path
-
-
-def store_append(record: dict, path: str | None = None) -> None:
+def store_append(record: dict, path: str) -> None:
     """Append one record; creates the file on first use."""
-    path = _require_path(path)
     line = json.dumps(record, sort_keys=True, separators=(",", ":"))
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
 
 
-def store_load(path: str | None = None) -> list[dict]:
+def store_load(path: str) -> list[dict]:
     """Load every record, in file order.
 
     A line that is not a JSON object with a known status and integer ``r``
     and ``e`` raises VerificationError naming it.
     """
-    return list(_read_records(_require_path(path), _check_summary))
+    return list(_read_records(path, _check_summary))
 
 
 def store_verify(record: dict) -> None:
@@ -195,10 +176,10 @@ def _require_integers(key: str, value) -> list:
     return value
 
 
-def verify_store_file(path: str | None = None) -> int:
+def verify_store_file(path: str) -> int:
     """Verify every record in a store; returns the count, raises on the
     first failure with its line number."""
-    return sum(1 for _ in _read_records(_require_path(path), store_verify))
+    return sum(1 for _ in _read_records(path, store_verify))
 
 
 def _read_records(path: str, check) -> Iterator:

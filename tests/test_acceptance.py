@@ -68,8 +68,8 @@ def test_criterion_01_classify_triple():
 
     middle = classify(HVector.parse("1,3,6,10,3"))
     assert middle.status is Status.NONLEVEL
-    assert middle.condition == "ci-range"
-    assert "3*3 = 9" in middle.detail
+    assert middle.certificate.rule == "ci-range"
+    assert "3*3 = 9" in middle.certificate.detail
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     _pass(1, f"triple classified with certificates in {elapsed:.2f}s")
@@ -222,10 +222,10 @@ def test_criterion_09_maximal_prefix_type_range():
 
     low = classify(max_prefix_vector(2, 3, 1))
     assert low.status is Status.NONLEVEL
-    assert low.condition == "ci-range"
+    assert low.certificate.rule == "ci-range"
     high = classify(max_prefix_vector(2, 3, 5))
     assert high.status is Status.NONLEVEL
-    assert high.condition == "o-sequence"
+    assert high.certificate.rule == "o-sequence"
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     _pass(9, f"types 2..4 realized, 1 and 5 rejected, in {elapsed:.2f}s")

@@ -13,6 +13,7 @@ from levellab.bounds import gorenstein_socle4_interval, socle2_type_range, socle
 from levellab.classify import (
     MAX_RECIPE_DEPTH,
     Certificate,
+    Classification,
     Status,
     build_recipe,
     candidate_recipes,
@@ -45,8 +46,8 @@ def test_frozen_triple():
 
     between = classify(HVector.parse("1,3,6,10,3"))
     assert between.status is Status.NONLEVEL
-    assert between.condition == "ci-range"
-    assert "9" in between.detail
+    assert between.certificate.rule == "ci-range"
+    assert "9" in between.certificate.detail
 
 
 def test_pure_powers_and_field():
@@ -54,7 +55,7 @@ def test_pure_powers_and_field():
     assert ones.status is Status.LEVEL
     field = classify(HVector((1,)))
     assert field.status is Status.LEVEL
-    assert field.certificate.criterion == "field"
+    assert field.certificate.rule == "field"
 
 
 def test_necessary_condition_order():
@@ -78,7 +79,7 @@ def test_si_criterion_certificates():
         result = classify(HVector.parse(text))
         assert result.status is Status.LEVEL
         assert result.certificate.kind == "criterion"
-        assert result.certificate.criterion == "si-classification"
+        assert result.certificate.rule == "si-classification"
 
 
 def test_unknown_is_honest():
@@ -231,13 +232,22 @@ def test_recipe_tag_is_canonical():
     assert a == b
 
 
+def test_a_verdict_keeps_no_status_of_its_own():
+    assert [f.name for f in dataclasses.fields(Classification)] == [
+        "h", "certificate", "trials_used", "diagnostics"]
+    h = HVector((1, 2, 1))
+    assert Classification(h).status is Status.UNKNOWN
+    for kind, status in (("condition", Status.NONLEVEL), ("criterion", Status.LEVEL),
+                         ("construction", Status.LEVEL)):
+        assert Classification(h, Certificate(kind)).status is status
+
+
 def test_classify_repeats_verdict_certificate_and_diagnostics():
     # the budget counts trials only, so machine load cannot change a verdict
     for text in ("1,7,25", "1,5,4,5", "1,3,4,2"):
         a = classify(HVector.parse(text), 2, master_seed=3)
         b = classify(HVector.parse(text), 2, master_seed=3)
-        assert (a.status, a.certificate, a.diagnostics, a.trials_used) == (
-            b.status, b.certificate, b.diagnostics, b.trials_used)
+        assert a == b
 
 
 def test_certificates_depend_on_integer_values_not_types():
@@ -303,7 +313,7 @@ def test_classify_refuses_a_huge_ring_before_listing_candidates(monkeypatch):
         classify(HVector((1, 300, 10, 2)))
     # the rules still decide first
     verdict = classify(HVector((1, 200000, 10**11)))
-    assert (verdict.status, verdict.condition) == (Status.NONLEVEL, "o-sequence")
+    assert (verdict.status, verdict.certificate.rule) == (Status.NONLEVEL, "o-sequence")
 
 
 def test_classify_skips_refused_candidates_and_tries_the_rest(monkeypatch):

@@ -6,9 +6,8 @@ import io
 
 import pytest
 
-from levellab.classify import Certificate, Classification, Status
-from levellab.cli import build_parser, main
-from levellab.store import STORE_ENV
+from levellab.classify import Certificate, Classification
+from levellab.cli import STORE_ENV, build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +74,61 @@ def test_classify_outputs():
     assert code == 0
     assert "status: unknown" in text
     assert "note:" in text
+
+
+FROZEN_VERDICTS = [
+    (["classify", "1,3,6,10,3"],
+     "h: 1,3,6,10,3\n"
+     "status: nonlevel\n"
+     "condition: ci-range\n"
+     "detail: degree 3 entry 10 exceeds the derivative cap 3*3 = 9\n"),
+    (["classify", "1,3,5,7,7,5,3,1"],
+     "h: 1,3,5,7,7,5,3,1\n"
+     "status: level\n"
+     "certificate: criterion si-classification\n"
+     "detail: type 1 h-vectors in at most 3 variables are exactly the SI-sequences,"
+     " and this one is SI\n"),
+    (["classify", "1"],
+     "h: 1\n"
+     "status: level\n"
+     "certificate: criterion field\n"
+     "detail: socle degree 0 is the base field\n"),
+    (["classify", "1,3,6,9,3"],
+     "h: 1,3,6,9,3\n"
+     "status: level\n"
+     "certificate: construction powers_partition\n"
+     "seed: 7425791258405952788\n"
+     "prime: 2147483647\n"
+     "ranks: 1,3,6,9,3\n"
+     "characteristic: char-0-verified\n"),
+    (["classify", "1,4,8,9", "--trials", "1", "--seed", "7"],
+     "h: 1,4,8,9\n"
+     "status: unknown\n"
+     "note: no construction recipe matches this h-vector\n"),
+    (["scan-ic", "1,3,6,10,3", "--at", "3", "--from", "8", "--to", "11"],
+     "base: 1,3,6,10,3  degrees: 3\n"
+     "value 8: level (powers_partition)\n"
+     "value 9: level (powers_partition)\n"
+     "value 10: nonlevel (ci-range)\n"
+     "value 11: nonlevel (o-sequence)\n"
+     "gaps: none\n"),
+    (["scan-ic", "1,2,1", "--at", "2", "--from", "1", "--to", "4"],
+     "base: 1,2,1  degrees: 2\n"
+     "value 1: level (si-classification)\n"
+     "value 2: level (powers_partition)\n"
+     "value 3: level (powers_partition)\n"
+     "value 4: nonlevel (o-sequence)\n"
+     "gaps: none\n"),
+]
+
+
+@pytest.mark.parametrize("argv, text", FROZEN_VERDICTS,
+                         ids=[" ".join(a) for a, _ in FROZEN_VERDICTS])
+def test_verdict_output_is_frozen(capsys, argv, text):
+    # one verdict of each witness kind (condition, criterion, construction,
+    # none) and scan labels of all three kinds, byte for byte
+    assert run(argv) == (0, text)
+    assert capsys.readouterr().err == ""
 
 
 def test_construct_powers():
@@ -240,6 +294,27 @@ def test_verify_without_store_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_env_default_path(tmp_path, monkeypatch, capsys):
+    # only the command line reads the variable: a store named by neither a
+    # flag nor a file argument
+    path = tmp_path / "env.jsonl"
+    monkeypatch.setenv(STORE_ENV, str(path))
+    assert run(["classify", "1,3,6,10,3"])[0] == 0
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+    assert run(["verify"]) == (0, "verified 1 records\n")
+    code, text = run(["report"])
+    assert code == 0 and text.startswith("records: 1\n")
+
+    monkeypatch.delenv(STORE_ENV)
+    capsys.readouterr()
+    for command in ("verify", "report"):
+        assert run([command]) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: value: no store path given and LEVELLAB_STORE is not set\n")
+    assert run(["classify", "1,3,6,10,3"])[0] == 0
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
 def test_usage_errors_exit_2():
     for h in ("1,x,3", "1,3,,6,3"):
         with pytest.raises(SystemExit) as exc:
@@ -336,6 +411,16 @@ def test_construct_refuses_a_ring_the_store_refuses(monkeypatch, capsys, argv, f
     assert err.startswith("error: value: ") and fault in err
 
 
+@pytest.mark.parametrize("argv, fault", [
+    (["powers", "1", "3", "2"], "sum_of_powers counts exceed dim R_3 = 1: first 2"),
+    (["socle3", "2", "--parts", "5"],
+     "powers_partition counts exceed dim R_3 = 4: first 5, of 1 parts"),
+])
+def test_a_count_refusal_names_parts_only_for_a_partition(capsys, argv, fault):
+    assert run(["construct", *argv]) == (1, "")
+    assert capsys.readouterr().err == f"error: value: {fault}\n"
+
+
 def test_construct_refuses_a_degree_at_least_the_prime_before_any_draw(monkeypatch, capsys):
     monkeypatch.setattr(importlib.import_module("levellab.cli"), "maximal_profile", None)
     assert run(["construct", "powers", "3", "5", "5", "--prime", "5"]) == (1, "")
@@ -405,12 +490,10 @@ def test_nonlevel_gap_exits_4(monkeypatch):
     def fake_classify(h, budget=None, *, master_seed=0, prime=0):
         v = h[2]
         if v in (3, 7):
-            cert = Certificate(kind="criterion", criterion="stub", detail="stub")
-            return Classification(h, Status.LEVEL, certificate=cert)
+            return Classification(h, Certificate("criterion", rule="stub", detail="stub"))
         if v == 5:
-            return Classification(h, Status.NONLEVEL, condition="stub",
-                                  detail="stub")
-        return Classification(h, Status.UNKNOWN)
+            return Classification(h, Certificate("condition", rule="stub", detail="stub"))
+        return Classification(h)
 
     monkeypatch.setattr("levellab.scans.classify", fake_classify)
     code, text = run(["scan-ic", "1,3,6,3", "--at", "2",

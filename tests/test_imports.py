@@ -76,3 +76,9 @@ def test_only_forms_defines_the_raising_table():
     assert any(isinstance(node, ast.ImportFrom) and node.module == "levellab.forms"
                and "raising_table" in {alias.name for alias in node.names}
                for node in ast.walk(spans))
+
+
+def test_only_the_command_line_reads_the_environment():
+    # the library takes its store path as an argument; ``LEVELLAB_STORE``
+    # is the command line's default for it
+    assert files_naming(PACKAGE, "environ") | files_naming(PACKAGE, "getenv") == {"cli.py"}

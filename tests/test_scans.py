@@ -10,7 +10,7 @@ from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 import numpy as np
 import pytest
 
-from levellab.classify import Classification, Status, classify, realize_recipe
+from levellab.classify import Certificate, Classification, Status, classify, realize_recipe
 from levellab.constructions import DEFAULT_TRIALS
 from levellab.errors import HypothesisError
 from levellab.macaulay import HVector, binomial
@@ -21,7 +21,9 @@ from levellab.store import record_from_classification
 
 
 def stub(status):
-    return Classification(HVector((1,)), status)
+    kinds = {Status.LEVEL: "criterion", Status.NONLEVEL: "condition"}
+    cert = Certificate(kinds[status], rule="stub") if status in kinds else None
+    return Classification(HVector((1,)), cert)
 
 
 L = Status.LEVEL
@@ -180,10 +182,10 @@ def test_scan_reports_nonlevel_gap(monkeypatch):
     def fake_classify(h, budget=None, *, master_seed=0, prime=0):
         v = h[2]
         if v in (3, 7):
-            return Classification(h, Status.LEVEL)
+            return Classification(h, Certificate("criterion", rule="stub"))
         if v == 5:
-            return Classification(h, Status.NONLEVEL, condition="stub")
-        return Classification(h, Status.UNKNOWN)
+            return Classification(h, Certificate("condition", rule="stub"))
+        return Classification(h)
 
     monkeypatch.setattr("levellab.scans.classify", fake_classify)
     report = scan_ic(HVector.parse("1,3,6,3"), 2, range(3, 8))

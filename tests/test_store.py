@@ -19,7 +19,6 @@ from levellab.constructions import powers_partition_module
 from levellab.forms import DEFAULT_PRIME, MAX_MONOMIALS
 from levellab.store import (
     CHARACTERISTICS,
-    STORE_ENV,
     record_from_classification,
     store_append,
     store_load,
@@ -262,6 +261,17 @@ def test_tampered_rule_detail_rejected():
         for tampered in (dict(record, detail="anything at all"), dict(record, detail=None)):
             with pytest.raises(VerificationError, match="stored detail .* differs"):
                 store_verify(tampered)
+
+
+def test_corpus_rule_records_are_what_classify_writes():
+    # every condition and criterion record of the frozen corpus is written
+    # again, key for key, from a fresh verdict
+    rules = [record for record in corpus_records() if "detail" in record]
+    assert sorted(("condition" in r, "criterion" in r) for r in rules) == (
+        [(False, True)] * 9 + [(True, False)] * 4)
+    for record in rules:
+        written = record_from_classification(classify(HVector(record["h"])))
+        assert dict(written, timestamp=None) == dict(record, timestamp=None)
 
 
 def recipe_free(record, **changes):
@@ -573,16 +583,3 @@ def test_every_claim_field_is_rechecked():
                 reasons.add(reason)
     assert len(reasons) == 6
 
-
-def test_env_default_path(tmp_path, monkeypatch, sample_records):
-    path = str(tmp_path / "env.jsonl")
-    monkeypatch.setenv(STORE_ENV, path)
-    store_append(sample_records[0])
-    assert len(store_load()) == 1
-    assert verify_store_file() == 1
-
-    monkeypatch.delenv(STORE_ENV)
-    with pytest.raises(ValueError):
-        store_append(sample_records[0])
-    with pytest.raises(ValueError):
-        store_load()
