@@ -67,6 +67,12 @@ class Certificate:
     rule: str | None = None
     detail: str | None = None
 
+    def __hash__(self) -> int:
+        # the recipe dict hashes as its tag, which equal recipes share
+        tag = None if self.recipe is None else recipe_tag(self.recipe)
+        return hash((self.kind, tag, self.seed, self.prime, self.ranks,
+                     self.characteristic, self.rule, self.detail))
+
     @property
     def module(self) -> InverseModule | None:
         if self.recipe is None:

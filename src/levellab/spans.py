@@ -2,9 +2,9 @@
 
 Ranks over F_p, p < 2^31, run on int64 residues.  A Gauss-Jordan step
 subtracts two products of residues before one ``%``, a sum below
-2 (p - 1)^2 < 2^63.  A matrix product (``_matmul_mod``) splits its right
-operand into 16-bit halves and takes two float64 products over at most
-2 _BATCH = 64 inner terms, whose sums stay below
+2 (p - 1)^2 < 2^63.  A matrix product (``_matmul_mod``) splits its small
+left operand into 16-bit halves and takes two float64 products with the
+wide right one over at most 2 _BATCH = 64 inner terms, whose sums stay below
 64 (2^31 - 2)(2^16 - 1) < 2^53, exact in any order of addition, and
 whose results stay below 2^54 in int64; a wider product raises
 SoundnessError.  Matrices of integers within int64 are read; floats,
@@ -24,7 +24,9 @@ regimes by the matrix's shape, each needed by a workload of the benchmark:
   the other 205 and 41 matrices of those passes.
 - A wider matrix reduces every batch by panels, one product per 32
   pivots: the 24 wide levels of a pass of ``tower_codim`` (r = 16..30),
-  and no matrix of the other two workloads.
+  and no matrix of the other two workloads.  Each of those levels is
+  also taller than 64 rows, so it is read batch by batch from its
+  partials (``_Partials``), never stacked.
 
 Both batched regimes stop once the rank reaches the width, without
 reading the rows left; otherwise they back-substitute once, at the end.
@@ -69,9 +71,11 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     HypothesisError.
     """
     p = check_prime(p, 0)
-    matrix = check_integers(matrix)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2d matrix")
+    partials = isinstance(matrix, _Partials)
+    if not partials:
+        matrix = check_integers(matrix)
+        if matrix.ndim != 2:
+            raise ValueError("expected a 2d matrix")
     nrows, ncols = matrix.shape
     panels = ncols > 2 * _BATCH
     if nrows <= 2 * _BATCH and not panels:
@@ -82,7 +86,8 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     blocks: list[_Block] = []
     rank = 0
     for lo in range(0, nrows, _BATCH):
-        x = _mod(matrix[lo:lo + _BATCH].astype(np.int64), p)
+        x = (matrix.read(lo, lo + _BATCH) if partials
+             else _mod(matrix[lo:lo + _BATCH].astype(np.int64), p))
         if blocks:
             for block in blocks:
                 block.clear(x, p)
@@ -122,12 +127,12 @@ class _Block:
     columns of every earlier block.  Each row is zero left of its pivot,
     and keeps that when the block takes in rows or is back-substituted:
     a row only loses multiples of rows pivoted right of its own pivot.  So
-    all are zero left of ``cols.min()``; ``halves`` caches the float
-    halves of the columns from there on."""
+    all are zero left of ``cols.min()``; ``floats`` caches one float64
+    copy of the columns from there on, the wide operand of its products."""
 
     cols: np.ndarray
     rows: np.ndarray
-    halves: tuple | None = None
+    floats: np.ndarray | None = None
 
     def clear(self, a: np.ndarray, p: int) -> None:
         """a -= a[:, cols] rows mod p in place: ``a`` loses its part on
@@ -136,13 +141,13 @@ class _Block:
         all the columns would.  Runs in row chunks of ``a`` that bound the
         temporaries."""
         start = int(self.cols.min())
-        if self.halves is None:
-            self.halves = _halves(self.rows[:, start:])
+        if self.floats is None:
+            self.floats = self.rows[:, start:].astype(np.float64)
         a, cols = a[:, start:], self.cols - start
         step = max(1, _CHUNK_CELLS // a.shape[1])
         for lo in range(0, len(a), step):
             chunk = a[lo:lo + step]
-            chunk -= _matmul_mod(chunk[:, cols].astype(np.float64), self.halves, p)
+            chunk -= _matmul_mod(_halves(chunk[:, cols]), self.floats, p)
             _mod(chunk, p)
 
 
@@ -169,11 +174,11 @@ def _pivot_steps(a: np.ndarray, p: int) -> np.ndarray:
         found = _steps(panel, p, pivot, width)
         a[:, live] = panel[:, :width]
         start = int(live[-1]) + 1
-        transform = panel[:, width:].astype(np.float64)
+        transform = _halves(panel[:, width:])
         step = max(1, _CHUNK_CELLS // nrows)
         for lo in range(start, ncols, step):
             chunk = a[:, lo:lo + step]
-            chunk[:] = _mod(_matmul_mod(transform, _halves(chunk), p), p)
+            chunk[:] = _mod(_matmul_mod(transform, chunk.astype(np.float64), p), p)
         cols.extend(live[found].tolist())
     return np.array(cols, dtype=np.intp)
 
@@ -253,16 +258,17 @@ def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x & 0xFFFF).astype(np.float64), (x >> 16).astype(np.float64)
 
 
-def _matmul_mod(x: np.ndarray, y: tuple, p: int) -> np.ndarray:
-    """x @ y, congruent mod p and in [0, 2^54), for residues ``x`` as
-    float64 and ``y`` given by its ``_halves``: two exact float64 products
-    over at most 64 inner terms (module docstring)."""
-    if x.shape[1] > 64:
-        raise SoundnessError(f"inner dimension {x.shape[1]} is above 64: float64 may round")
-    y0, y1 = y
-    out = _mod((x @ y1).astype(np.int64), p)
+def _matmul_mod(x: tuple, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y, congruent mod p and in [0, 2^54), for the small left operand
+    ``x`` given by its ``_halves`` and the wide right one ``y`` as float64
+    residues: two exact float64 products over at most 64 inner terms
+    (module docstring)."""
+    x0, x1 = x
+    if x0.shape[1] > 64:
+        raise SoundnessError(f"inner dimension {x0.shape[1]} is above 64: float64 may round")
+    out = _mod((x1 @ y).astype(np.int64), p)
     out <<= 16
-    out += (x @ y0).astype(np.int64)
+    out += (x0 @ y).astype(np.int64)
     return out
 
 
@@ -284,9 +290,10 @@ def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int,
     keeps the partials by y_v of the rows from starts[v] on only, cut from
     the full stack by one ``np.concatenate`` (gathering only the kept rows,
     a variable at a time, read scans and replays 10-13% slower and towers
-    no faster).  Residues below 2^31 fit
-    int32, which halves the largest array of a tower; ``rref_mod_p``
-    reduces an int64 copy of it."""
+    no faster).  Residues below 2^31 fit int32, which halves the stack;
+    ``rref_mod_p`` reduces int64 copies of its batches.  A tower's levels
+    over more than 2 _BATCH rows and columns are not stacked but read from
+    ``_Partials``."""
     index, mult = raising_table(nvars, degree)
     dim, size = len(matrix), index.shape[1]
     stacked = np.empty((nvars, dim, size), dtype=np.int32)
@@ -299,6 +306,50 @@ def _stacked_derivatives(matrix: np.ndarray, nvars: int, degree: int, p: int,
     if starts is not None:
         return np.concatenate([block[start:] for block, start in zip(stacked, starts)])
     return stacked.reshape(nvars * dim, size)
+
+
+class _Partials:
+    """The matrix ``_stacked_derivatives(basis, nvars, degree, p, starts)``
+    unbuilt: ``rref_mod_p`` reads it a batch at a time, so the rows past
+    full rank are never gathered, and ``np.asarray`` stacks it whole."""
+
+    def __init__(self, basis: np.ndarray, nvars: int, degree: int, p: int,
+                 starts: list[int] | None = None) -> None:
+        self.args = basis, nvars, degree, p, starts
+        self.starts = starts or [0] * nvars
+        # the partials by y_v are rows offsets[v] .. offsets[v + 1] - 1
+        self.offsets = list(accumulate((len(basis) - start for start in self.starts), initial=0))
+        self.shape = (self.offsets[-1], ring_dim(nvars, degree - 1))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        stacked = _stacked_derivatives(*self.args)
+        return stacked if dtype is None else stacked.astype(dtype, copy=False)
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo .. hi - 1 as int64 residues, gathered through the raising
+        table one variable's run at a time straight into the batch: beside
+        it only the intp copy of a table row is allocated, so there is no
+        gather temporary for ``_CHUNK_CELLS`` to bound."""
+        basis, nvars, degree, p, _ = self.args
+        index, mult = raising_table(nvars, degree)
+        hi = min(hi, len(self))
+        out = np.empty((hi - lo, self.shape[1]), dtype=np.int64)
+        row, v = lo, 0
+        while row < hi:
+            while self.offsets[v + 1] <= row:
+                v += 1
+            end = min(hi, self.offsets[v + 1])
+            first = self.starts[v] + row - self.offsets[v]
+            run = out[row - lo:end - lo]
+            # "clip" leaves the valid indices as they are and lets take
+            # write into ``run`` without a buffer
+            np.take(basis[first:first + end - row], index[v], axis=1, out=run, mode="clip")
+            run *= mult[v]
+            row = end
+        return _mod(out, p)
 
 
 def derivative_spaces(module) -> list[np.ndarray]:
@@ -328,7 +379,13 @@ def derivative_spaces(module) -> list[np.ndarray]:
             break
         # no name keeps a level's stacked matrix alive while the next is built
         del level
-        level = _stacked_derivatives(spans[-1], nvars, degree, p, starts)
+        # the partials by y_v of the rows of the basis from starts[v] on
+        rows = nvars * len(spans[-1]) - sum(starts or ())
+        if rows > 2 * _BATCH < ring_dim(nvars, degree - 1):
+            level = _Partials(spans[-1], nvars, degree, p, starts)
+        else:
+            # short or narrow: one stack, which scans and replays read faster
+            level = _stacked_derivatives(spans[-1], nvars, degree, p, starts)
         degree -= 1
     eyes: dict[int, np.ndarray] = {}
     for size in (ring_dim(nvars, d) for d in range(degree - 1, -1, -1)):

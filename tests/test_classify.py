@@ -242,6 +242,23 @@ def test_a_verdict_keeps_no_status_of_its_own():
         assert Classification(h, Certificate(kind)).status is status
 
 
+@pytest.mark.parametrize("h, kwargs, kind", [
+    ((1, 3, 5, 3), {"master_seed": 1}, "construction"),  # its recipe is a dict
+    ((1, 3, 5, 7, 7, 5, 3, 1), {}, "criterion"),
+    ((1, 3, 6, 10, 3), {}, "condition"),
+    ((1, 4, 8, 9), {"trials": 1, "master_seed": 7}, None),
+])
+def test_equal_verdicts_hash_alike(h, kwargs, kind):
+    a, b = classify(h, **kwargs), classify(h, **kwargs)
+    assert (a.certificate and a.certificate.kind) == kind
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    if kind == "construction":
+        # an equal recipe in another dict hashes the same
+        twin = dataclasses.replace(a.certificate, recipe=dict(reversed(a.certificate.recipe.items())))
+        assert twin == a.certificate and hash(twin) == hash(a.certificate)
+
+
 def test_classify_repeats_verdict_certificate_and_diagnostics():
     # the budget counts trials only, so machine load cannot change a verdict
     for text in ("1,7,25", "1,5,4,5", "1,3,4,2"):

@@ -751,22 +751,22 @@ def test_narrow_batches_take_no_panel_product(monkeypatch):
 
 
 def test_products_at_the_inner_bound_stay_exact():
-    # 64 inner terms of the largest residue against right halves at their
-    # largest (0x7FFF high in p - 1, 0xFFFF low in p - 2^16) carry the
+    # left halves at their largest (0x7FFF high in p - 1, 0xFFFF low in
+    # p - 2^16) against 64 inner terms of the largest residue carry the
     # float64 sums to 64 (2^31 - 2)(2^16 - 1) = 2^53 - 2^37 - 2^23 + 2^7,
     # the closest to 2^53 the kernel's products come
     p = DEFAULT_PRIME
-    x = np.full((2, 64), p - 1, dtype=np.int64)
-    y = np.full((64, 3), p - 1, dtype=np.int64)
-    y[:, 1] = p - 2**16
-    y[::7, 2] = np.arange(10) + p - 40
+    x = np.full((3, 64), p - 1, dtype=np.int64)
+    x[1] = p - 2**16
+    x[2, ::7] = np.arange(10) + p - 40
+    y = np.full((64, 2), p - 1, dtype=np.int64)
     assert 64 * (p - 1) * (2**16 - 1) == 2**53 - 2**37 - 2**23 + 2**7
-    got = spans._matmul_mod(x.astype(np.float64), spans._halves(y), p)
+    got = spans._matmul_mod(spans._halves(x), y.astype(np.float64), p)
     want = x.astype(object).dot(y.astype(object)) % p
     assert (got >= 0).all()
     assert (got % p).tolist() == want.tolist()
     with pytest.raises(SoundnessError, match="65"):
-        spans._matmul_mod(np.ones((2, 65)), spans._halves(np.ones((65, 3), dtype=np.int64)), p)
+        spans._matmul_mod(spans._halves(np.ones((2, 65), dtype=np.int64)), np.ones((65, 3)), p)
 
 
 def test_the_modulus_is_read_by_value():
@@ -880,8 +880,8 @@ def test_pivots_left_of_the_first_block_match_reference(p):
 
 def test_clears_write_from_the_first_pivot_on(monkeypatch):
     # a block's rows are zero left of its first pivot, so every clear by a
-    # block writes the columns from that pivot on only, and its cached
-    # halves are as wide as the columns it writes
+    # block writes the columns from that pivot on only, and its one cached
+    # float copy is as wide as the columns it writes
     p = DEFAULT_PRIME
     clear = spans._Block.clear
     widths = []
@@ -892,7 +892,8 @@ def test_clears_write_from_the_first_pivot_on(monkeypatch):
         assert not block.rows[:, :start].any()
         clear(block, a, p)
         assert (a[:, :start] == left).all()
-        assert block.halves[0].shape[1] == block.halves[1].shape[1] == a.shape[1] - start
+        assert block.floats.dtype == np.float64
+        assert block.floats.shape == (len(block.rows), a.shape[1] - start)
         widths.append(a.shape[1] - start)
 
     monkeypatch.setattr(spans._Block, "clear", checked)
@@ -1014,6 +1015,89 @@ def test_chunked_partials_match_gathers_one_variable_at_a_time(monkeypatch, p, n
     assert got.dtype == np.int32 and got.shape == (nvars * len(matrix), ring_dim(nvars, degree - 1))
     assert got.tolist() == partials_one_variable_at_a_time(matrix, nvars, degree, p).tolist()
     assert seen == gathers
+
+
+# ------------------------------------------------------- partials read lazily
+
+
+@pytest.mark.parametrize("p", EXIT_PRIMES)
+@pytest.mark.parametrize("nvars, degree, rows, starts", [
+    (4, 3, 5, None),
+    (4, 3, 5, [4, 0, 5, 1]),  # an empty block, and blocks of one row
+    (6, 4, 12, None),
+    (6, 4, 12, [0, 12, 12, 3, 11, 7]),
+    (30, 3, 3, None),  # more variables than a batch has rows
+])
+def test_partials_read_as_their_stack(p, nvars, degree, rows, starts):
+    # the lazy level is the stack it stands for: as a whole, byte for byte,
+    # and in every batch read, as int64 residues
+    rng = np.random.default_rng(nvars * 100 + rows)
+    basis = rng.integers(0, p, (rows, ring_dim(nvars, degree)), dtype=np.int64)
+    source = spans._Partials(basis, nvars, degree, p, starts)
+    want = spans._stacked_derivatives(basis, nvars, degree, p, starts)
+    assert source.shape == want.shape and len(source) == len(want)
+    got = np.asarray(source)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array(source, dtype=np.int64).tobytes() == want.astype(np.int64).tobytes()
+    total = len(want)
+    cuts = [(0, total), (0, _BATCH), (total - 1, total), (3, total + _BATCH)]
+    cuts += [tuple(sorted(rng.integers(0, total + 1, 2))) for _ in range(20)]
+    for lo, hi in cuts:
+        batch = source.read(int(lo), int(hi))
+        assert batch.dtype == np.int64
+        assert batch.tobytes() == want[lo:hi].astype(np.int64).tobytes()
+
+
+def test_a_tall_wide_level_is_read_only_up_to_full_rank(monkeypatch):
+    # the 900 x 465 stack of all first partials of an r = 30 compressed
+    # cubic tower reaches full rank after about half its rows: those rows
+    # are gathered batch by batch, and the level is never stacked
+    read, stacked = [], []
+    partials_read, stack = spans._Partials.read, spans._stacked_derivatives
+
+    def counted(source, lo, hi):
+        batch = partials_read(source, lo, hi)
+        read.append((source.shape, len(batch)))
+        return batch
+
+    def recorded(*args):
+        out = stack(*args)
+        stacked.append(out.shape)
+        return out
+
+    monkeypatch.setattr(spans._Partials, "read", counted)
+    monkeypatch.setattr(spans, "_stacked_derivatives", recorded)
+    module = compressed_generic_module(30, 3, 30, Random(5))
+    assert h_vector(module).h == (1, 30, 465, 30)
+    assert {shape for shape, _ in read} == {(900, 465)}
+    assert 465 <= sum(rows for _, rows in read) <= 512
+    assert (900, 465) not in stacked
+
+
+# h_vector's traced peak on an r = 30 compressed cubic tower, in a fresh
+# interpreter so that no cached raising table lowers it
+PEAK = """
+import tracemalloc
+from random import Random
+from levellab.constructions import compressed_generic_module
+from levellab.modules import h_vector
+
+tracemalloc.start()
+assert h_vector(compressed_generic_module(30, 3, 30, Random(5))).h == (1, 30, 465, 30)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_a_tall_wide_level_keeps_the_tower_peak_low():
+    # stacking the 900 x 465 level, with halves cached for every block,
+    # peaked at 8.2 MiB
+    src = str(Path(forms.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", PEAK], env=env, capture_output=True,
+                         text=True, check=True)
+    assert int(run.stdout) < 7 * 2**20
 
 
 # ---------------------------------------------------------- two pivots a step
