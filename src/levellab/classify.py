@@ -9,8 +9,9 @@ Unknown with diagnostics.
 """
 
 import json
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from random import Random
@@ -59,19 +60,13 @@ class Certificate:
     """
 
     kind: str  # "construction" | "criterion" | "condition"
-    recipe: dict | None = None
+    recipe: dict | None = field(default=None, hash=False)  # a dict has no hash
     seed: int | None = None
     prime: int | None = None
     ranks: tuple[int, ...] | None = None
     characteristic: str | None = None  # "char-p" | "char-0-verified"
     rule: str | None = None
     detail: str | None = None
-
-    def __hash__(self) -> int:
-        # the recipe dict hashes as its tag, which equal recipes share
-        tag = None if self.recipe is None else recipe_tag(self.recipe)
-        return hash((self.kind, tag, self.seed, self.prime, self.ranks,
-                     self.characteristic, self.rule, self.detail))
 
     @property
     def module(self) -> InverseModule | None:
@@ -203,27 +198,92 @@ def recipe_tag(recipe: dict) -> str:
     return json.dumps(recipe, sort_keys=True, separators=(",", ":"))
 
 
+def _as_partition(recipe: dict) -> dict:
+    """A sum of m powers is the partition (m); any other recipe is itself."""
+    if recipe["kind"] != "sum_of_powers":
+        return recipe
+    return {"kind": "powers_partition", "nvars": recipe["nvars"],
+            "degree": recipe["degree"], "parts": [recipe["count"]]}
+
+
+def _max_source_degree(e: int) -> int:
+    """The largest truncate source degree ``candidate_recipes`` emits: 2e + 2."""
+    return 2 * e + 2
+
+
+# A recipe kind: the key of its nested recipe (None for a leaf), and its
+# bound, build and ring walk, each given the node and its nested recipe's
+# bound, module or (nvars, degree), worked out first; a build also takes
+# the rng and the prime, so it draws after its nested recipe's build.
+_Kind = namedtuple("_Kind", "child bound build walk")
+
+
+def _leaf(bound, build, arg) -> _Kind:
+    """A kind without a nested recipe, built from its nvars, degree and arg(recipe)."""
+    return _Kind(None, lambda rc, _: bound(rc["nvars"], rc["degree"], arg(rc)),
+                 lambda rc, _, rng, p: build(rc["nvars"], rc["degree"], arg(rc), rng, p),
+                 lambda rc, _: (rc["nvars"], rc["degree"]))
+
+
+def _truncate_walk(recipe, source):
+    if not 1 <= recipe["to"] <= source[1]:
+        raise ValueError(f"truncation degree must be in 1..{source[1]}, got {recipe['to']}")
+    return source[0], recipe["to"]
+
+
+def _augment_walk(recipe, base):
+    if recipe["nvars"] != base[0]:  # the bound counts recipe["nvars"]
+        raise ValueError(f"augment names {recipe['nvars']} variables, not {base[0]}")
+    return base
+
+
+_POWERS = _leaf(expected_h_powers_partition, powers_partition_module,
+                lambda rc: tuple(_as_partition(rc)["parts"]))
+
+_KINDS = {
+    # Every derivative of L^e is a multiple of a power of L, so a sum of m
+    # powers spans at most m forms in each degree, and order-k derivatives
+    # span at most dim R_k (Iarrobino-Kanev, Power Sums, Gorenstein
+    # Algebras, and Determinantal Loci, LNM 1721).
+    "sum_of_powers": _POWERS,
+    # The span of a union is at most the sum of the spans, and never more
+    # than the ring.
+    "powers_partition": _POWERS,
+    # The ring, and t generators times the dim R_{e-j} operators of order
+    # e - j, bound every degree trivially.
+    "compressed": _leaf(expected_h_compressed, compressed_generic_module, lambda rc: rc["count"]),
+    # The tower of the degree-``to`` piece is a prefix of its source's tower.
+    "truncate": _Kind("source", lambda rc, source: HVector(source.entries[: rc["to"] + 1]),
+                      lambda rc, source, rng, p: truncate_level(source, rc["to"]), _truncate_walk),
+    # The base tower plus the powers of the new variable, a direct sum that
+    # adds one in each positive degree.
+    "add_variable": _Kind("base", lambda rc, base: HVector((1, *(x + 1 for x in base[1:]))),
+                          lambda rc, base, rng, p: add_new_variable_power(base),
+                          lambda rc, base: (base[0] + 1, base[1])),
+    # As for a partition: the span of a union is at most the sum of the spans.
+    "augment": _Kind("base", lambda rc, base: expected_h_augment(base, rc["nvars"], rc["count"]),
+                     lambda rc, base, rng, p: augment_with_powers(base, rc["count"], rng),
+                     _augment_walk),
+}
+
+
+def _by_kind(recipe: dict, slot: str, recurse, *args):
+    """Apply the ``slot`` of a recipe's row to the recipe, to ``recurse`` of
+    its nested recipe if it has one, and to ``args``; refuse an unknown kind."""
+    kind = recipe["kind"]
+    row = _KINDS.get(kind)
+    if row is None:
+        raise ValueError(f"unknown recipe kind {kind!r}")
+    child = None if row.child is None else recurse(recipe[row.child])
+    return getattr(row, slot)(recipe, child, *args)
+
+
 def expected_h_for_recipe(recipe: dict) -> HVector:
     """Generic h-vector a recipe aims for, by pure arithmetic.
 
     It is also an entrywise upper bound on the h-vector of the recipe's
     module over any field; see :func:`char0_certified`."""
-    kind = recipe["kind"]
-    if kind in ("sum_of_powers", "powers_partition"):  # a sum of m powers is the partition (m)
-        parts = recipe["parts"] if kind == "powers_partition" else [recipe["count"]]
-        return expected_h_powers_partition(recipe["nvars"], recipe["degree"], tuple(parts))
-    if kind == "compressed":
-        return expected_h_compressed(recipe["nvars"], recipe["degree"], recipe["count"])
-    if kind == "truncate":
-        source = expected_h_for_recipe(recipe["source"])
-        return HVector(source.entries[: recipe["to"] + 1])
-    if kind == "add_variable":
-        base = expected_h_for_recipe(recipe["base"])
-        return HVector((1,) + tuple(x + 1 for x in base.entries[1:]))
-    if kind == "augment":
-        base = expected_h_for_recipe(recipe["base"])
-        return expected_h_augment(base, recipe["nvars"], recipe["count"])
-    raise ValueError(f"unknown recipe kind {kind!r}")
+    return _by_kind(recipe, "bound", expected_h_for_recipe)
 
 
 def char0_certified(recipe: dict, ranks) -> bool:
@@ -239,20 +299,8 @@ def char0_certified(recipe: dict, ranks) -> bool:
     generators, and those span the F_p tower in each degree, so every
     tower matrix of the lift has rank over Q at least the rank over F_p.
 
-    Upper bound.  The recipe's bound holds over Q for each kind:
-
-    - powers: every derivative of L^e is a multiple of a power of L, so a
-      sum of m powers spans at most m forms in each degree, and order-k
-      derivatives span at most dim R_k (Iarrobino-Kanev, Power Sums,
-      Gorenstein Algebras, and Determinantal Loci, LNM 1721);
-    - partition and augment: the span of a union is at most the sum of the
-      spans, and never more than the ring;
-    - compressed: the ring, and t generators times the dim R_{e-j}
-      operators of order e - j, bound every degree trivially;
-    - add_variable: the base tower plus the powers of the new variable, a
-      direct sum that adds one in each positive degree;
-    - truncate: the tower of the degree-``to`` piece is a prefix of its
-      source's tower.
+    Upper bound.  The recipe's bound holds over Q, for each kind by the
+    argument written beside its row in ``_KINDS``.
 
     Conclusion.  When the F_p ranks meet the bound, the ranks over Q are
     squeezed to the same values.  The lifted module is generated in one
@@ -264,21 +312,7 @@ def char0_certified(recipe: dict, ranks) -> bool:
 def build_recipe(recipe: dict, rng: Random, p: int = DEFAULT_PRIME) -> InverseModule:
     """Materialize a recipe; the rng is consumed in a fixed order, so a
     seeded Random reproduces the module exactly."""
-    kind = recipe["kind"]
-    if kind in ("sum_of_powers", "powers_partition"):  # a sum of m powers is the partition (m)
-        parts = recipe["parts"] if kind == "powers_partition" else [recipe["count"]]
-        return powers_partition_module(recipe["nvars"], recipe["degree"], tuple(parts), rng, p)
-    if kind == "compressed":
-        return compressed_generic_module(
-            recipe["nvars"], recipe["degree"], recipe["count"], rng, p
-        )
-    if kind == "truncate":
-        return truncate_level(build_recipe(recipe["source"], rng, p), recipe["to"])
-    if kind == "add_variable":
-        return add_new_variable_power(build_recipe(recipe["base"], rng, p))
-    if kind == "augment":
-        return augment_with_powers(build_recipe(recipe["base"], rng, p), recipe["count"], rng)
-    raise ValueError(f"unknown recipe kind {kind!r}")
+    return _by_kind(recipe, "build", lambda child: build_recipe(child, rng, p), rng, p)
 
 
 def candidate_recipes(h: HVector) -> Iterator[dict]:
@@ -298,16 +332,13 @@ def candidate_recipes(h: HVector) -> Iterator[dict]:
 
 
 def _direct_recipes(h: HVector) -> Iterator[dict]:
-    r, e = h.codimension, h.socle_degree
-    if e < 1 or r < 1:
+    if h.socle_degree < 1 or h.codimension < 1:
         return
     seen: set[str] = set()
     for recipe in _direct_shapes(h):
         if expected_h_for_recipe(recipe) != h:
             continue
-        parts = recipe.get("parts", ())  # the partition (m) builds a sum of m powers
-        tag = recipe_tag(recipe if len(parts) != 1 else {
-            "kind": "sum_of_powers", "nvars": r, "degree": e, "count": parts[0]})
+        tag = recipe_tag(_as_partition(recipe))
         if tag not in seen:
             seen.add(tag)
             yield recipe
@@ -327,7 +358,7 @@ def _direct_shapes(h: HVector) -> Iterator[dict]:
         if parts is not None:
             yield {"kind": "powers_partition", "nvars": r, "degree": e, "parts": list(parts)}
     yield {"kind": "compressed", "nvars": r, "degree": e, "count": t}
-    for degree_src in range(e + 1, 2 * e + 3):
+    for degree_src in range(e + 1, _max_source_degree(e) + 1):
         yield {"kind": "truncate", "to": e,
                "source": {"kind": "sum_of_powers", "nvars": r,
                           "degree": degree_src, "count": max(h.entries)}}
@@ -343,27 +374,21 @@ def recipe_size(recipe: dict, r: int, e: int, p: int, *, depth: int = 1) -> tupl
     a recipe for ``classify``, ``store_verify`` and ``levellab construct``.
     Before anything is built it refuses a recipe of more than
     ``MAX_RECIPE_DEPTH`` nested nodes (``depth`` counts this node's), an
-    augment that names other variables than its base, and a node in more
+    unknown kind, an augment that names other variables than its base, a
+    truncate to a degree outside 1..(its source's), and a node in more
     than r variables, of degree above 2e + 2 (the largest truncate source
     ``candidate_recipes`` emits), in a ring ``check_ring`` refuses, with a
     count or part above dim R_degree, or of degree not below p."""
     if depth > MAX_RECIPE_DEPTH:
         raise ValueError(f"recipe nests more than {MAX_RECIPE_DEPTH} nodes")
+    nvars, degree = _by_kind(recipe, "walk",
+                             lambda child: recipe_size(child, r, e, p, depth=depth + 1))
     kind = recipe["kind"]
-    if kind == "truncate":
-        return recipe_size(recipe["source"], r, e, p, depth=depth + 1)[0], recipe["to"]
-    if kind in ("add_variable", "augment"):
-        nvars, degree = recipe_size(recipe["base"], r, e, p, depth=depth + 1)
-        if kind == "augment" and recipe["nvars"] != nvars:  # the bound counts recipe["nvars"]
-            raise ValueError(f"augment names {recipe['nvars']} variables, not {nvars}")
-        nvars += kind == "add_variable"
-    else:
-        nvars, degree = recipe["nvars"], recipe["degree"]
     parts = recipe.get("parts", [])
     if nvars > r:
         raise ValueError(f"{kind} names {nvars} variables, more than the ring's {r}")
-    if degree > 2 * e + 2:
-        raise ValueError(f"{kind} has degree {degree}, above 2e + 2 = {2 * e + 2}")
+    if degree > _max_source_degree(e):
+        raise ValueError(f"{kind} has degree {degree}, above 2e + 2 = {_max_source_degree(e)}")
     cap = check_ring(nvars, degree)
     counts = chain(parts, (len(parts), recipe.get("count", 0)))
     over = next((count for count in counts if count > cap), None)

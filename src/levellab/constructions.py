@@ -85,9 +85,9 @@ def _add_power_sums(h: tuple[int, ...], nvars: int, parts) -> HVector:
     j = 1..e, with e = len(h) - 1: the generic h-vector after adjoining one
     sum of m_i e-th powers per part to a level module with h-vector h."""
     e = len(h) - 1
+    dims = [ring_dim(nvars, j) for j in range(e + 1)]
     return HVector((1,) + tuple(
-        min(h[j] + sum(min(m, ring_dim(nvars, j), ring_dim(nvars, e - j)) for m in parts),
-            ring_dim(nvars, j))
+        min(h[j] + sum(min(m, dims[j], dims[e - j]) for m in parts), dims[j])
         for j in range(1, e + 1)))
 
 

@@ -163,6 +163,13 @@ def test_rational_ranks_of_the_lift_meet_the_bound(recipe):
         assert_oracle_agrees(recipe, seed, DEFAULT_PRIME)
 
 
+@pytest.mark.parametrize("recipe", SMALL_RECIPES, ids=lambda r: str(expected_h_for_recipe(r)))
+def test_the_size_walk_gives_the_built_ring(recipe):
+    module = build_recipe(recipe, Random(0), DEFAULT_PRIME)
+    ring = (module.nvars, module.degree)
+    assert recipe_size(recipe, *ring, DEFAULT_PRIME) == ring
+
+
 @pytest.mark.parametrize("text", ["1,4,4,4,1", "1,4,5,4,1", "1,3,4,2", "1,3,6,9,3",
                                   "1,4,10,8,2"])
 def test_classify_certificates_hold_over_q(text):

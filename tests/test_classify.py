@@ -144,6 +144,24 @@ def test_expected_arithmetic_for_composite_recipes():
         expected_h_for_recipe({"kind": "nonsense"})
 
 
+def test_recipe_size_refuses_an_unknown_kind():
+    bogus = {"kind": "bogus", "nvars": 3, "degree": 2, "count": 2}
+    with pytest.raises(ValueError, match="unknown recipe kind 'bogus'"):
+        recipe_size(bogus, 3, 2, 101)
+    with pytest.raises(ValueError, match="unknown recipe kind 'bogus'"):
+        recipe_size({"kind": "add_variable", "base": bogus}, 4, 2, 101)
+
+
+@pytest.mark.parametrize("to", [0, 5])
+def test_recipe_size_refuses_a_truncate_outside_its_source_degrees(to):
+    # the source has degree 4: degree 0 and degree 5 are no truncation of it
+    recipe = {"kind": "truncate", "to": to,
+              "source": {"kind": "sum_of_powers", "nvars": 3, "degree": 4, "count": 3}}
+    with pytest.raises(ValueError, match=f"truncation degree must be in 1..4, got {to}"):
+        recipe_size(recipe, 3, 4, 101)
+    assert recipe_size(dict(recipe, to=4), 3, 4, 101) == (3, 4)
+
+
 def test_build_recipe_replays_byte_identically():
     recipe = {"kind": "augment", "nvars": 3, "count": 1,
               "base": {"kind": "powers_partition", "nvars": 3, "degree": 4,

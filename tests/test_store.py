@@ -450,6 +450,14 @@ def test_augment_naming_other_variables_than_its_base_refused(no_draws):
         store_verify(record)
 
 
+def test_unknown_recipe_kind_refused_by_the_size_walk(no_draws):
+    record = corpus_record_of_kind("truncate")
+    record["recipe"]["source"]["kind"] = "sum_of_squares"
+    with pytest.raises(VerificationError,
+                       match="recipe_size: unknown recipe kind 'sum_of_squares'"):
+        store_verify(record)
+
+
 @pytest.mark.parametrize("nodes", [4, 985])
 def test_recipe_of_more_than_three_nested_nodes_refused(no_draws, nodes):
     # truncating to the same degree again changes no module, so only the
