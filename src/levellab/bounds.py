@@ -41,11 +41,6 @@ __all__ = [
 ]
 
 
-def _inclusive(lo: int, hi: int) -> range:
-    # inclusive endpoints; callers have already ruled out emptiness
-    return range(lo, hi + 1)
-
-
 def min_prev_entry(value: int, degree: int) -> int:
     """Least possible degree d-1 entry of an h-vector whose degree d entry
     is ``value``: the -1 index shift of the d-binomial expansion."""
@@ -129,7 +124,7 @@ def socle3_interval_low(nvars: int, a: int, t: int) -> range:
     hi = min(t + 1, binomial(r + 1, 2))
     if not 1 <= a <= hi:
         raise HypothesisError(f"starting entry {a} outside 1..{hi}")
-    return _inclusive(a, hi)
+    return range(a, hi + 1)
 
 
 def socle3_interval(nvars: int, a: int, t: int) -> range:
@@ -142,7 +137,7 @@ def socle3_interval(nvars: int, a: int, t: int) -> range:
     hi = min(r * t, binomial(r + 1, 2))
     if not 1 <= a <= hi:
         raise HypothesisError(f"starting entry {a} outside 1..{hi}")
-    return _inclusive(a, hi)
+    return range(a, hi + 1)
 
 
 def socle2_min_codim(t: int) -> int:
@@ -156,7 +151,7 @@ def socle2_type_range(nvars: int) -> range:
     the cap being sharp."""
     if nvars < 1:
         raise ValueError(f"need at least one variable, got {nvars}")
-    return _inclusive(1, binomial(nvars + 1, 2))
+    return range(1, binomial(nvars + 1, 2) + 1)
 
 
 def max_prefix_type_range(nvars: int, degree: int) -> range:
@@ -171,7 +166,7 @@ def max_prefix_type_range(nvars: int, degree: int) -> range:
         raise ValueError(f"need r, e >= 1, got r={r}, e={e}")
     top = binomial(r + e - 2, e - 1)
     lo = -(-top // r)
-    return _inclusive(lo, binomial(r + e - 1, e))
+    return range(lo, binomial(r + e - 1, e) + 1)
 
 
 def max_prefix_vector(nvars: int, degree: int, t: int) -> HVector:
@@ -204,7 +199,7 @@ def type_interval(h: HVector) -> range:
     m = max(h[i] for i in range(1, e))
     if t0 < m:
         raise HypothesisError(f"need the last entry {t0} >= maximal middle entry {m}")
-    return _inclusive(m - 1, t0)
+    return range(m - 1, t0 + 1)
 
 
 def _max_prefix_ok(h: HVector, through: int) -> bool:
@@ -232,7 +227,7 @@ def gorenstein_middle_interval(h: HVector) -> range:
         raise HypothesisError(
             f"entries through degree {half - 1} must be maximal, got {h}"
         )
-    return _inclusive(h[half], binomial(h.codimension + half - 1, half))
+    return range(h[half], binomial(h.codimension + half - 1, half) + 1)
 
 
 def gorenstein_socle4_interval(nvars: int, a: int) -> range:
@@ -244,7 +239,7 @@ def gorenstein_socle4_interval(nvars: int, a: int) -> range:
     hi = binomial(r + 1, 2)
     if not 1 <= a <= hi:
         raise HypothesisError(f"middle entry {a} outside 1..{hi}")
-    return _inclusive(a, hi)
+    return range(a, hi + 1)
 
 
 def si_interval_closure(h_lo: HVector, h_hi: HVector, i: int) -> bool:

@@ -225,10 +225,11 @@ def _leaf(bound, build, arg) -> _Kind:
                  lambda rc, _: (rc["nvars"], rc["degree"]))
 
 
-def _truncate_walk(recipe, source):
-    if not 1 <= recipe["to"] <= source[1]:
-        raise ValueError(f"truncation degree must be in 1..{source[1]}, got {recipe['to']}")
-    return source[0], recipe["to"]
+def _truncate_to(recipe, source_degree: int) -> int:
+    """The degree a truncate keeps, refused outside 1..(its source's degree)."""
+    if not 1 <= recipe["to"] <= source_degree:
+        raise ValueError(f"truncation degree must be in 1..{source_degree}, got {recipe['to']}")
+    return recipe["to"]
 
 
 def _augment_walk(recipe, base):
@@ -253,8 +254,10 @@ _KINDS = {
     # e - j, bound every degree trivially.
     "compressed": _leaf(expected_h_compressed, compressed_generic_module, lambda rc: rc["count"]),
     # The tower of the degree-``to`` piece is a prefix of its source's tower.
-    "truncate": _Kind("source", lambda rc, source: HVector(source.entries[: rc["to"] + 1]),
-                      lambda rc, source, rng, p: truncate_level(source, rc["to"]), _truncate_walk),
+    "truncate": _Kind("source",
+                      lambda rc, src: HVector(src[: _truncate_to(rc, src.socle_degree) + 1]),
+                      lambda rc, source, rng, p: truncate_level(source, rc["to"]),
+                      lambda rc, source: (source[0], _truncate_to(rc, source[1]))),
     # The base tower plus the powers of the new variable, a direct sum that
     # adds one in each positive degree.
     "add_variable": _Kind("base", lambda rc, base: HVector((1, *(x + 1 for x in base[1:]))),
@@ -267,15 +270,37 @@ _KINDS = {
 }
 
 
-def _by_kind(recipe: dict, slot: str, recurse, *args):
-    """Apply the ``slot`` of a recipe's row to the recipe, to ``recurse`` of
-    its nested recipe if it has one, and to ``args``; refuse an unknown kind."""
-    kind = recipe["kind"]
-    row = _KINDS.get(kind)
-    if row is None:
-        raise ValueError(f"unknown recipe kind {kind!r}")
-    child = None if row.child is None else recurse(recipe[row.child])
-    return getattr(row, slot)(recipe, child, *args)
+# add_variable of a truncate of a power sum: the deepest recipe that
+# candidate_recipes emits
+MAX_RECIPE_DEPTH = 3
+
+
+def _nodes(recipe: dict) -> list[tuple[dict, _Kind]]:
+    """A recipe's nodes with their rows, the innermost first.  Every reader
+    of a recipe looks it up here, so each refuses an unknown kind and a
+    recipe of more than ``MAX_RECIPE_DEPTH`` nested nodes before it works
+    anything out."""
+    nodes = []
+    while True:
+        if len(nodes) == MAX_RECIPE_DEPTH:
+            raise ValueError(f"recipe nests more than {MAX_RECIPE_DEPTH} nodes")
+        kind = recipe["kind"]
+        row = _KINDS.get(kind)
+        if row is None:
+            raise ValueError(f"unknown recipe kind {kind!r}")
+        nodes.append((recipe, row))
+        if row.child is None:
+            return nodes[::-1]
+        recipe = recipe[row.child]
+
+
+def _fold(recipe: dict, slot: str, *args):
+    """Apply the ``slot`` of each node's row, innermost first, to the node,
+    its nested recipe's result and ``args``."""
+    result = None
+    for node, row in _nodes(recipe):
+        result = getattr(row, slot)(node, result, *args)
+    return result
 
 
 def expected_h_for_recipe(recipe: dict) -> HVector:
@@ -283,7 +308,7 @@ def expected_h_for_recipe(recipe: dict) -> HVector:
 
     It is also an entrywise upper bound on the h-vector of the recipe's
     module over any field; see :func:`char0_certified`."""
-    return _by_kind(recipe, "bound", expected_h_for_recipe)
+    return _fold(recipe, "bound")
 
 
 def char0_certified(recipe: dict, ranks) -> bool:
@@ -312,7 +337,7 @@ def char0_certified(recipe: dict, ranks) -> bool:
 def build_recipe(recipe: dict, rng: Random, p: int = DEFAULT_PRIME) -> InverseModule:
     """Materialize a recipe; the rng is consumed in a fixed order, so a
     seeded Random reproduces the module exactly."""
-    return _by_kind(recipe, "build", lambda child: build_recipe(child, rng, p), rng, p)
+    return _fold(recipe, "build", rng, p)
 
 
 def candidate_recipes(h: HVector) -> Iterator[dict]:
@@ -364,39 +389,36 @@ def _direct_shapes(h: HVector) -> Iterator[dict]:
                           "degree": degree_src, "count": max(h.entries)}}
 
 
-# add_variable of a truncate of a power sum: the deepest recipe that
-# candidate_recipes emits
-MAX_RECIPE_DEPTH = 3
-
-
-def recipe_size(recipe: dict, r: int, e: int, p: int, *, depth: int = 1) -> tuple[int, int]:
+def recipe_size(recipe: dict, r: int, e: int, p: int) -> tuple[int, int]:
     """The (nvars, degree) of a recipe's module, by the one walk that admits
     a recipe for ``classify``, ``store_verify`` and ``levellab construct``.
     Before anything is built it refuses a recipe of more than
-    ``MAX_RECIPE_DEPTH`` nested nodes (``depth`` counts this node's), an
-    unknown kind, an augment that names other variables than its base, a
-    truncate to a degree outside 1..(its source's), and a node in more
-    than r variables, of degree above 2e + 2 (the largest truncate source
+    ``MAX_RECIPE_DEPTH`` nested nodes, an unknown kind, an augment that
+    names other variables than its base, a truncate to a degree outside
+    1..(its source's), and, innermost first, a node in more than r
+    variables, of degree above 2e + 2 (the largest truncate source
     ``candidate_recipes`` emits), in a ring ``check_ring`` refuses, with a
-    count or part above dim R_degree, or of degree not below p."""
-    if depth > MAX_RECIPE_DEPTH:
-        raise ValueError(f"recipe nests more than {MAX_RECIPE_DEPTH} nodes")
-    nvars, degree = _by_kind(recipe, "walk",
-                             lambda child: recipe_size(child, r, e, p, depth=depth + 1))
-    kind = recipe["kind"]
-    parts = recipe.get("parts", [])
-    if nvars > r:
-        raise ValueError(f"{kind} names {nvars} variables, more than the ring's {r}")
-    if degree > _max_source_degree(e):
-        raise ValueError(f"{kind} has degree {degree}, above 2e + 2 = {_max_source_degree(e)}")
-    cap = check_ring(nvars, degree)
-    counts = chain(parts, (len(parts), recipe.get("count", 0)))
-    over = next((count for count in counts if count > cap), None)
-    if over is not None:  # name the first only: a partition may have many parts
-        of_parts = f", of {len(parts)} parts" if parts else ""
-        raise ValueError(f"{kind} counts exceed dim R_{degree} = {cap}: first {over}{of_parts}")
-    check_prime(p, degree)
-    return nvars, degree
+    count below 1, a count or part above dim R_degree, or of degree not
+    below p."""
+    size = None
+    for node, row in _nodes(recipe):
+        nvars, degree = size = row.walk(node, size)
+        kind = node["kind"]
+        parts = node.get("parts", [])
+        if nvars > r:
+            raise ValueError(f"{kind} names {nvars} variables, more than the ring's {r}")
+        if degree > _max_source_degree(e):
+            raise ValueError(f"{kind} has degree {degree}, above 2e + 2 = {_max_source_degree(e)}")
+        cap = check_ring(nvars, degree)
+        if node.get("count", 1) < 1:
+            raise ValueError(f"{kind} count must be at least 1, got {node['count']}")
+        counts = chain(parts, (len(parts), node.get("count", 0)))
+        over = next((count for count in counts if count > cap), None)
+        if over is not None:  # name the first only: a partition may have many parts
+            of_parts = f", of {len(parts)} parts" if parts else ""
+            raise ValueError(f"{kind} counts exceed dim R_{degree} = {cap}: first {over}{of_parts}")
+        check_prime(p, degree)
+    return size
 
 
 def realize_recipe(recipe: dict, master_seed: int, trials: int,

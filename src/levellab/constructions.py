@@ -84,6 +84,8 @@ def _add_power_sums(h: tuple[int, ...], nvars: int, parts) -> HVector:
     """h'_j = min(h_j + sum_i min(m_i, dim R_j, dim R_{e-j}), dim R_j) for
     j = 1..e, with e = len(h) - 1: the generic h-vector after adjoining one
     sum of m_i e-th powers per part to a level module with h-vector h."""
+    if not parts or min(parts) < 1:
+        raise ValueError(f"need at least one sum, each of at least one power, got {tuple(parts)}")
     e = len(h) - 1
     dims = [ring_dim(nvars, j) for j in range(e + 1)]
     return HVector((1,) + tuple(
@@ -178,6 +180,8 @@ def compressed_generic_module(nvars: int, degree: int, count: int, rng: Random,
 def expected_h_compressed(nvars: int, degree: int, count: int) -> HVector:
     """Maximal profile h_j = min(dim R_j, count * dim R_{e-j}), observed
     generically for dense random generators."""
+    if count < 1:
+        raise ValueError(f"need at least one generator, got {count}")
     return HVector((1,) + tuple(min(ring_dim(nvars, j), count * ring_dim(nvars, degree - j))
                                 for j in range(1, degree + 1)))
 

@@ -296,7 +296,7 @@ def randrange_many(rng: Random, n: int, count: int) -> np.ndarray:
 # ------------------------------------------------------------------ text
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded as raising_table is: an r = 40 quartic table holds 8 MB
 def _monomial_strings(nvars: int, degree: int) -> tuple[str, ...]:
     """The text of every degree-``degree`` monomial in grevlex order, like
     ``y1^2*y3``, and ``""`` for the constant: the one table printing keeps.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -101,8 +101,9 @@ def macaulay_upper_bound(n: int, d: int) -> int:
     return shift_expansion(binomial_expansion(n, d), 1)
 
 
-class HVector:
-    """Finite Hilbert function of a graded artinian algebra.
+class HVector(tuple):
+    """Finite Hilbert function of a graded artinian algebra: a tuple of its
+    entries h_0, ..., h_e, so it compares, hashes and slices as one.
 
     Entries are positive integers (numpy integers too; floats and strings
     are refused rather than rounded), start at h_0 = 1, and trailing zeros
@@ -110,9 +111,9 @@ class HVector:
     positive entry) is rejected.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Sequence[int]):
+    def __new__(cls, entries: Sequence[int]) -> "HVector":
         values = []
         for d, v in enumerate(entries):
             try:
@@ -128,7 +129,7 @@ class HVector:
         for d, v in enumerate(values):
             if v <= 0:
                 raise ValueError(f"entry h_{d} = {v} is not positive")
-        self.entries = tuple(values)
+        return super().__new__(cls, values)
 
     @classmethod
     def parse(cls, text: str) -> "HVector":
@@ -143,49 +144,35 @@ class HVector:
             raise ValueError(f"bad h-vector text {text!r}: {exc}") from None
 
     @property
+    def entries(self) -> "HVector":
+        """The entries h_0, ..., h_e: the vector itself."""
+        return self
+
+    @property
     def socle_degree(self) -> int:
-        return len(self.entries) - 1
+        return len(self) - 1
 
     @property
     def codimension(self) -> int:
-        return self.entries[1] if len(self.entries) > 1 else 0
+        return self[1] if len(self) > 1 else 0
 
     @property
     def type(self) -> int:
-        return self.entries[-1]
+        return self[-1]
 
     def is_symmetric(self) -> bool:
-        return self.entries == self.entries[::-1]
+        return self == self[::-1]
 
     def replace(self, degree: int, value: int) -> "HVector":
-        values = list(self.entries)
+        values = list(self)
         values[degree] = value
         return HVector(values)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, d: int) -> int:
-        return self.entries[d]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, HVector):
-            return self.entries == other.entries
-        if isinstance(other, (tuple, list)):
-            return self.entries == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def __repr__(self) -> str:
-        return f"HVector({list(self.entries)})"
+        return f"HVector({list(self)})"
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self.entries)
+        return ",".join(str(v) for v in self)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,63 @@ def test_recipe_size_refuses_a_truncate_outside_its_source_degrees(to):
     assert recipe_size(dict(recipe, to=4), 3, 4, 101) == (3, 4)
 
 
+@pytest.mark.parametrize("to", [0, 5])
+def test_a_truncate_bound_refuses_a_degree_outside_its_source(to):
+    # the source's own bound 1,2,2,2,1 at to = 5, and 1 at to = 0, were
+    # answered as the truncate's bound and certified ranks of that length
+    recipe = {"kind": "truncate", "to": to,
+              "source": {"kind": "sum_of_powers", "nvars": 3, "degree": 4, "count": 2}}
+    for read in (expected_h_for_recipe, lambda rc: char0_certified(rc, (1, 2, 2, 2, 1)),
+                 lambda rc: char0_certified(rc, (1,))):
+        with pytest.raises(ValueError, match=f"^truncation degree must be in 1..4, got {to}$"):
+            read(recipe)
+    kept = expected_h_for_recipe(dict(recipe, to=2))
+    assert kept == (1, 2, 2) and type(kept) is HVector
+
+
+BASE_2_2 = {"kind": "sum_of_powers", "nvars": 3, "degree": 2, "count": 2}
+
+
+@pytest.mark.parametrize("recipe", [
+    dict(BASE_2_2, count=0),
+    dict(BASE_2_2, count=-1),
+    {"kind": "compressed", "nvars": 3, "degree": 2, "count": 0},
+    {"kind": "augment", "nvars": 3, "count": 0, "base": BASE_2_2},
+])
+def test_a_count_below_one_is_refused_by_the_walk_and_the_bound(recipe):
+    with pytest.raises(ValueError, match=f"^{recipe['kind']} count must be at least 1, "
+                                         f"got {recipe['count']}$"):
+        recipe_size(recipe, 3, 2, 101)
+    with pytest.raises(ValueError, match="at least one"):
+        expected_h_for_recipe(recipe)
+
+
+def nested_chain(nodes: int) -> dict:
+    """A power sum inside ``nodes`` - 1 add-variable nodes."""
+    recipe = {"kind": "sum_of_powers", "nvars": 2, "degree": 2, "count": 1}
+    for _ in range(nodes - 1):
+        recipe = {"kind": "add_variable", "base": recipe}
+    return recipe
+
+
+@pytest.mark.parametrize("nodes", [MAX_RECIPE_DEPTH + 1, 3000])
+def test_every_recipe_reader_refuses_a_recipe_nested_too_deeply(nodes):
+    recipe = nested_chain(nodes)
+    readers = (expected_h_for_recipe, lambda rc: build_recipe(rc, Random(1)),
+               lambda rc: recipe_size(rc, 5000, 2, 101))
+    for read in readers:
+        with pytest.raises(ValueError, match=f"^recipe nests more than {MAX_RECIPE_DEPTH} nodes$"):
+            read(recipe)
+
+
+def test_recipe_size_takes_no_depth_of_its_own():
+    deepest = nested_chain(MAX_RECIPE_DEPTH)
+    assert recipe_size(deepest, 4, 2, 101) == (4, 2)
+    assert expected_h_for_recipe(deepest) == (1, 3, 3)
+    with pytest.raises(TypeError):
+        recipe_size(nested_chain(MAX_RECIPE_DEPTH + 2), 6, 2, 101, depth=-5)
+
+
 def test_build_recipe_replays_byte_identically():
     recipe = {"kind": "augment", "nvars": 3, "count": 1,
               "base": {"kind": "powers_partition", "nvars": 3, "degree": 4,

@@ -98,6 +98,22 @@ def test_partition_module_refuses_an_empty_or_nonpositive_partition(parts):
         powers_partition_module(3, 3, parts, random.Random(0))
 
 
+@pytest.mark.parametrize("bound", [
+    lambda: expected_h_sum_of_powers(3, 2, 0),
+    lambda: expected_h_powers_partition(3, 2, (2, 0)),
+    lambda: expected_h_powers_partition(3, 2, (-1,)),
+    lambda: expected_h_powers_partition(3, 2, ()),
+    lambda: expected_h_augment(expected_h_sum_of_powers(3, 2, 2), 3, 0),
+    lambda: expected_h_compressed(3, 2, 0),
+    lambda: expected_h_compressed(3, 2, -2),
+], ids=["no-powers", "part-0", "part-minus-1", "no-parts", "augment-0", "compressed-0",
+        "compressed-minus-2"])
+def test_a_bound_refuses_a_count_or_part_below_one_and_an_empty_partition(bound):
+    # a bound of the wrong length, (1,) for a sum of no powers, is no bound
+    with pytest.raises(ValueError, match="at least one"):
+        bound()
+
+
 def test_greedy_partition():
     assert greedy_partition(6, 2, 3) == (3, 3)
     assert greedy_partition(7, 3, 3) == (3, 3, 1)

@@ -430,6 +430,15 @@ def test_monomial_strings_follow_the_grevlex_walk():
     assert check_ring(2896, 1) * 2896 <= MAX_CELLS < 2897 * 2897
 
 
+def test_printing_in_more_rings_than_the_text_cache_holds_keeps_it_bounded():
+    rings = [(r, d) for r in range(1, 4) for d in range(30)]
+    for nvars, degree in rings:
+        format_form(nvars, degree, [1] * ring_dim(nvars, degree))
+    info = _monomial_strings.cache_info()
+    assert info.maxsize == 64 < len(rings)
+    assert info.currsize <= info.maxsize
+
+
 def test_format_refuses_a_row_of_another_ring():
     with pytest.raises(ValueError):
         format_form(2, 2, [1, 0, 0, 1])

@@ -227,6 +227,41 @@ def test_hvector_refuses_non_integer_entries():
     assert HVector([np.int64(1), np.int32(3), np.uint8(2)]) == (1, 3, 2)
 
 
+def test_an_hvector_is_the_tuple_of_its_entries():
+    h = HVector([1, 3, 6, 10, 4, 0])
+    assert isinstance(h, tuple) and h.entries is h
+    assert hash(h) == hash(tuple(h)) == hash((1, 3, 6, 10, 4))
+    assert h == (1, 3, 6, 10, 4) and (1, 3, 6, 10, 4) == h
+    assert {(1, 3, 6, 10, 4): "found"}[h] == "found"
+    # the one change from the wrapper it was: a list is no longer equal
+    assert h != [1, 3, 6, 10, 4] and [1, 3, 6, 10, 4] != h
+    assert h[1:3] == (3, 6) and type(h[1:3]) is tuple and h[::-1][0] == 4
+    assert len(h) == 5 and list(h) == [1, 3, 6, 10, 4] and h[-1] == h.type == 4
+    assert HVector([1, 2]) < HVector([1, 3]) < HVector([1, 3, 1])
+    assert h + (9,) == (1, 3, 6, 10, 4, 9) and type(h + (9,)) is tuple
+    with pytest.raises(TypeError):
+        h[1] = 5
+    with pytest.raises(AttributeError):
+        h.entries = (1, 2)
+    with pytest.raises(AttributeError):
+        h.note = "no instance dictionary"
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([2, 3], "h_0 must be 1, got 2"),
+    ([1, 0, 3], "entry h_1 = 0 is not positive"),
+    ([1, -2], "entry h_1 = -2 is not positive"),
+    ([], "an h-vector needs at least the entry h_0 = 1"),
+    ([0, 0], "an h-vector needs at least the entry h_0 = 1"),
+    ([1, 2.0], "entry h_1 = 2.0 is not an integer"),
+    ([1, "3"], "entry h_1 = '3' is not an integer"),
+])
+def test_hvector_refusals_keep_their_messages(entries, message):
+    with pytest.raises(ValueError) as info:
+        HVector(entries)
+    assert str(info.value) == message
+
+
 # ------------------------------------------------------------ O-sequences
 
 
